@@ -27,6 +27,8 @@ from pathlib import Path
 from statistics import median
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import discussion, ingest, peakstats, talkparser, timeseries
 from .ingest import COMMENT, EDIT, CommentEvent, Diagnostics, IngestError
 from .talkparser import PatternError
@@ -663,16 +665,22 @@ def _daily_total_rows(
     edit_series: dict[str, ingest.ActivitySeries],
     comment_series: dict[str, ingest.ActivitySeries],
 ) -> list[list[object]]:
-    totals: dict[int, list[int]] = defaultdict(lambda: [0, 0])
-    for slot, series_map in ((0, edit_series), (1, comment_series)):
+    """Corpus-wide (day, edits, comments) for every day with any activity."""
+    every = [*edit_series.values(), *comment_series.values()]
+    if not every:
+        return []
+    first = min(s.start_day.toordinal() for s in every)
+    last = max(s.start_day.toordinal() + len(s.counts) for s in every)
+    # One ordinal-indexed row per kind; each series adds in as one slice.
+    totals = np.zeros((2, last - first), dtype=np.int64)
+    for slot, series_map in enumerate((edit_series, comment_series)):
         for series in series_map.values():
-            start = series.start_day.toordinal()
-            for offset, count in enumerate(series.counts):
-                if count:
-                    totals[start + offset][slot] += int(count)
+            start = series.start_day.toordinal() - first
+            totals[slot, start : start + len(series.counts)] += series.counts
+    active = np.flatnonzero(totals.sum(axis=0))
     return [
-        [date.fromordinal(ordinal), pair[0], pair[1]]
-        for ordinal, pair in sorted(totals.items())
+        [date.fromordinal(first + offset), edits, comments]
+        for offset, edits, comments in zip(active.tolist(), *totals[:, active].tolist())
     ]
 
 
@@ -884,6 +892,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                     count = int(count_text)
                 except ValueError as exc:
                     raise IngestError(f"stdin:{row_no}: {exc}") from exc
+                if kind not in ingest.KINDS:
+                    raise IngestError(
+                        f"stdin:{row_no}: kind must be one of {', '.join(ingest.KINDS)},"
+                        f" got {kind!r}"
+                    )
+                if count < 0:
+                    raise IngestError(f"stdin:{row_no}: count must be >= 0, got {count}")
                 alert = _step_and_alert(states, article, kind, day, count, params)
                 if alert:
                     writer.writerow([_fmt(cell) for cell in alert])

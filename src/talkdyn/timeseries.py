@@ -16,6 +16,7 @@ centered one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -32,6 +33,9 @@ DEFAULT_WINDOW_HALFWIDTH = 14
 
 # Alert tiers for the streaming detector: ratio >= tier * c, strongest first.
 ALERT_TIERS = (4.0, 2.0, 1.0)
+
+# Window values sorted at once by the batch median kernel (8 MB of float64).
+_SORT_CHUNK = 1 << 20
 
 
 class OutOfOrderError(ValueError):
@@ -98,17 +102,36 @@ def sliding_median(
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a nonempty 1-d sequence")
+    # A halfwidth beyond the series length sees the same (whole) series.
+    halfwidth = min(halfwidth, arr.size)
+    return _window_medians(arr, halfwidth, 2 * halfwidth + 1)
+
+
+def _window_medians(arr: np.ndarray, lead: int, width: int) -> np.ndarray:
+    """Median of arr[t - lead : t - lead + width], clipped to arr, for every t.
+
+    One kernel for every window shape: the array is padded with NaN, each
+    day's window is a row of one strided view, rows are sorted (NaN sorts
+    last) and the middle of each row's real values is picked by its true
+    size.  Empty windows give 0.  Rows are sorted a chunk at a time so a wide
+    window on a long series never holds more than ~_SORT_CHUNK values.
+    """
     n = arr.size
-    width = 2 * halfwidth + 1
-    if n < width:
-        return np.array(
-            [np.median(arr[max(0, t - halfwidth) : t + halfwidth + 1]) for t in range(n)]
-        )
+    padded = np.concatenate(
+        (np.full(lead, np.nan), arr, np.full(max(0, width - 1 - lead), np.nan))
+    )
+    windows = sliding_window_view(padded, width)
+    start = np.arange(n) - lead
+    sizes = np.minimum(start + width, n) - np.maximum(start, 0)
+    lo, hi = (sizes - 1) // 2, sizes // 2
     out = np.empty(n, dtype=np.float64)
-    out[halfwidth : n - halfwidth] = np.median(sliding_window_view(arr, width), axis=1)
-    for t in range(halfwidth):
-        out[t] = np.median(arr[: t + halfwidth + 1])
-        out[n - 1 - t] = np.median(arr[n - 1 - t - halfwidth :])
+    step = max(1, _SORT_CHUNK // width)
+    for first in range(0, n, step):
+        last = min(first + step, n)
+        ordered = np.sort(windows[first:last], axis=1)
+        rows = np.arange(last - first)
+        out[first:last] = (ordered[rows, lo[first:last]] + ordered[rows, hi[first:last]]) / 2
+    out[sizes == 0] = 0.0
     return out
 
 
@@ -154,12 +177,9 @@ def trailing_median(
     if isinstance(counts, ActivitySeries):
         counts = counts.counts
     arr = np.asarray(counts, dtype=np.float64)
-    n = arr.size
-    out = np.empty(n, dtype=np.float64)
-    for t in range(n):
-        lo = max(0, t - window)
-        out[t] = np.median(arr[lo:t]) if t > lo else 0.0
-    return out
+    # No day sees more than the days before it, so a longer window is moot.
+    window = min(window, max(arr.size, 1))
+    return _window_medians(arr, window, window)
 
 
 def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
@@ -180,16 +200,40 @@ def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = No
 
 @dataclass
 class StreamState:
-    """Trailing buffer of daily counts for one (article, kind) stream."""
+    """Trailing buffer of daily counts for one (article, kind) stream.
+
+    Next to the public buffer it keeps the same values sorted, so each step
+    updates the window median in O(window) list moves instead of sorting it
+    (the running median of Haerdle & Steiger, Appl. Stat. 1995).
+    """
 
     window: int = DEFAULT_WINDOW_HALFWIDTH
     buffer: deque = field(default_factory=deque)
     current_day: date | None = None
+    _sorted: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         self.buffer = deque(self.buffer, maxlen=self.window)
+        self._sorted = sorted(self.buffer)
+
+    def push(self, count: int) -> None:
+        """Append one day's count, evicting the oldest once the window is full."""
+        if len(self.buffer) == self.window:
+            del self._sorted[bisect_left(self._sorted, self.buffer[0])]
+        self.buffer.append(count)
+        insort(self._sorted, count)
+
+    def median(self) -> float:
+        """Median of the buffered days; 0 for an empty buffer."""
+        values = self._sorted
+        if not values:
+            return 0.0
+        mid = len(values) // 2
+        if len(values) % 2:
+            return float(values[mid])
+        return (values[mid - 1] + values[mid]) / 2
 
 
 def stream_step(
@@ -209,15 +253,11 @@ def stream_step(
         if gap <= 0:
             raise OutOfOrderError(f"day {day} after {state.current_day} already consumed")
         for _ in range(min(gap - 1, state.window)):
-            state.buffer.append(0)
-    if state.buffer:
-        median = float(np.median(np.fromiter(state.buffer, dtype=np.float64)))
-    else:
-        median = 0.0
-    floor = max(median, float(p.n_min))
+            state.push(0)
+    floor = max(state.median(), float(p.n_min))
     ratio = count / floor
     is_peak = count > p.c * floor
-    state.buffer.append(count)
+    state.push(count)
     state.current_day = day
     return ratio, is_peak, state
 

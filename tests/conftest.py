@@ -47,6 +47,14 @@ def median_oracle(counts: Sequence[int], halfwidth: int) -> list[float]:
     ]
 
 
+def trailing_median_oracle(counts: Sequence[int], window: int) -> list[float]:
+    """Median of the window days strictly before each day, 0 when none exist."""
+    return [
+        float(median(counts[max(0, t - window): t])) if t else 0.0
+        for t in range(len(counts))
+    ]
+
+
 def peak_days_oracle(counts: Sequence[int], params: PeakParams) -> list[int]:
     """Indices of peak days straight from the day-wise inequality."""
     medians = median_oracle(counts, params.window_halfwidth)

@@ -425,6 +425,18 @@ class TestWatchCommand:
         assert run_cli("watch", "--stdin") == 1
         assert "expected article,kind,day,count" in capsys.readouterr().err
 
+    def test_stdin_unknown_kind_exit_1(self, capsys, monkeypatch):
+        self.feed_stdin(monkeypatch, "A,bogus,2020-01-16,90\n")
+        assert run_cli("watch", "--stdin") == 1
+        captured = capsys.readouterr()
+        assert "stdin:1: kind must be one of edit, comment" in captured.err
+        assert captured.out.splitlines() == [",".join(cli.WATCH_HEADER)]
+
+    def test_stdin_negative_count_exit_1(self, capsys, monkeypatch):
+        self.feed_stdin(monkeypatch, "A,edit,2020-01-15,2\nA,edit,2020-01-16,-90\n")
+        assert run_cli("watch", "--stdin") == 1
+        assert "stdin:2: count must be >= 0" in capsys.readouterr().err
+
     def test_tier_boundaries_from_stdin(self, capsys, monkeypatch):
         """Ratios land in tiers at >c, >=2c, >=4c with the default c=5."""
         lines = []

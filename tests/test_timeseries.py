@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talkdyn import (
@@ -20,6 +21,7 @@ from talkdyn import (
     sliding_median,
     stream_step,
 )
+from talkdyn import timeseries
 from talkdyn.timeseries import PeakRun, alert_tier, trailing_median
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     median_oracle,
     peak_days_oracle,
     runs_from_days,
+    trailing_median_oracle,
     trailing_peak_days_oracle,
 )
 
@@ -75,6 +78,20 @@ class TestSlidingMedian:
     def test_matches_per_window_recomputation(self, counts, halfwidth):
         got = sliding_median(counts, halfwidth)
         assert got.tolist() == median_oracle(counts, halfwidth)
+
+    @pytest.mark.parametrize("halfwidth", [1, 3, 14, 40])
+    def test_rows_sorted_in_chunks_match_oracle(self, monkeypatch, halfwidth):
+        # A tiny sort budget forces many chunks, several rows to one chunk.
+        monkeypatch.setattr(timeseries, "_SORT_CHUNK", 100)
+        counts = [random.Random(halfwidth).randrange(60) for _ in range(257)]
+        assert sliding_median(counts, halfwidth).tolist() == median_oracle(counts, halfwidth)
+        assert trailing_median(counts, halfwidth).tolist() \
+            == trailing_median_oracle(counts, halfwidth)
+
+    def test_huge_halfwidth_is_clamped_to_the_series(self):
+        got, peak = peak_bytes(sliding_median, [1, 2, 3], 10**6)
+        assert got.tolist() == [2.0, 2.0, 2.0]
+        assert peak < 1 << 20
 
 
 class TestDetectPeaks:
@@ -243,6 +260,37 @@ class TestStreamStep:
         assert out.current_day == date(2006, 1, 1)
         assert list(out.buffer) == [3]
 
+    @given(prefix=st.lists(st.integers(min_value=0, max_value=50), max_size=12),
+           tail=counts_lists)
+    def test_prefilled_buffer_equals_fed_days(self, prefix, tail):
+        # A state built from a buffer must step exactly like one that was
+        # fed those days: the sorted window is rebuilt from the buffer.
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=5)
+        day0 = date(2006, 1, 1)
+        fed = StreamState(window=5)
+        for i, count in enumerate(prefix):
+            stream_step(fed, day0 + timedelta(days=i), count, params)
+        prefilled = StreamState(window=5, buffer=prefix,
+                                current_day=fed.current_day)
+        assert list(prefilled.buffer) == list(fed.buffer)
+        start = len(prefix)
+        for i, count in enumerate(tail, start=start):
+            day = day0 + timedelta(days=i)
+            assert stream_step(prefilled, day, count, params)[:2] \
+                == stream_step(fed, day, count, params)[:2]
+
+    def test_gap_longer_than_window_leaves_only_zeros(self):
+        state = StreamState(window=4)
+        day = date(2006, 1, 1)
+        for i, count in enumerate([50, 7, 90, 3]):
+            stream_step(state, day + timedelta(days=i), count)
+        ratio, _, _ = stream_step(state, day + timedelta(days=30), 20)
+        assert ratio == pytest.approx(2.0)  # median 0, floor n_min=10
+        assert list(state.buffer) == [0, 0, 0, 20]
+        assert state.median() == 0.0
+        stream_step(state, day + timedelta(days=31), 20)
+        assert state.median() == 10.0  # window [0, 0, 20, 20]
+
     @given(counts=counts_lists, params=params_st)
     @settings(max_examples=200)
     def test_equals_trailing_batch_detection(self, counts, params):
@@ -313,3 +361,28 @@ class TestTrailingMedian:
     def test_accepts_activity_series(self):
         series = make_series([3, 1, 4])
         assert trailing_median(series, 2).tolist() == trailing_median([3, 1, 4], 2).tolist()
+
+    @given(counts=st.lists(st.integers(min_value=0, max_value=1000), max_size=60),
+           window=st.integers(min_value=1, max_value=80))
+    @example(counts=[], window=3)
+    @example(counts=[7], window=1)
+    @example(counts=[7], window=5)
+    @example(counts=[4, 1, 9], window=50)
+    @settings(max_examples=200)
+    def test_matches_statistics_median_per_window(self, counts, window):
+        assert trailing_median(counts, window).tolist() == trailing_median_oracle(counts, window)
+
+    def test_huge_window_is_clamped_to_the_series(self):
+        got, peak = peak_bytes(trailing_median, [1, 2, 3], 10**6)
+        assert got.tolist() == [0.0, 1.0, 1.5]
+        assert peak < 1 << 20
+
+
+def peak_bytes(fn, *args):
+    """Call fn(*args); return its result and the peak bytes traced meanwhile."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
