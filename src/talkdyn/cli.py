@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -155,12 +155,12 @@ def _parse_as_of(text: str) -> datetime:
 
 
 def _load_comment_forest(
-    path: Path, fmt: str, diagnostics: Diagnostics
+    path: Path, fmt: str, diagnostics: Diagnostics, now: datetime | None = None
 ) -> tuple[dict[str, list[CommentEvent]], datetime | None]:
     """Comments grouped by article, plus the latest timestamp seen."""
     by_article: dict[str, list[CommentEvent]] = defaultdict(list)
     latest: datetime | None = None
-    for event in ingest.load_events(path, COMMENT, fmt=fmt, diagnostics=diagnostics):
+    for event in ingest.load_events(path, COMMENT, fmt=fmt, diagnostics=diagnostics, now=now):
         by_article[event.article_id].append(event)
         ts = event.timestamp
         if ts is not None and (latest is None or ts > latest):
@@ -251,9 +251,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
         if path is None:
             continue
         diag = Diagnostics()
-        series = ingest.build_series(
-            ingest.load_events(path, kind, fmt=args.format, diagnostics=diag), kind
-        )
+        series, _ = ingest.load_series(path, kind, fmt=args.format, diagnostics=diag)
         runs.extend(_detect_all(series, params))
         for message in diag.messages:
             logger.warning("%s", message)
@@ -450,32 +448,23 @@ def _write_rows_or_stdout(out: str | None, header: Sequence[str], rows: list[lis
 def run_report(config: RunConfig) -> list[Path]:
     """Run every analysis over one corpus and write all tables to out_dir.
 
-    Returns the written paths.  The pipeline streams edits (they are never
-    materialized) and holds comments in memory grouped by article, which is
+    Returns the written paths.  Edits become (article, day) columns, never
+    event objects; comments are held in memory grouped by article, which is
     what the tree metrics need anyway.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     diag_edits = Diagnostics()
     diag_comments = Diagnostics()
+    # One clock reading bounds "future" timestamps in both files and stands
+    # in for as_of when nothing is dated.
+    now = datetime.now(timezone.utc)
 
-    latest_seen: list[datetime] = []
-
-    def _track_latest(events: Iterator[ingest.EditEvent]) -> Iterator[ingest.EditEvent]:
-        for event in events:
-            if not latest_seen or event.timestamp > latest_seen[0]:
-                latest_seen[:] = [event.timestamp]
-            yield event
-
-    edit_series = ingest.build_series(
-        _track_latest(
-            ingest.load_events(config.edits_path, EDIT, fmt=config.input_format,
-                               diagnostics=diag_edits)
-        ),
-        EDIT,
+    edit_series, latest_edit = ingest.load_series(
+        config.edits_path, EDIT, fmt=config.input_format, diagnostics=diag_edits, now=now
     )
     by_article, latest_comment = _load_comment_forest(
-        config.comments_path, config.input_format, diag_comments
+        config.comments_path, config.input_format, diag_comments, now
     )
     comment_series = ingest.build_series(
         (event for events in by_article.values() for event in events), COMMENT
@@ -483,8 +472,8 @@ def run_report(config: RunConfig) -> list[Path]:
 
     as_of = config.as_of
     if as_of is None:
-        candidates = [ts for ts in (latest_comment, *latest_seen) if ts is not None]
-        as_of = max(candidates) if candidates else datetime.now(timezone.utc)
+        candidates = [ts for ts in (latest_comment, latest_edit) if ts is not None]
+        as_of = max(candidates) if candidates else now
 
     edit_runs = _detect_all(edit_series, config.params)
     comment_runs = _detect_all(comment_series, config.params)
@@ -822,44 +811,38 @@ def simulate_watch(
     diag = diagnostics if diagnostics is not None else Diagnostics()
     states: dict[tuple[str, str], StreamState] = {}
     alerts: list[list[object]] = []
-    events = ingest.load_events(events_path, kind, fmt=fmt, diagnostics=diag)
     if sort:
-        days: dict[str, dict[int, int]] = defaultdict(dict)
-        for event in events:
-            if event.timestamp is None:
-                continue
-            per = days[event.article_id]
-            ordinal = event.timestamp.toordinal()
-            per[ordinal] = per.get(ordinal, 0) + 1
-        for article in sorted(days):
-            for ordinal in sorted(days[article]):
+        series, _ = ingest.load_series(events_path, kind, fmt=fmt, diagnostics=diag)
+        for article in sorted(series):
+            counts = series[article].counts
+            for offset in np.flatnonzero(counts).tolist():
                 row = _step_and_alert(
-                    states, article, kind, date.fromordinal(ordinal),
-                    days[article][ordinal], p,
+                    states, article, kind, series[article].day(offset), int(counts[offset]), p
                 )
                 if row:
                     alerts.append(row)
         return alerts
-    open_days: dict[str, tuple[date, int]] = {}
-    for event in events:
-        if event.timestamp is None:
-            continue
-        day = event.timestamp.date()
-        entry = open_days.get(event.article_id)
-        if entry is None or day == entry[0]:
-            open_days[event.article_id] = (day, 1 if entry is None else entry[1] + 1)
-            continue
-        if day < entry[0]:
-            raise OutOfOrderError(
-                f"{event.article_id}: event on {day} arrived after {entry[0]};"
-                " rerun with --sort"
-            )
-        row = _step_and_alert(states, event.article_id, kind, entry[0], entry[1], p)
-        if row:
-            alerts.append(row)
-        open_days[event.article_id] = (day, 1)
+    # Each chunk arrives as runs of one article's events on one day; a run
+    # extends the article's open day, or closes it and opens the next.
+    open_days: dict[str, tuple[int, int]] = {}
+    for chunk in ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diag):
+        for article, ordinal, count in chunk.day_runs():
+            entry = open_days.get(article)
+            if entry is None or ordinal == entry[0]:
+                open_days[article] = (ordinal, count if entry is None else entry[1] + count)
+                continue
+            if ordinal < entry[0]:
+                raise OutOfOrderError(
+                    f"{article}: event on {date.fromordinal(ordinal)} arrived after"
+                    f" {date.fromordinal(entry[0])}; rerun with --sort"
+                )
+            row = _step_and_alert(states, article, kind, date.fromordinal(entry[0]), entry[1], p)
+            if row:
+                alerts.append(row)
+            open_days[article] = (ordinal, count)
     for article in sorted(open_days):
-        row = _step_and_alert(states, article, kind, *open_days[article], p)
+        ordinal, count = open_days[article]
+        row = _step_and_alert(states, article, kind, date.fromordinal(ordinal), count, p)
         if row:
             alerts.append(row)
     return alerts

@@ -8,6 +8,13 @@ is counted and reported through a Diagnostics collector and processing moves
 on.  A comment whose timestamp is unparseable keeps its structural fields and
 simply loses the timestamp; an edit without a valid timestamp carries no
 information at all and is dropped.
+
+One loader, read_chunks, reads a bounded chunk of lines at a time: each line
+is decoded and checked on its own, then the chunk's timestamps become int64
+epoch seconds in one vectorised pass.  Everything else is built on its
+columns: load_events yields event objects, load_series groups (article, day)
+pairs into ActivitySeries without building any, and the streaming watch
+replays the chunks' (article, day, count) runs.
 """
 
 from __future__ import annotations
@@ -16,12 +23,13 @@ import csv
 import io
 import json
 import logging
-import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +47,10 @@ COMMENT_FIELDS = ("article", "id", "parent", "depth", "ts", "author", "ord")
 EDIT_FIELDS = ("article", "ts")
 
 _MAX_MESSAGES = 50
+
+# Lines decoded and checked before their timestamps are parsed in one pass;
+# a chunk of typical comment lines holds ~1 MB.
+_CHUNK_LINES = 1 << 10
 
 
 class IngestError(Exception):
@@ -170,6 +182,88 @@ def format_timestamp(ts: datetime) -> str:
     return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# ---------------------------------------------------------------------------
+# Timestamps, a chunk at a time
+
+UNDATED = -1  # epoch seconds of a record without a usable timestamp
+
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _UNIX_EPOCH.toordinal()
+_SECOND = timedelta(seconds=1)
+_DAY_S = 86400
+_EARLIEST_S = (EARLIEST_TIMESTAMP - _UNIX_EPOCH) // _SECOND
+
+# The canonical shape 'YYYY-MM-DDTHH:MM:SS' + 'Z' or '+00:00', as code points.
+_SHAPE_WIDTH = 25
+_DIGIT_AT = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_SEPARATOR_AT = np.array([4, 7, 10, 13, 16])
+_SEPARATORS = np.array([ord(c) for c in "--T::"], dtype=np.uint32)
+_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], dtype=np.uint32)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _epoch_seconds(values: list, now: datetime) -> np.ndarray:
+    """Epoch seconds of every value parse_timestamp(value, now=now) accepts.
+
+    Returns an int64 array with UNDATED wherever parse_timestamp gives None.
+    Strings of the canonical ASCII shape are decided at once by arithmetic
+    on their digits (month lengths, leap years, h < 24, m/s < 60, then the
+    [2001-01-01, now] window), so one impossible date costs nothing extra.
+    Any other string of a parseable length goes through parse_timestamp
+    itself, which also accepts int() forms such as ' 1', '+1' or non-ASCII
+    digits.
+    """
+    n = len(values)
+    out = np.full(n, UNDATED, dtype=np.int64)
+    if n == 0:
+        return out
+    texts = [v if isinstance(v, str) else "" for v in values]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+    chars = np.array(texts, dtype=f"U{_SHAPE_WIDTH}").view(np.uint32).reshape(n, _SHAPE_WIDTH)
+    digits = chars[:, _DIGIT_AT].astype(np.int64) - ord("0")
+    shaped = (
+        (((lengths == 20) & (chars[:, 19] == ord("Z")))
+         | ((lengths == 25) & (chars[:, 19:] == _UTC_SUFFIX).all(axis=1)))
+        & (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
+        & ((digits >= 0) & (digits <= 9)).all(axis=1)
+    )
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    first_of_month = (year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1)
+    days = first_of_month.astype("datetime64[D]").astype(np.int64) + (day - 1)
+    seconds = days * _DAY_S + hour * 3600 + minute * 60 + second
+    valid = (
+        shaped & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        & (hour < 24) & (minute < 60) & (second < 60)
+        & (seconds >= _EARLIEST_S) & (seconds <= (now - _UNIX_EPOCH) // _SECOND)
+    )
+    out[valid] = seconds[valid]
+    for i in np.flatnonzero(((lengths == 20) | (lengths == 25)) & ~shaped).tolist():
+        ts = parse_timestamp(texts[i], now=now)
+        if ts is not None:
+            out[i] = (ts - _UNIX_EPOCH) // _SECOND
+    return out
+
+
+def _day_ordinals(seconds: np.ndarray) -> np.ndarray:
+    """Proleptic Gregorian ordinal (date.toordinal) of the UTC day of each epoch second."""
+    return seconds // _DAY_S + _EPOCH_ORDINAL
+
+
+def _datetime_from_epoch(seconds: int) -> datetime:
+    return datetime.fromtimestamp(seconds, timezone.utc)
+
+
+# ---------------------------------------------------------------------------
+# Record checks: the one place a line is accepted or rejected
+
+
+class _BadRecord(Exception):
+    """A line that cannot become an event; args are (tally key, message detail)."""
+
+
 def _coerce_optional(value: object) -> str | None:
     # CSV has no null; empty string plays that role in both formats.
     if value is None or value == "":
@@ -179,102 +273,115 @@ def _coerce_optional(value: object) -> str | None:
     return None
 
 
-def _comment_from_record(
-    record: dict, line_no: int, diagnostics: Diagnostics, now: datetime
-) -> CommentEvent | None:
+def _decode_json(line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _BadRecord("bad_json", str(exc)) from None
+    if not isinstance(record, dict):
+        raise _BadRecord("not_an_object", type(record).__name__)
+    return record
+
+
+def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
+    """(article, timestamp text or None, (id, parent, depth, author, ord)) of a comment."""
     article = record.get("article")
     comment_id = record.get("id")
     if not isinstance(article, str) or not article:
-        diagnostics.record(line_no, "bad_article", f"article={article!r}")
-        return None
+        raise _BadRecord("bad_article", f"article={article!r}")
     if not isinstance(comment_id, str) or not comment_id:
-        diagnostics.record(line_no, "bad_comment_id", f"id={comment_id!r}")
-        return None
+        raise _BadRecord("bad_comment_id", f"id={comment_id!r}")
     try:
         depth = int(record.get("depth"))
         doc_order = int(record.get("ord"))
     except (TypeError, ValueError):
-        diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")
-        return None
+        raise _BadRecord("bad_int_field", f"depth/ord in {comment_id}") from None
     if depth < 0 or doc_order < 0:
-        diagnostics.record(line_no, "negative_field", f"depth={depth} ord={doc_order}")
-        return None
+        raise _BadRecord("negative_field", f"depth={depth} ord={doc_order}")
     parent = _coerce_optional(record.get("parent"))
     if (depth == 0) != (parent is None):
-        diagnostics.record(line_no, "depth_parent_mismatch", f"depth={depth} parent={parent!r}")
-        return None
+        raise _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
     author = _coerce_optional(record.get("author"))
-    raw_ts = _coerce_optional(record.get("ts"))
-    timestamp = None
-    if raw_ts is None:
-        diagnostics.tally("comments_undated")
-    else:
-        timestamp = parse_timestamp(raw_ts, now=now)
-        if timestamp is None:
-            diagnostics.tally("comment_ts_malformed")
-            diagnostics.tally("comments_undated")
-    # Corpora repeat the same article id on millions of lines; intern it so
-    # grouped storage keeps one string per article instead of one per event.
-    return CommentEvent(
-        sys.intern(article), comment_id, parent, depth, timestamp, author, doc_order
-    )
+    return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
 
 
-def _edit_from_record(
-    record: dict, line_no: int, diagnostics: Diagnostics, now: datetime
-) -> EditEvent | None:
+def _check_edit(record: dict) -> tuple[str, object, None]:
+    """(article, raw timestamp value, None) of an edit; the timestamp is checked per chunk."""
     article = record.get("article")
     if not isinstance(article, str) or not article:
-        diagnostics.record(line_no, "bad_article", f"article={article!r}")
-        return None
-    timestamp = parse_timestamp(record.get("ts"), now=now)
-    if timestamp is None:
-        diagnostics.record(line_no, "edit_ts_malformed", f"ts={record.get('ts')!r}")
-        return None
-    return EditEvent(sys.intern(article), timestamp)
+        raise _BadRecord("bad_article", f"article={article!r}")
+    return article, record.get("ts"), None
 
 
-def _iter_records_jsonl(handle: io.TextIOBase, diagnostics: Diagnostics) -> Iterator[tuple[int, dict]]:
+def _jsonl_lines(handle: io.TextIOBase) -> Iterator[tuple[int, str]]:
     for line_no, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        diagnostics.tally("lines_read")
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            diagnostics.record(line_no, "bad_json", str(exc))
-            continue
-        if not isinstance(record, dict):
-            diagnostics.record(line_no, "not_an_object", type(record).__name__)
-            continue
-        yield line_no, record
+        if line.strip():
+            yield line_no, line
 
 
-def _iter_records_csv(handle: io.TextIOBase, diagnostics: Diagnostics, kind: str) -> Iterator[tuple[int, dict]]:
+def _csv_rows(handle: io.TextIOBase, kind: str, source: str) -> Iterator[tuple[int, dict]]:
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
     reader = csv.DictReader(handle)
     if reader.fieldnames is None:
         return
     missing = [c for c in expected if c not in reader.fieldnames]
     if missing:
-        raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
-    for line_no, row in enumerate(reader, start=2):
-        diagnostics.tally("lines_read")
-        yield line_no, row
+        raise IngestError(f"{source}: missing CSV columns {missing}")
+    yield from enumerate(reader, start=2)
 
 
-def load_events(
+# ---------------------------------------------------------------------------
+# The chunked loader
+
+
+@dataclass(frozen=True, eq=False)
+class Chunk:
+    """The usable records of one bounded run of input lines, in line order.
+
+    codes index names, which one load shares across its chunks and extends
+    as new articles appear (one string per article, however many lines name
+    it).  seconds holds each record's epoch seconds, UNDATED for a comment
+    without a usable timestamp; every edit kept is dated.  comments holds
+    (id, parent, depth, author, ord) per record of a comment load.
+    """
+
+    names: list[str]
+    codes: np.ndarray
+    seconds: np.ndarray
+    comments: list[tuple]
+
+    def day_runs(self) -> list[tuple[str, int, int]]:
+        """Consecutive dated records of one article and day as (article, day ordinal, count)."""
+        dated = self.seconds != UNDATED
+        codes, days = self.codes[dated], _day_ordinals(self.seconds[dated])
+        if codes.size == 0:
+            return []
+        starts = np.flatnonzero(
+            np.concatenate(([True], (codes[1:] != codes[:-1]) | (days[1:] != days[:-1])))
+        )
+        counts = np.diff(np.append(starts, codes.size))
+        names = self.names
+        return [
+            (names[code], day, count)
+            for code, day, count in zip(codes[starts].tolist(), days[starts].tolist(), counts.tolist())
+        ]
+
+
+def read_chunks(
     path: str | Path,
     kind: str,
     *,
     fmt: str = "jsonl",
     diagnostics: Diagnostics | None = None,
-) -> Iterator[EditEvent | CommentEvent]:
-    """Stream events of one kind from a JSONL or CSV file.
+    now: datetime | None = None,
+) -> Iterator[Chunk]:
+    """Stream the usable records of one kind from a JSONL or CSV file, a chunk at a time.
 
-    Yields events lazily so callers can aggregate millions of edits without
-    materializing them.  Unusable lines are tallied in diagnostics and
-    skipped; only an unreadable file or unknown format/kind raises.
+    Each line is decoded and checked on its own; every unusable line is
+    recorded in diagnostics in line order and skipped.  Timestamps outside
+    [2001-01-01, now] are unusable; now defaults to the clock, read once when
+    loading starts.  Memory stays bounded by the chunk size and the number of
+    distinct articles.  Only an unreadable file or unknown format/kind raises.
     """
     if kind not in KINDS:
         raise IngestError(f"unknown event kind {kind!r}")
@@ -283,24 +390,163 @@ def load_events(
     diag = diagnostics if diagnostics is not None else Diagnostics(source=str(path))
     if not diag.source:
         diag.source = str(path)
-    now = datetime.now(timezone.utc)
+    if now is None:
+        now = datetime.now(timezone.utc)
+    articles: dict[str, int] = {}
+    names: list[str] = []
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:
         if fmt == "jsonl":
-            records = _iter_records_jsonl(handle, diag)
+            numbered, decode = _jsonl_lines(handle), _decode_json
         else:
-            records = _iter_records_csv(handle, diag, kind)
-        for line_no, record in records:
-            if kind == COMMENT:
-                event = _comment_from_record(record, line_no, diag, now)
-            else:
-                event = _edit_from_record(record, line_no, diag, now)
-            if event is not None:
-                diag.tally("events_used")
-                yield event
+            numbered, decode = _csv_rows(handle, kind, diag.source), dict
+        while block := list(islice(numbered, _CHUNK_LINES)):
+            yield _check_block(block, kind, decode, articles, names, now, diag)
+
+
+def _check_block(
+    block: list[tuple[int, object]],
+    kind: str,
+    decode: Callable[[object], dict],
+    articles: dict[str, int],
+    names: list[str],
+    now: datetime,
+    diag: Diagnostics,
+) -> Chunk:
+    """Check one block of numbered lines; record its failures in line order."""
+    check = _check_comment if kind == COMMENT else _check_edit
+    failures: list[tuple[int, str, str]] = []
+    line_nos: list[int] = []
+    codes: list[int] = []
+    stamps: list[object] = []
+    extras: list[tuple | None] = []
+    for line_no, raw in block:
+        try:
+            article, stamp, extra = check(decode(raw))
+        except _BadRecord as bad:
+            failures.append((line_no, *bad.args))
+            continue
+        code = articles.get(article)
+        if code is None:
+            code = articles[article] = len(names)
+            names.append(article)
+        line_nos.append(line_no)
+        codes.append(code)
+        stamps.append(stamp)
+        extras.append(extra)
+    seconds = _epoch_seconds(stamps, now)
+    code_array = np.array(codes, dtype=np.int64)
+    undated = np.flatnonzero(seconds == UNDATED)
+    if kind == EDIT:
+        extras = []
+        if undated.size:
+            # An edit without a time is dropped; its message joins the others in line order.
+            failures.extend(
+                (line_nos[i], "edit_ts_malformed", f"ts={stamps[i]!r}") for i in undated.tolist()
+            )
+            failures.sort()
+            keep = seconds != UNDATED
+            code_array, seconds = code_array[keep], seconds[keep]
+    elif undated.size:
+        diag.tally("comments_undated", int(undated.size))
+        malformed = int(undated.size) - stamps.count(None)
+        if malformed:
+            diag.tally("comment_ts_malformed", malformed)
+    diag.tally("lines_read", len(block))
+    for failure in failures:
+        diag.record(*failure)
+    if seconds.size:
+        diag.tally("events_used", int(seconds.size))
+    return Chunk(names, code_array, seconds, extras)
+
+
+def load_events(
+    path: str | Path,
+    kind: str,
+    *,
+    fmt: str = "jsonl",
+    diagnostics: Diagnostics | None = None,
+    now: datetime | None = None,
+) -> Iterator[EditEvent | CommentEvent]:
+    """Stream events of one kind from a JSONL or CSV file.
+
+    The events are built from read_chunks' checked columns, so they pass
+    exactly the checks every other reader sees.  Unusable lines are tallied
+    in diagnostics and skipped; only an unreadable file or unknown
+    format/kind raises.
+    """
+    for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
+        names = chunk.names
+        stamps = [
+            None if s == UNDATED else _datetime_from_epoch(s) for s in chunk.seconds.tolist()
+        ]
+        if kind == COMMENT:
+            for code, ts, (comment_id, parent, depth, author, doc_order) in zip(
+                chunk.codes.tolist(), stamps, chunk.comments
+            ):
+                yield CommentEvent(names[code], comment_id, parent, depth, ts, author, doc_order)
+        else:
+            for code, ts in zip(chunk.codes.tolist(), stamps):
+                yield EditEvent(names[code], ts)
+
+
+# ---------------------------------------------------------------------------
+# Per-article daily series
+
+
+def group_series(
+    names: Sequence[str], codes: np.ndarray, days: np.ndarray, kind: str
+) -> dict[str, ActivitySeries]:
+    """Per-article dense daily series from one (article code, day ordinal) per event.
+
+    codes index names.  Input order is irrelevant: only (article, day)
+    multiplicities matter.  Articles come out in code order; an article
+    without events is absent.
+    """
+    if codes.size == 0:
+        return {}
+    order = np.argsort(codes)
+    codes, days = codes[order], days[order]
+    bounds = (np.flatnonzero(np.diff(codes)) + 1).tolist()
+    out: dict[str, ActivitySeries] = {}
+    for lo, hi in zip([0, *bounds], [*bounds, codes.size]):
+        span = days[lo:hi]
+        first = int(span.min())
+        article = names[int(codes[lo])]
+        counts = np.bincount(span - first).astype(np.int64, copy=False)
+        out[article] = ActivitySeries(article, kind, date.fromordinal(first), counts)
+    return out
+
+
+def load_series(
+    path: str | Path,
+    kind: str,
+    *,
+    fmt: str = "jsonl",
+    diagnostics: Diagnostics | None = None,
+    now: datetime | None = None,
+) -> tuple[dict[str, ActivitySeries], datetime | None]:
+    """Per-article daily series of one file, plus its latest timestamp (None if undated).
+
+    No event object is built: each chunk contributes its dated (article, day)
+    columns, grouped once at the end.
+    """
+    codes: list[np.ndarray] = []
+    seconds: list[np.ndarray] = []
+    names: list[str] = []
+    for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
+        keep = chunk.seconds != UNDATED
+        codes.append(chunk.codes[keep])
+        seconds.append(chunk.seconds[keep])
+        names = chunk.names  # one list shared by every chunk, complete after the last
+    all_seconds = np.concatenate(seconds) if seconds else np.empty(0, dtype=np.int64)
+    if all_seconds.size == 0:
+        return {}, None
+    series = group_series(names, np.concatenate(codes), _day_ordinals(all_seconds), kind)
+    return series, _datetime_from_epoch(int(all_seconds.max()))
 
 
 def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[str, ActivitySeries]:
@@ -310,24 +556,17 @@ def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[
     result is keyed by article id; articles with no dated events are absent.
     Input order is irrelevant: only (article, day) multiplicities matter.
     """
-    per_article: dict[str, Counter] = {}
+    index: dict[str, int] = {}
+    # Raw 8-byte columns: a million events cost 16 MB, not a million int objects.
+    codes, days = array("q"), array("q")
     for event in events:
         ts = event.timestamp
-        if ts is None:
-            continue
-        days = per_article.get(event.article_id)
-        if days is None:
-            days = per_article[event.article_id] = Counter()
-        days[ts.toordinal()] += 1
-    out: dict[str, ActivitySeries] = {}
-    for article_id, days in per_article.items():
-        lo = min(days)
-        hi = max(days)
-        counts = np.zeros(hi - lo + 1, dtype=np.int64)
-        for ordinal, n in days.items():
-            counts[ordinal - lo] = n
-        out[article_id] = ActivitySeries(article_id, kind, date.fromordinal(lo), counts)
-    return out
+        if ts is not None:
+            codes.append(index.setdefault(event.article_id, len(index)))
+            days.append(ts.toordinal())
+    return group_series(
+        list(index), np.frombuffer(codes, dtype=np.int64), np.frombuffer(days, dtype=np.int64), kind
+    )
 
 
 def comment_record(event: CommentEvent) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Iterator, Sequence
 
@@ -198,31 +198,45 @@ def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = No
     return _runs_from_mask(series, mask, counts / floor)
 
 
-@dataclass
 class StreamState:
-    """Trailing buffer of daily counts for one (article, kind) stream.
+    """Trailing window of daily counts for one (article, kind) stream.
 
-    Next to the public buffer it keeps the same values sorted, so each step
-    updates the window median in O(window) list moves instead of sorting it
-    (the running median of Haerdle & Steiger, Appl. Stat. 1995).
+    The window is read-only from outside: buffer is a snapshot, and push is
+    the only way in.  Next to it the same values are kept sorted, so each
+    step updates the window median in O(window) list moves instead of sorting
+    it (the running median of Haerdle & Steiger, Appl. Stat. 1995).
     """
 
-    window: int = DEFAULT_WINDOW_HALFWIDTH
-    buffer: deque = field(default_factory=deque)
-    current_day: date | None = None
-    _sorted: list = field(init=False, repr=False, compare=False)
+    __slots__ = ("window", "current_day", "_days", "_sorted")
 
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        self.buffer = deque(self.buffer, maxlen=self.window)
-        self._sorted = sorted(self.buffer)
+    def __init__(
+        self,
+        window: int = DEFAULT_WINDOW_HALFWIDTH,
+        buffer: Iterable[int] = (),
+        current_day: date | None = None,
+    ) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.window = window
+        self.current_day = current_day
+        self._days: deque = deque(buffer, maxlen=window)
+        self._sorted = sorted(self._days)
+
+    def __repr__(self) -> str:
+        return (f"StreamState(window={self.window}, buffer={self.buffer},"
+                f" current_day={self.current_day!r})")
+
+    @property
+    def buffer(self) -> tuple[int, ...]:
+        """The buffered days' counts, oldest first."""
+        return tuple(self._days)
 
     def push(self, count: int) -> None:
         """Append one day's count, evicting the oldest once the window is full."""
-        if len(self.buffer) == self.window:
-            del self._sorted[bisect_left(self._sorted, self.buffer[0])]
-        self.buffer.append(count)
+        days = self._days
+        if len(days) == self.window:
+            del self._sorted[bisect_left(self._sorted, days[0])]
+        days.append(count)
         insort(self._sorted, count)
 
     def median(self) -> float:

@@ -7,9 +7,12 @@ vectorization, so an agreement failure always points at the optimized path.
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 import random
 import sys
+from collections import Counter, defaultdict
 from datetime import date, datetime, timezone
 from pathlib import Path
 from statistics import median
@@ -18,7 +21,18 @@ from typing import Sequence
 import pytest
 
 import talkdyn
-from talkdyn import ActivitySeries, CommentEvent, PeakParams
+from talkdyn import ActivitySeries, CommentEvent, EditEvent, PeakParams
+from talkdyn.cli import _step_and_alert
+from talkdyn.ingest import (
+    COMMENT,
+    COMMENT_FIELDS,
+    EDIT_FIELDS,
+    KINDS,
+    Diagnostics,
+    IngestError,
+    parse_timestamp,
+)
+from talkdyn.timeseries import OutOfOrderError
 
 START_DAY = date(2006, 1, 1)
 
@@ -84,6 +98,194 @@ def runs_from_days(days: Sequence[int]) -> list[tuple[int, int]]:
         else:
             runs.append((day, 1))
     return runs
+
+
+# ---------------------------------------------------------------------------
+# Ingest oracle: the loader one line at a time, json.loads -> dict -> field
+# checks -> parse_timestamp -> event, exactly as it ran before chunked ingest.
+# The chunked loader must match it in events, tallies and messages.
+
+
+def _coerce_optional_oracle(value: object) -> str | None:
+    if value is None or value == "":
+        return None
+    if isinstance(value, str):
+        return value
+    return None
+
+
+def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
+                    now: datetime) -> CommentEvent | None:
+    article = record.get("article")
+    comment_id = record.get("id")
+    if not isinstance(article, str) or not article:
+        diagnostics.record(line_no, "bad_article", f"article={article!r}")
+        return None
+    if not isinstance(comment_id, str) or not comment_id:
+        diagnostics.record(line_no, "bad_comment_id", f"id={comment_id!r}")
+        return None
+    try:
+        depth = int(record.get("depth"))
+        doc_order = int(record.get("ord"))
+    except (TypeError, ValueError):
+        diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")
+        return None
+    if depth < 0 or doc_order < 0:
+        diagnostics.record(line_no, "negative_field", f"depth={depth} ord={doc_order}")
+        return None
+    parent = _coerce_optional_oracle(record.get("parent"))
+    if (depth == 0) != (parent is None):
+        diagnostics.record(line_no, "depth_parent_mismatch", f"depth={depth} parent={parent!r}")
+        return None
+    author = _coerce_optional_oracle(record.get("author"))
+    raw_ts = _coerce_optional_oracle(record.get("ts"))
+    timestamp = None
+    if raw_ts is None:
+        diagnostics.tally("comments_undated")
+    else:
+        timestamp = parse_timestamp(raw_ts, now=now)
+        if timestamp is None:
+            diagnostics.tally("comment_ts_malformed")
+            diagnostics.tally("comments_undated")
+    return CommentEvent(sys.intern(article), comment_id, parent, depth, timestamp, author,
+                        doc_order)
+
+
+def _edit_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
+                 now: datetime) -> EditEvent | None:
+    article = record.get("article")
+    if not isinstance(article, str) or not article:
+        diagnostics.record(line_no, "bad_article", f"article={article!r}")
+        return None
+    timestamp = parse_timestamp(record.get("ts"), now=now)
+    if timestamp is None:
+        diagnostics.record(line_no, "edit_ts_malformed", f"ts={record.get('ts')!r}")
+        return None
+    return EditEvent(sys.intern(article), timestamp)
+
+
+def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
+    for line_no, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        diagnostics.tally("lines_read")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            diagnostics.record(line_no, "bad_json", str(exc))
+            continue
+        if not isinstance(record, dict):
+            diagnostics.record(line_no, "not_an_object", type(record).__name__)
+            continue
+        yield line_no, record
+
+
+def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
+    expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
+    reader = csv.DictReader(handle)
+    if reader.fieldnames is None:
+        return
+    missing = [c for c in expected if c not in reader.fieldnames]
+    if missing:
+        raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
+    for line_no, row in enumerate(reader, start=2):
+        diagnostics.tally("lines_read")
+        yield line_no, row
+
+
+def load_events_oracle(path, kind: str, *, fmt: str = "jsonl",
+                       diagnostics: Diagnostics | None = None, now: datetime | None = None):
+    """The per-line loader; now defaults to the clock, as load_events does."""
+    if kind not in KINDS:
+        raise IngestError(f"unknown event kind {kind!r}")
+    if fmt not in ("jsonl", "csv"):
+        raise IngestError(f"unknown input format {fmt!r}")
+    diag = diagnostics if diagnostics is not None else Diagnostics(source=str(path))
+    if not diag.source:
+        diag.source = str(path)
+    if now is None:
+        now = datetime.now(timezone.utc)
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        if fmt == "jsonl":
+            records = _records_jsonl_oracle(handle, diag)
+        else:
+            records = _records_csv_oracle(handle, diag, kind)
+        for line_no, record in records:
+            if kind == COMMENT:
+                event = _comment_oracle(record, line_no, diag, now)
+            else:
+                event = _edit_oracle(record, line_no, diag, now)
+            if event is not None:
+                diag.tally("events_used")
+                yield event
+
+
+def build_series_oracle(events, kind: str) -> dict[str, ActivitySeries]:
+    """Per-article daily series from one Counter of day ordinals per article."""
+    import numpy as np
+
+    per_article: dict[str, Counter] = {}
+    for event in events:
+        if event.timestamp is not None:
+            per_article.setdefault(event.article_id, Counter())[event.timestamp.toordinal()] += 1
+    out = {}
+    for article, days in per_article.items():
+        lo = min(days)
+        counts = np.zeros(max(days) - lo + 1, dtype=np.int64)
+        for ordinal, n in days.items():
+            counts[ordinal - lo] = n
+        out[article] = ActivitySeries(article, kind, date.fromordinal(lo), counts)
+    return out
+
+
+def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
+                          sort: bool = False, now: datetime | None = None) -> list[list[object]]:
+    """The event-at-a-time watch replay over the per-line loader."""
+    states: dict = {}
+    alerts: list[list[object]] = []
+    events = load_events_oracle(events_path, kind, diagnostics=Diagnostics(), now=now)
+    if sort:
+        days: dict[str, dict[int, int]] = defaultdict(dict)
+        for event in events:
+            if event.timestamp is None:
+                continue
+            per = days[event.article_id]
+            ordinal = event.timestamp.toordinal()
+            per[ordinal] = per.get(ordinal, 0) + 1
+        for article in sorted(days):
+            for ordinal in sorted(days[article]):
+                row = _step_and_alert(states, article, kind, date.fromordinal(ordinal),
+                                      days[article][ordinal], params)
+                if row:
+                    alerts.append(row)
+        return alerts
+    open_days: dict[str, tuple[date, int]] = {}
+    for event in events:
+        if event.timestamp is None:
+            continue
+        day = event.timestamp.date()
+        entry = open_days.get(event.article_id)
+        if entry is None or day == entry[0]:
+            open_days[event.article_id] = (day, 1 if entry is None else entry[1] + 1)
+            continue
+        if day < entry[0]:
+            raise OutOfOrderError(
+                f"{event.article_id}: event on {day} arrived after {entry[0]};"
+                " rerun with --sort"
+            )
+        row = _step_and_alert(states, event.article_id, kind, entry[0], entry[1], params)
+        if row:
+            alerts.append(row)
+        open_days[event.article_id] = (day, 1)
+    for article in sorted(open_days):
+        row = _step_and_alert(states, article, kind, *open_days[article], params)
+        if row:
+            alerts.append(row)
+    return alerts
 
 
 # ---------------------------------------------------------------------------

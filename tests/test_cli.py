@@ -11,12 +11,14 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from conftest import talkdyn_cmd, talkdyn_env
-from talkdyn import cli
+from conftest import simulate_watch_oracle, talkdyn_cmd, talkdyn_env
+from talkdyn import cli, ingest
 from talkdyn.cli import OutOfOrderError, simulate_watch
 from talkdyn.timeseries import PeakParams
 
@@ -365,6 +367,124 @@ class TestSimulateWatch:
         loose = PeakParams(c=2, n_min=1, window_halfwidth=14)
         assert simulate_watch(events, kind="edit") == []
         assert len(simulate_watch(events, loose, kind="edit")) == 1
+
+
+class TestReportClock:
+    def test_one_clock_reading_bounds_both_loads(self, tmp_path, monkeypatch):
+        now = datetime(2006, 1, 20, 12, tzinfo=timezone.utc)
+        reads = []
+
+        class FrozenClock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                reads.append(tz)
+                return now
+
+        class NoClock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                raise AssertionError("the loader read the clock itself")
+
+        monkeypatch.setattr(cli, "datetime", FrozenClock)
+        monkeypatch.setattr(ingest, "datetime", NoClock)
+        cli.run_report(cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path))
+        assert reads == [timezone.utc]
+
+        def future(name: str) -> int:
+            lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+            stamps = [json.loads(line)["ts"] for line in lines]
+            return sum(ts is not None and ts > "2006-01-20T12:00:00Z" for ts in stamps)
+
+        tallies = {(source, key): int(n)
+                   for source, key, n in read_rows(tmp_path / "diagnostics.csv")[1:]}
+        assert future("edits.jsonl") > 0 and future("comments.jsonl") > 0
+        assert tallies[("edits", "edit_ts_malformed")] == future("edits.jsonl")
+        assert tallies[("comments", "comment_ts_malformed")] == future("comments.jsonl")
+
+
+def comment_stream(rng: random.Random, articles: int, days: int) -> list[str]:
+    """Chronological comment lines per article, interleaved, with bursts and dirt."""
+    lines = []
+    start = date(2015, 3, 1)
+    for offset in range(days):
+        day = start + timedelta(days=offset)
+        for a in range(articles):
+            n = rng.choice([0, 1, 2, 3]) if rng.random() > 0.05 else rng.randrange(20, 60)
+            for i in range(n):
+                ts = f"{day}T{i % 24:02d}:{rng.randrange(60):02d}:00Z"
+                if rng.random() < 0.03:
+                    ts = rng.choice([None, f"{day}T25:00:00Z", "garbage"])
+                lines.append(json.dumps({
+                    "article": f"A{a}", "id": f"c{len(lines)}", "parent": None, "depth": 0,
+                    "ts": ts, "author": "u", "ord": len(lines),
+                }))
+            if rng.random() < 0.02:
+                lines.append(rng.choice(["{", "[]", "", '{"article": ""}']))
+    return lines
+
+
+class TestWatchChunkParity:
+    PARAMS = PeakParams(c=3.0, n_min=4, window_halfwidth=7)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 37, 1 << 14])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_alerts_equal_event_at_a_time_replay(self, tmp_path, monkeypatch, chunk, seed):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        lines = comment_stream(random.Random(seed), articles=3, days=60)
+        ordered = tmp_path / "ordered.jsonl"
+        ordered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        random.Random(seed).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = simulate_watch_oracle(ordered, self.PARAMS)
+        assert want, "the stream should alert"
+        assert simulate_watch(ordered, self.PARAMS) == want
+        assert simulate_watch(ordered, self.PARAMS, sort=True) == simulate_watch_oracle(
+            ordered, self.PARAMS, sort=True)
+        assert simulate_watch(shuffled, self.PARAMS, sort=True) == simulate_watch_oracle(
+            shuffled, self.PARAMS, sort=True)
+
+    def test_day_run_across_chunk_boundary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        events = tmp_path / "events.jsonl"
+        # 90 events on 2020-01-15 span 23 chunks; they must count as one day.
+        write_daily_events(events, days_of("2020-01", [2] * 14 + [90, 3]))
+        alerts = simulate_watch(events, kind="edit")
+        assert [(str(a[2]), a[3]) for a in alerts] == [("2020-01-15", 90)]
+        assert alerts == simulate_watch_oracle(events, PeakParams(), kind="edit")
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    def test_out_of_order_message_unchanged(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        events = tmp_path / "events.jsonl"
+        rows = days_of("2020-01", [2] * 14 + [90])
+        rows[2], rows[6] = rows[6], rows[2]
+        write_daily_events(events, rows)
+        with pytest.raises(OutOfOrderError) as want:
+            simulate_watch_oracle(events, PeakParams(), kind="edit")
+        with pytest.raises(OutOfOrderError) as got:
+            simulate_watch(events, kind="edit")
+        assert str(got.value) == str(want.value)
+
+    def test_loader_memory_does_not_grow_with_file_length(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 256)
+        lines = comment_stream(random.Random(5), articles=4, days=150)
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        short.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        long.write_text("\n".join(lines * 10) + "\n", encoding="utf-8")
+
+        def peak(path: Path) -> int:
+            tracemalloc.start()
+            try:
+                for chunk in ingest.read_chunks(path, "comment", diagnostics=ingest.Diagnostics()):
+                    chunk.day_runs()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert len(lines) > 4 * 256
+        short_peak, long_peak = peak(short), peak(long)
+        assert long_peak < short_peak * 1.1 + 16_384, (short_peak, long_peak)
 
 
 class TestWatchCommand:

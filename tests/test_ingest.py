@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from talkdyn import (
     build_series,
     load_events,
 )
+from talkdyn import ingest
 from talkdyn.ingest import (
     event_json_line,
     format_timestamp,
@@ -26,7 +29,7 @@ from talkdyn.ingest import (
     write_events_jsonl,
 )
 
-from conftest import utc
+from conftest import build_series_oracle, load_events_oracle, utc
 
 
 class TestParseTimestamp:
@@ -317,3 +320,251 @@ class TestDiagnostics:
         diag.tally("zeta")
         diag.tally("alpha", 2)
         assert diag.rows() == [("alpha", 2), ("zeta", 1)]
+
+
+# ---------------------------------------------------------------------------
+# The chunked loader against the per-line oracle
+
+
+ORACLE_NOW = utc(2030, 6, 1, 12)
+
+
+def assert_loads_like_oracle(path, kind, fmt="jsonl", now=ORACLE_NOW):
+    """load_events and the per-line oracle agree in events, tallies and messages."""
+    got_diag, want_diag = Diagnostics(), Diagnostics()
+    got = list(load_events(path, kind, fmt=fmt, diagnostics=got_diag, now=now))
+    want = list(load_events_oracle(path, kind, fmt=fmt, diagnostics=want_diag, now=now))
+    assert got == want
+    assert [type(e.timestamp) for e in got] == [type(e.timestamp) for e in want]
+    assert got_diag.rows() == want_diag.rows()
+    assert got_diag.messages == want_diag.messages
+    return got, got_diag
+
+
+def digits(year, month, day, hour=0, minute=0, second=0, suffix="Z"):
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}{suffix}"
+
+
+canonical_ts = st.builds(
+    digits,
+    st.sampled_from([0, 1999, 2000, 2001, 2004, 2005, 2100, 2400, 2029, 2030, 2031, 9999]),
+    st.integers(0, 13), st.integers(0, 32), st.integers(0, 25),
+    st.integers(0, 61), st.integers(0, 61), st.sampled_from(["Z", "+00:00", "+01:00", "z"]),
+)
+odd_ts = st.sampled_from([
+    "2010-+1-05T00:00:00Z", "2010- 1-05T00:00:00Z", "2010-1 -05T00:00:00Z",
+    "2010-01-05T0 :00:00Z", "٢٠١٠-٠١-٠٥T00:00:00Z", "2010-01-0\ud800T00:00:00Z",
+    "2010-01-05 00:00:00Z", "2010-01-05T00:00:00", "2010-01-05T00:00:00Z\x00",
+    "2010-01-05T00:00:00+00:00 ", "", " ", "2010-01-05",
+])
+any_ts = st.one_of(
+    canonical_ts, odd_ts, st.text(max_size=26), st.none(), st.integers(-5, 5),
+    st.lists(st.integers(), max_size=2),
+)
+field_value = st.one_of(
+    st.none(), st.sampled_from(["", "A", "B", "c0", "c1", "-1", "2", " 3"]),
+    st.integers(-2, 3), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def comment_lines(draw):
+    record = {
+        "article": draw(st.one_of(st.sampled_from(["A", "B", "C"]), field_value)),
+        "id": draw(st.one_of(st.sampled_from(["c0", "c1"]), field_value)),
+        "parent": draw(field_value),
+        "depth": draw(st.one_of(st.integers(0, 2), field_value)),
+        "ts": draw(any_ts),
+        "author": draw(field_value),
+        "ord": draw(st.one_of(st.integers(0, 9), field_value)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(record)), max_size=2)):
+        record.pop(key, None)
+    return json.dumps(record)
+
+
+@st.composite
+def edit_lines(draw):
+    record = {"article": draw(st.one_of(st.sampled_from(["A", "B", "C"]), field_value)),
+              "ts": draw(any_ts)}
+    if draw(st.booleans()) and draw(st.booleans()):
+        del record["ts"]
+    return json.dumps(record)
+
+
+junk_lines = st.sampled_from([
+    "", "   ", "{", "[1, 2]", '"text"', "3", "null", '{"a":1},{"b":2}', '{"c":[{}', "{}]}",
+    '{"article": "A"} trailing', "\t",
+])
+
+
+def write_lines(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("oracle") / "events.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestLoaderMatchesOracle:
+    @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_comments_property(self, tmp_path_factory, lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, COMMENT)
+
+    @given(lines=st.lists(st.one_of(edit_lines(), junk_lines), max_size=40),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_edits_property(self, tmp_path_factory, lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, EDIT)
+
+    @pytest.mark.parametrize("ts, dated", [
+        ("2000-12-31T23:59:59Z", False),
+        ("2001-01-01T00:00:00Z", True),
+        ("2004-02-29T12:00:00Z", True),
+        ("2004-02-30T12:00:00Z", False),
+        ("2003-02-29T12:00:00Z", False),
+        ("2000-02-29T12:00:00+00:00", False),
+        ("2024-02-29T12:00:00+00:00", True),
+        ("2010-12-31T24:00:00Z", False),
+        ("2010-12-31T23:59:60Z", False),
+        ("2010-12-31T23:60:00Z", False),
+        ("2010-04-31T00:00:00Z", False),
+        ("2010-+1-05T00:00:00Z", True),
+        ("2010- 1-05T00:00:00Z", True),
+        ("٢٠١٠-٠١-٠٥T00:00:00Z", True),
+        ("2031-01-01T00:00:00Z", False),
+        (12345, False),
+    ])
+    @pytest.mark.parametrize("kind", [COMMENT, EDIT])
+    def test_named_timestamps(self, tmp_path, ts, dated, kind):
+        path = tmp_path / "e.jsonl"
+        if kind == COMMENT:
+            write_jsonl(path, [comment_rec(ts=ts)])
+        else:
+            write_jsonl(path, [{"article": "A", "ts": ts}])
+        events, diag = assert_loads_like_oracle(path, kind)
+        assert diag.tallies["lines_read"] == 1
+        if kind == COMMENT:
+            assert len(events) == 1 and (events[0].timestamp is not None) == dated
+            malformed = not dated and isinstance(ts, str)
+            assert diag.tallies["comment_ts_malformed"] == int(malformed)
+        else:
+            assert len(events) == int(dated)
+            assert diag.tallies["edit_ts_malformed"] == int(not dated)
+
+    def test_now_is_inclusive(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        write_jsonl(path, [{"article": "A", "ts": "2020-01-01T00:00:00Z"},
+                           {"article": "A", "ts": "2020-01-01T00:00:01Z"}])
+        now = utc(2020, 1, 1, 0, 0, 0) + timedelta(microseconds=999_999)
+        events, diag = assert_loads_like_oracle(path, EDIT, now=now)
+        assert len(events) == 1 and diag.tallies["edit_ts_malformed"] == 1
+
+    def test_lines_that_join_into_json_are_each_bad(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"a":1},{"b":2}\n{"c":[{}\n{}]}\n', encoding="utf-8")
+        events, diag = assert_loads_like_oracle(path, COMMENT)
+        assert events == [] and diag.tallies["bad_json"] == 3
+
+    def test_structure_failures_in_line_order(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [
+            json.dumps(comment_rec()), "", "[1]", "  ",
+            json.dumps(comment_rec(id="c1", depth=1, parent=None)),
+            json.dumps(comment_rec(id="c2", depth=0, parent="c0")),
+            json.dumps(comment_rec(id="c3", ts="2010-02-30T00:00:00Z")),
+            "not json", json.dumps(comment_rec(article="")),
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for chunk in (1, 2, 3, 100):
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+                events, diag = assert_loads_like_oracle(path, COMMENT)
+            assert [m.split(":")[1] for m in diag.messages] == ["3", "5", "6", "8", "9"]
+            assert diag.tallies["not_an_object"] == 1
+            assert diag.tallies["depth_parent_mismatch"] == 2
+            assert diag.tallies["lines_read"] == 7
+
+    def test_edit_messages_interleave_in_line_order(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        lines = [{"article": "A", "ts": "2010-02-30T00:00:00Z"}, {"article": ""},
+                 {"article": "A", "ts": "bad"}, {"article": None, "ts": "bad"},
+                 {"article": "A", "ts": "2010-02-03T00:00:00Z"}, {"article": "A"}]
+        write_jsonl(path, lines)
+        _, diag = assert_loads_like_oracle(path, EDIT)
+        assert [m.split(":")[1] for m in diag.messages] == ["1", "2", "3", "4", "6"]
+
+    def test_message_cap_across_chunks(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        lines = []
+        for i in range(120):
+            lines.append({"article": "A", "ts": "2010-01-01T00:00:00Z"} if i % 3 == 0
+                         else {"article": "A", "ts": f"bad{i}"} if i % 3 == 1
+                         else {"article": i})
+        write_jsonl(path, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", 7):
+            _, diag = assert_loads_like_oracle(path, EDIT)
+        assert len(diag.messages) == 50 and diag.tallies["lines_dropped"] == 80
+
+    @pytest.mark.parametrize("kind", [COMMENT, EDIT])
+    def test_csv_rows_numbered_from_two(self, tmp_path, kind):
+        path = tmp_path / "e.csv"
+        if kind == COMMENT:
+            path.write_text(
+                "article,id,parent,depth,ts,author,ord\n"
+                "A,c0,,0,2006-05-10T13:45:08Z,Alice,0\n"
+                ",c1,c0,1,2006-05-10T13:45:08Z,Bob,1\n"
+                "A,c2,c0,x,,Bob,2\n"
+                "A,c3,c0,1,2006-02-30T00:00:00Z,,3\n",
+                encoding="utf-8",
+            )
+        else:
+            path.write_text("article,ts\nA,2006-05-10T13:45:08Z\n,2006-05-10T13:45:08Z\n"
+                            "A,\nA,2006-02-30T00:00:00Z\n", encoding="utf-8")
+        with mock.patch.object(ingest, "_CHUNK_LINES", 2):
+            _, diag = assert_loads_like_oracle(path, kind, fmt="csv")
+        assert diag.messages[0].split(":")[1] == "3"
+
+    def test_default_now_keeps_past_and_drops_future(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        write_jsonl(path, [{"article": "A", "ts": "2010-01-01T00:00:00Z"},
+                           {"article": "A", "ts": "2999-01-01T00:00:00Z"}])
+        diag = Diagnostics()
+        assert len(list(load_events(path, EDIT, diagnostics=diag))) == 1
+        assert diag.tallies["edit_ts_malformed"] == 1
+
+
+class TestSeriesKernel:
+    @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_load_series_equals_counter_oracle(self, tmp_path_factory, lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            series, latest = ingest.load_series(path, COMMENT, diagnostics=Diagnostics(),
+                                                now=ORACLE_NOW)
+        events = list(load_events_oracle(path, COMMENT, now=ORACLE_NOW))
+        want = build_series_oracle(events, COMMENT)
+        assert_same_series(series, want)
+        assert_same_series(build_series(events, COMMENT), want)
+        stamps = [e.timestamp for e in events if e.timestamp is not None]
+        assert latest == (max(stamps) if stamps else None)
+
+    def test_series_dtype_and_order(self):
+        events = [EditEvent("B", utc(2006, 1, 3)), EditEvent("A", utc(2006, 1, 1)),
+                  EditEvent("B", utc(2006, 1, 1))]
+        series = build_series(events, EDIT)
+        assert list(series) == ["B", "A"]
+        assert series["B"].counts.dtype == np.int64
+        assert series["B"].counts.tolist() == [1, 0, 1]
+
+
+def assert_same_series(got, want):
+    assert sorted(got) == sorted(want)
+    for article, s in want.items():
+        g = got[article]
+        assert (g.article_id, g.kind, g.start_day) == (s.article_id, s.kind, s.start_day)
+        assert g.counts.tolist() == s.counts.tolist()

@@ -279,6 +279,21 @@ class TestStreamStep:
             assert stream_step(prefilled, day, count, params)[:2] \
                 == stream_step(fed, day, count, params)[:2]
 
+    def test_window_is_read_only_from_outside(self):
+        # Appending to the exposed window used to desync it from the sorted
+        # copy, and the next full-window step raised IndexError.
+        state = StreamState(window=3)
+        with pytest.raises(AttributeError):
+            state.buffer.extend([100, 100, 100])
+        with pytest.raises(AttributeError):
+            state.buffer = [100, 100, 100]
+        stream_step(state, date(2020, 1, 1), 60)
+        assert state.buffer == (60,)
+        for i, count in enumerate([1, 2, 3, 4], start=2):
+            stream_step(state, date(2020, 1, i), count)
+        assert state.buffer == (2, 3, 4)
+        assert state.median() == 3.0
+
     def test_gap_longer_than_window_leaves_only_zeros(self):
         state = StreamState(window=4)
         day = date(2006, 1, 1)
