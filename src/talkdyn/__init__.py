@@ -1,6 +1,5 @@
 """Activity peaks and discussion-growth metrics for wiki-style articles."""
 
-from .cli import ArticleReport, RunConfig, run_report, simulate_watch
 from .discussion import (
     DeltaH,
     DiscussionTree,

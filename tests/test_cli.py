@@ -8,9 +8,11 @@ row ordering, and float rendering, not just for the numbers.
 import csv
 import io
 import json
+import logging
 import random
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -151,6 +153,15 @@ class TestModuleEntry:
     def test_help_runs_without_warnings(self):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "talkdyn", "--help"],
+            capture_output=True, text=True, env=talkdyn_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: talkdyn")
+
+    def test_cli_module_runs_without_warnings(self):
+        """The package no longer imports cli, so runpy has nothing to warn about."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "talkdyn.cli", "--help"],
             capture_output=True, text=True, env=talkdyn_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -567,3 +578,204 @@ class TestWatchCommand:
         assert run_cli("watch", "--stdin") == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1].endswith(",201,20.1,3")
+
+
+def with_bad_second_line(source: Path, dest: Path) -> Path:
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    dest.write_text("".join([lines[0], "not json\n", *lines[1:]]), encoding="utf-8")
+    return dest
+
+
+class TestDroppedLinesReported:
+    """Every subcommand that loads an event file warns of the lines it dropped."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hindex", "--comments"],
+        ["deltah", "--min-comments", "5", "--comments"],
+        ["maturity", "--comments"],
+        ["watch", "--sort", "--events"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_line_warns_and_keeps_output(self, tmp_path, capsys, caplog, argv):
+        clean = GOLDEN / "comments.jsonl"
+        dirty = with_bad_second_line(clean, tmp_path / "comments.jsonl")
+        assert run_cli(*argv, str(clean)) == 0
+        want = capsys.readouterr().out
+        caplog.clear()
+        assert run_cli(*argv, str(dirty)) == 0
+        assert capsys.readouterr().out == want
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [m for m in warnings if m.startswith(f"{dirty}:2: bad_json")], warnings
+
+
+class TestInputChecks:
+    def test_peaks_without_inputs_is_config_error(self, tmp_path, capsys):
+        assert run_cli("peaks", "--out", str(tmp_path / "p.csv")) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_stats_mode_checked_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert run_cli("stats", "--peaks", missing) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_stats_with_both_modes_is_config_error(self, tmp_path, capsys):
+        peaks = tmp_path / "p.csv"
+        run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"), "--out", str(peaks))
+        capsys.readouterr()
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap",
+                       "--powerlaw", "length") == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_negative_tolerance_is_config_error_everywhere(self, tmp_path, capsys):
+        assert run_cli("stats", "--peaks", str(tmp_path / "missing.csv"),
+                       "--report", "overlap", "--tolerance", "0", "-1") == 2
+        with pytest.raises(ValueError, match=">= 0"):
+            cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
+                          tolerances=(0, -1))
+
+    def test_wide_tolerance_same_in_report_and_stats(self, tmp_path, capsys):
+        cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
+                      tolerances=(7,))
+        out = tmp_path / "report"
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", out,
+                                    "--tolerance", "7")) == 0
+        stats_out = tmp_path / "overlap.csv"
+        assert run_cli("stats", "--peaks", str(out / "peaks.csv"), "--report", "overlap",
+                       "--tolerance", "7", "--out", str(stats_out)) == 0
+        capsys.readouterr()
+        assert read_rows(out / "overlap.csv")[1][0] == "7"
+        assert stats_out.read_bytes() == (out / "overlap.csv").read_bytes()
+
+
+class TestVerboseLogging:
+    def test_report_logs_each_table_and_each_load(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="talkdyn.cli")
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl",
+                                    tmp_path)) == 0
+        capsys.readouterr()
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        tables = {}
+        for message in infos:
+            if message.startswith("table "):
+                name, rows, path = message.removeprefix("table ").split(" ", 2)
+                tables[name.rstrip(":")] = (int(rows), path.removeprefix("rows -> "))
+        assert sorted(tables) == sorted(REPORT_TABLES)
+        for name, (rows, path) in tables.items():
+            assert Path(path) == tmp_path / f"{name}.csv"
+            assert rows == len(read_rows(Path(path))) - 1, name
+        loads = [m for m in infos if "lines_read" in m]
+        assert [m.split(":")[0] for m in loads] == [
+            str(GOLDEN / "edits.jsonl"), str(GOLDEN / "comments.jsonl")]
+        for message in loads:
+            numbers = [int(word) for word in message.split() if word.isdigit()]
+            assert numbers[0] == numbers[1] + numbers[2], message
+
+    def test_verbose_flag_logs_to_stderr(self):
+        proc = subprocess.run(
+            talkdyn_cmd("--verbose", "hindex", "--comments", str(GOLDEN / "comments.jsonl")),
+            capture_output=True, text=True, env=talkdyn_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO talkdyn.cli:" in proc.stderr
+        assert "lines_read 56 = events_used 56 + lines_dropped 0" in proc.stderr
+
+
+def write_daily_comments(path: Path, spec: list[tuple[str, str, int]]) -> None:
+    """Like write_daily_events, as top-level comments with ids and document order."""
+    lines = []
+    for article, day, count in spec:
+        for i in range(count):
+            n = len(lines)
+            lines.append(json.dumps(
+                {"article": article, "id": f"c{n}", "parent": None, "depth": 0,
+                 "ts": f"{day}T{8 + i % 12:02d}:{(7 * i) % 60:02d}:00Z", "author": "u",
+                 "ord": n},
+                separators=(",", ":"),
+            ))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def bursty_spec(articles: int, days: int = 240) -> list[tuple[str, str, int]]:
+    """Two events a day, and per article 2-4 bursts of 40 a day lasting 1-3 days."""
+    start = date(2020, 1, 1)
+    spec = []
+    for a in range(articles):
+        burst_days = set()
+        for k in range(2 + a % 3):
+            first = 20 + k * (30 + (7 * a) % 20)
+            burst_days.update(range(first, first + 1 + (a + k) % 3))
+        for offset in range(days):
+            spec.append((f"A{a:02d}", (start + timedelta(days=offset)).isoformat(),
+                         40 if offset in burst_days else 2))
+    return spec
+
+
+class TestOneTablePath:
+    """report and the stats subcommand build each shared table through one builder."""
+
+    @pytest.mark.parametrize("report, table", [
+        ("overlap", "overlap"), ("anniversary", "anniversaries"),
+        ("distributions", "distributions"),
+    ])
+    def test_stats_on_report_peaks_writes_report_bytes(self, tmp_path, capsys, report, table):
+        out = tmp_path / "report"
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", out)) == 0
+        stats_out = tmp_path / "stats" / f"{table}.csv"
+        assert run_cli("stats", "--peaks", str(out / "peaks.csv"), "--report", report,
+                       "--out", str(stats_out)) == 0
+        capsys.readouterr()
+        assert stats_out.read_bytes() == (out / f"{table}.csv").read_bytes()
+
+    def test_powerlaw_lines_match_summary_alphas(self, tmp_path, capsys):
+        edits, comments = tmp_path / "edits.jsonl", tmp_path / "comments.jsonl"
+        spec = bursty_spec(articles=12)
+        write_daily_events(edits, spec)
+        write_daily_comments(comments, spec)
+        out = tmp_path / "report"
+        assert run_cli("report", "--edits", str(edits), "--comments", str(comments),
+                       "--out", str(out), "-c", "5", "--nmin", "2", "--window", "14") == 0
+        capsys.readouterr()
+        summary = dict(read_rows(out / "summary.csv")[1:])
+        for choice, table in cli.POWERLAW_SAMPLES.items():
+            assert run_cli("stats", "--peaks", str(out / "peaks.csv"),
+                           "--powerlaw", choice) == 0
+            lines = capsys.readouterr().out.splitlines()
+            for kind in ("comment", "edit"):
+                alpha, n = summary[f"alpha_{table}_{kind}"], summary[f"alpha_{table}_{kind}_n"]
+                assert int(n) >= 10 and alpha != "inf", (table, kind)
+                assert f"{kind}: alpha={alpha} x_min=1 n={n}" in lines, (choice, lines)
+
+
+class TestBenchmarkSurface:
+    """perfbench/tracer.py rebinds cli and module attributes; the report must call them."""
+
+    def test_tracer_sees_tables_and_statistics(self, tmp_path):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        script = textwrap.dedent("""
+            import json, sys
+            from pathlib import Path
+            sys.path.insert(0, sys.argv[1])
+            import tracer as tracing
+            from talkdyn import cli
+            tracer = tracing.Tracer()
+            tracing.install(tracer)
+            edits, comments, out = map(Path, sys.argv[2:])
+            cli.run_report(cli.RunConfig(edits, comments, out))
+            print(json.dumps({name: span[0] for name, span in tracer.spans.items()}))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(perfbench), str(GOLDEN / "edits.jsonl"),
+             str(GOLDEN / "comments.jsonl"), str(tmp_path)],
+            capture_output=True, text=True, env=talkdyn_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout)
+        assert calls["cli.report"] == 1
+        assert calls["cli.write_table"] == len(REPORT_TABLES)
+        assert calls["cli.daily_totals"] == 1
+        for name in ("peakstats.overlap", "peakstats.anniversaries", "peakstats.fit_power_law",
+                     "peakstats.run_lengths", "discussion.delta_h", "discussion.maturity",
+                     "discussion.rank_by_speed", "timeseries.detect_peaks"):
+            assert calls.get(name, 0) > 0, name
