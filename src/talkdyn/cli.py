@@ -62,6 +62,16 @@ def _check_tolerances(tolerances: Sequence[int]) -> None:
         raise ValueError(f"tolerances must be >= 0, got {list(tolerances)}")
 
 
+# The smallest value of each integer setting that is checked where it comes in.
+MINIMUMS = {"min_comments": 0, "top_n": 1, "bins_per_decade": 1, "x_min": 1}
+
+
+def _check_minimums(**settings: int) -> None:
+    for name, value in settings.items():
+        if value < MINIMUMS[name]:
+            raise ValueError(f"{name} must be >= {MINIMUMS[name]}, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything the report pipeline needs, in one place."""
@@ -84,10 +94,9 @@ class RunConfig:
             raise ValueError(f"unknown input format {self.input_format!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.min_comments < 0:
-            raise ValueError("min_comments must be >= 0")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+        _check_minimums(
+            min_comments=self.min_comments, top_n=self.top_n, bins_per_decade=self.bins_per_decade
+        )
         _check_tolerances(self.tolerances)
 
 
@@ -497,6 +506,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if bool(args.report) == bool(args.powerlaw):
         raise ValueError("stats needs exactly one of --report or --powerlaw")
     _check_tolerances(args.tolerance)
+    _check_minimums(x_min=args.xmin)
     runs = _load_peak_runs(Path(args.peaks))
     if args.report == "overlap":
         table = _overlap_table(runs, args.tolerance)
@@ -528,6 +538,7 @@ def _cmd_hindex(args: argparse.Namespace) -> int:
 
 
 def _cmd_deltah(args: argparse.Namespace) -> int:
+    _check_minimums(min_comments=args.min_comments)
     by_article, _, diag = _load_comment_forest(Path(args.comments), args.format)
     trees = _trees(by_article, diag)
     ranked = _rank(trees, _traces(trees, diag), args.min_comments)

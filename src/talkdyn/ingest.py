@@ -10,11 +10,16 @@ simply loses the timestamp; an edit without a valid timestamp carries no
 information at all and is dropped.
 
 One loader, read_chunks, reads a bounded chunk of lines at a time: each line
-is decoded and checked on its own, then the chunk's timestamps become int64
-epoch seconds in one vectorised pass.  Everything else is built on its
-columns: load_events yields event objects, load_series groups (article, day)
-pairs into ActivitySeries without building any, and the streaming watch
-replays the chunks' (article, day, count) runs.
+is checked on its own, then the chunk's timestamps become int64 epoch seconds
+in one vectorised pass.  A JSONL line in the exact shape event_json_line
+writes (fixed key order, no spaces, unescaped non-empty strings, unsigned
+integers of at most 18 digits) is matched by one compiled pattern per kind;
+the match proves every field's type, so only the depth/parent rule is left
+to check.  Every other line, and every CSV row, is decoded and checked field
+by field, with the same messages and tallies.  Everything else is built on
+the chunk columns: load_events yields event objects, load_series groups
+(article, day) pairs into ActivitySeries without building any, and the
+streaming watch replays the chunks' (article, day, count) runs.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import io
 import json
 import logging
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -276,7 +282,8 @@ def _coerce_optional(value: object) -> str | None:
 def _decode_json(line: str) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError: an integer of more than 4300 digits, or nesting too deep.
         raise _BadRecord("bad_json", str(exc)) from None
     if not isinstance(record, dict):
         raise _BadRecord("not_an_object", type(record).__name__)
@@ -294,13 +301,13 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
     try:
         depth = int(record.get("depth"))
         doc_order = int(record.get("ord"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int() of an infinite float
         raise _BadRecord("bad_int_field", f"depth/ord in {comment_id}") from None
     if depth < 0 or doc_order < 0:
         raise _BadRecord("negative_field", f"depth={depth} ord={doc_order}")
     parent = _coerce_optional(record.get("parent"))
     if (depth == 0) != (parent is None):
-        raise _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
+        raise _depth_parent_mismatch(depth, parent)
     author = _coerce_optional(record.get("author"))
     return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
 
@@ -311,6 +318,46 @@ def _check_edit(record: dict) -> tuple[str, object, None]:
     if not isinstance(article, str) or not article:
         raise _BadRecord("bad_article", f"article={article!r}")
     return article, record.get("ts"), None
+
+
+def _depth_parent_mismatch(depth: int, parent: str | None) -> _BadRecord:
+    return _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
+
+
+# The exact lines event_json_line writes.  A string is non-empty (an empty one
+# means null to _coerce_optional) and holds no quote, backslash or control
+# character, so it needs no unescaping; an integer is ASCII digits without sign
+# or leading zero, at most 18 of them, so int() is exact and cheap.
+_TEXT = r'"([^"\\\x00-\x1f]+)"'
+_TEXT_OR_NULL = r"(?:null|" + _TEXT + r")"
+_COUNT = r"(0|[1-9][0-9]{0,17})"
+_CANONICAL_COMMENT = re.compile(
+    r'\{"article":' + _TEXT + r',"id":' + _TEXT + r',"parent":' + _TEXT_OR_NULL
+    + r',"depth":' + _COUNT + r',"ts":' + _TEXT_OR_NULL + r',"author":' + _TEXT_OR_NULL
+    + r',"ord":' + _COUNT + r'\}\n?'
+).fullmatch
+_CANONICAL_EDIT = re.compile(r'\{"article":' + _TEXT + r',"ts":' + _TEXT + r'\}\n?').fullmatch
+
+
+def _comment_line(line: str) -> tuple[str, str | None, tuple]:
+    """_check_comment of a JSONL line; a canonical one needs only the depth/parent rule."""
+    match = _CANONICAL_COMMENT(line)
+    if match is None:
+        return _check_comment(_decode_json(line))
+    article, comment_id, parent, depth, stamp, author, doc_order = match.groups()
+    depth = int(depth)
+    if (depth == 0) != (parent is None):
+        raise _depth_parent_mismatch(depth, parent)
+    return article, stamp, (comment_id, parent, depth, author, int(doc_order))
+
+
+def _edit_line(line: str) -> tuple[str, object, None]:
+    """_check_edit of a JSONL line; a canonical one is already checked."""
+    match = _CANONICAL_EDIT(line)
+    if match is None:
+        return _check_edit(_decode_json(line))
+    article, stamp = match.groups()
+    return article, stamp, None
 
 
 def _jsonl_lines(handle: io.TextIOBase) -> Iterator[tuple[int, str]]:
@@ -400,24 +447,25 @@ def read_chunks(
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:
         if fmt == "jsonl":
-            numbered, decode = _jsonl_lines(handle), _decode_json
+            numbered = _jsonl_lines(handle)
+            check = _comment_line if kind == COMMENT else _edit_line
         else:
-            numbered, decode = _csv_rows(handle, kind, diag.source), dict
+            numbered = _csv_rows(handle, kind, diag.source)
+            check = _check_comment if kind == COMMENT else _check_edit
         while block := list(islice(numbered, _CHUNK_LINES)):
-            yield _check_block(block, kind, decode, articles, names, now, diag)
+            yield _check_block(block, kind, check, articles, names, now, diag)
 
 
 def _check_block(
     block: list[tuple[int, object]],
     kind: str,
-    decode: Callable[[object], dict],
+    check: Callable[[object], tuple[str, object, tuple | None]],
     articles: dict[str, int],
     names: list[str],
     now: datetime,
     diag: Diagnostics,
 ) -> Chunk:
     """Check one block of numbered lines; record its failures in line order."""
-    check = _check_comment if kind == COMMENT else _check_edit
     failures: list[tuple[int, str, str]] = []
     line_nos: list[int] = []
     codes: list[int] = []
@@ -425,7 +473,7 @@ def _check_block(
     extras: list[tuple | None] = []
     for line_no, raw in block:
         try:
-            article, stamp, extra = check(decode(raw))
+            article, stamp, extra = check(raw)
         except _BadRecord as bad:
             failures.append((line_no, *bad.args))
             continue
@@ -590,7 +638,8 @@ def event_json_line(event: EditEvent | CommentEvent) -> str:
     """Canonical one-line JSON for an event: fixed key order, no spaces.
 
     Serializing the same event always yields the same bytes, so round trips
-    through dump/load are byte-identical.
+    through dump/load are byte-identical.  The loader's canonical patterns
+    match this shape; a change here must change them too.
     """
     if isinstance(event, CommentEvent):
         record = comment_record(event)

@@ -20,6 +20,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -239,6 +240,19 @@ class StreamState:
         days.append(count)
         insort(self._sorted, count)
 
+    def push_zeros(self, n: int) -> None:
+        """Append n zero-count days, as n calls of push(0) would.
+
+        Once n reaches the window, every day in it is a zero: the window is
+        reset in one step instead.
+        """
+        if n >= self.window:
+            self._days.extend(repeat(0, self.window))
+            self._sorted = [0] * self.window
+            return
+        for _ in range(n):
+            self.push(0)
+
     def median(self) -> float:
         """Median of the buffered days; 0 for an empty buffer."""
         values = self._sorted
@@ -266,8 +280,7 @@ def stream_step(
         gap = (day - state.current_day).days
         if gap <= 0:
             raise OutOfOrderError(f"day {day} after {state.current_day} already consumed")
-        for _ in range(min(gap - 1, state.window)):
-            state.push(0)
+        state.push_zeros(gap - 1)
     floor = max(state.median(), float(p.n_min))
     ratio = count / floor
     is_peak = count > p.c * floor

@@ -127,7 +127,7 @@ def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     try:
         depth = int(record.get("depth"))
         doc_order = int(record.get("ord"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")
         return None
     if depth < 0 or doc_order < 0:
@@ -171,7 +171,7 @@ def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
         diagnostics.tally("lines_read")
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             diagnostics.record(line_no, "bad_json", str(exc))
             continue
         if not isinstance(record, dict):

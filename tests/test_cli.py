@@ -635,6 +635,30 @@ class TestInputChecks:
             cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
                           tolerances=(0, -1))
 
+    def test_powerlaw_xmin_checked_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert run_cli("stats", "--peaks", missing, "--powerlaw", "length", "--xmin", "0") == 2
+        captured = capsys.readouterr()
+        assert "config error: x_min must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+
+    def test_bins_per_decade_checked_before_any_load(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert run_cli(*report_args(tmp_path / "no_edits.jsonl", tmp_path / "no_comments.jsonl",
+                                    out, "--bins-per-decade", "0")) == 2
+        assert "config error: bins_per_decade must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_min_comments_one_rule_for_deltah_and_report(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert run_cli("deltah", "--comments", missing, "--min-comments", "-3") == 2
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as raised:
+            cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
+                          min_comments=-3)
+        assert err == f"config error: {raised.value}\n"
+        assert str(raised.value) == "min_comments must be >= 0, got -3"
+
     def test_wide_tolerance_same_in_report_and_stats(self, tmp_path, capsys):
         cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
                       tolerances=(7,))

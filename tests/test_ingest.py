@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from talkdyn import (
     build_series,
     load_events,
 )
-from talkdyn import ingest
+from talkdyn import cli, ingest
 from talkdyn.ingest import (
     event_json_line,
     format_timestamp,
@@ -398,6 +400,80 @@ junk_lines = st.sampled_from([
 ])
 
 
+# Near-canonical lines: event_json_line's shape, then one change; most changes
+# send the line off the fast path, "raw" and a few others keep it on.
+NAMES = ["A", "é", "日本", "A\"B", "a\\b", "x y", "\x7f", "\u2028"]
+DIGITS_4301 = "1" + "0" * 4300
+utf8_ts = st.one_of(canonical_ts, odd_ts.filter(lambda t: "\ud800" not in t))
+
+
+def _swap_first_keys(record):
+    keys = list(record)
+    keys[0], keys[1] = keys[1], keys[0]
+    return {k: record[k] for k in keys}
+
+
+# Each change turns (record, text) into the line written: most edit the text of
+# the canonical dump, the rest the record before it is dumped.
+LINE_CHANGES = {
+    "raw": lambda r, t: t,
+    "ascii_escapes": lambda r, t: json.dumps(r, separators=(",", ":")),
+    "default_separators": lambda r, t: json.dumps(r, ensure_ascii=False),
+    "leading_space": lambda r, t: " " + t,
+    "trailing_cr": lambda r, t: t + "\r",
+    "trailing_space": lambda r, t: t + " ",
+    "duplicate_key": lambda r, t: t[:-1] + ',"article":"B"}',
+    "swapped_keys": lambda r, t: json.dumps(_swap_first_keys(r), ensure_ascii=False,
+                                            separators=(",", ":")),
+    "extra_key": lambda r, t: t[:-1] + ',"x":1}',
+    "raw_control": lambda r, t: t.replace('"article":"', '"article":"\x01', 1),
+    "raw_tab": lambda r, t: t.replace('"article":"', '"article":"\t', 1),
+    "bom": lambda r, t: "\ufeff" + t,
+    "empty_ts": lambda r, t: t.replace(f'"ts":{json.dumps(r["ts"], ensure_ascii=False)}',
+                                       '"ts":""', 1),
+    "null_ts": lambda r, t: t.replace(f'"ts":{json.dumps(r["ts"], ensure_ascii=False)}',
+                                      '"ts":null', 1),
+}
+INT_TEXT = ["-0", "1e0", "01", "00", "1.0", "true", "false", "null", '"1"', "1e999", "-1",
+            "Infinity", "NaN", "٣", "1٣", "10000000000000000000", "999999999999999999",
+            DIGITS_4301]
+
+
+def _set_int(key, value, record, text):
+    return text.replace(f'"{key}":{record[key]}', f'"{key}":{value}', 1)
+
+
+COMMENT_CHANGES = {
+    **LINE_CHANGES,
+    "empty_parent": lambda r, t: t.replace('"parent":null', '"parent":""', 1),
+    "empty_author": lambda r, t: t.replace('"author":null', '"author":""', 1),
+    **{f"{key}={v[:20]}": partial(_set_int, key, v) for key in ("depth", "ord") for v in INT_TEXT},
+}
+
+
+@st.composite
+def near_canonical_comment_lines(draw):
+    record = {
+        "article": draw(st.sampled_from(NAMES)),
+        "id": draw(st.sampled_from(["c0", "c1", "é"])),
+        "parent": draw(st.sampled_from([None, "c0", "é"])),
+        "depth": draw(st.integers(0, 2)),
+        "ts": draw(st.one_of(st.none(), utf8_ts)),
+        "author": draw(st.sampled_from([None, "U1", "日本"])),
+        "ord": draw(st.integers(0, 10**18 - 1)),
+    }
+    text = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return COMMENT_CHANGES[draw(st.sampled_from(sorted(COMMENT_CHANGES)))](record, text)
+
+
+@st.composite
+def near_canonical_edit_lines(draw):
+    record = {"article": draw(st.sampled_from(NAMES)),
+              "ts": draw(utf8_ts)}
+    text = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return LINE_CHANGES[draw(st.sampled_from(sorted(LINE_CHANGES)))](record, text)
+
+
 def write_lines(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("oracle") / "events.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -420,6 +496,53 @@ class TestLoaderMatchesOracle:
         path = write_lines(tmp_path_factory, lines)
         with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
             assert_loads_like_oracle(path, EDIT)
+
+    @given(lines=st.lists(near_canonical_comment_lines(), max_size=30),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_near_canonical_comments_property(self, tmp_path_factory, lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, COMMENT)
+
+    @given(lines=st.lists(near_canonical_edit_lines(), max_size=30),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_near_canonical_edits_property(self, tmp_path_factory, lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, EDIT)
+
+    def test_escaped_and_raw_names_are_one_article(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"article":"é","ts":"2010-01-01T00:00:00Z"}\n'
+                        '{"article":"\\u00e9","ts":"2010-01-02T00:00:00Z"}\n', encoding="utf-8")
+        events, _ = assert_loads_like_oracle(path, EDIT)
+        assert [e.article_id for e in events] == ["é", "é"]
+        series, _ = ingest.load_series(path, EDIT, now=ORACLE_NOW)
+        assert list(series) == ["é"] and series["é"].counts.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_line_endings(self, tmp_path, ending, last):
+        line = '{"article":"A","id":"c0","parent":null,"depth":0,"ts":null,"author":null,"ord":0}'
+        path = tmp_path / "c.jsonl"
+        path.write_bytes((line + ending + line + (ending if last else "")).encode())
+        events, diag = assert_loads_like_oracle(path, COMMENT)
+        assert len(events) == 2 and diag.tallies["lines_read"] == 2
+
+    @pytest.mark.parametrize("fields, detail", [
+        ('"parent":null,"depth":1', "depth=1 parent=None"),
+        ('"parent":"c0","depth":0', "depth=0 parent='c0'"),
+        ('"parent":"","depth":2', "depth=2 parent=None"),
+    ])
+    def test_depth_parent_mismatch_on_both_paths(self, tmp_path, fields, detail):
+        canonical = '{"article":"A","id":"c1",' + fields + ',"ts":null,"author":null,"ord":1}'
+        spaced = canonical.replace(",", ", ")
+        path = tmp_path / "c.jsonl"
+        path.write_text(canonical + "\n" + spaced + "\n", encoding="utf-8")
+        _, diag = assert_loads_like_oracle(path, COMMENT)
+        assert diag.messages == [f"{path}:{n}: depth_parent_mismatch: {detail}" for n in (1, 2)]
 
     @pytest.mark.parametrize("ts, dated", [
         ("2000-12-31T23:59:59Z", False),
@@ -535,6 +658,115 @@ class TestLoaderMatchesOracle:
         diag = Diagnostics()
         assert len(list(load_events(path, EDIT, diagnostics=diag))) == 1
         assert diag.tallies["edit_ts_malformed"] == 1
+
+
+class TestNumericFieldsDoNotAbort:
+    """A number json.loads or int() cannot take drops its line; the load goes on."""
+
+    def load(self, tmp_path, bad_lines):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(comment_rec(), separators=(",", ":"))
+        path.write_text("\n".join([good, *bad_lines, good.replace('"ord":0', '"ord":9')]) + "\n",
+                        encoding="utf-8")
+        events, diag = assert_loads_like_oracle(path, COMMENT)
+        assert [e.doc_order for e in events] == [0, 9]
+        return path, diag
+
+    def test_infinite_depth_or_ord_is_bad_int_field(self, tmp_path):
+        bad = [json.dumps(comment_rec(id="c1"), separators=(",", ":")).replace(
+            '"depth":0', f'"depth":{v}') for v in ("1e999", "Infinity", "-Infinity")]
+        bad.append(json.dumps(comment_rec(id="c2"), separators=(",", ":")).replace(
+            '"ord":0', '"ord":1e999'))
+        path, diag = self.load(tmp_path, bad)
+        assert diag.tallies["bad_int_field"] == 4 and diag.tallies["lines_dropped"] == 4
+        assert diag.messages == [f"{path}:2: bad_int_field: depth/ord in c1",
+                                 f"{path}:3: bad_int_field: depth/ord in c1",
+                                 f"{path}:4: bad_int_field: depth/ord in c1",
+                                 f"{path}:5: bad_int_field: depth/ord in c2"]
+
+    def test_ord_beyond_int_digit_limit_is_bad_json(self, tmp_path):
+        line = json.dumps(comment_rec(), separators=(",", ":")).replace('"ord":0', '"ord":' + DIGITS_4301)
+        path, diag = self.load(tmp_path, [line])
+        assert diag.tallies["bad_json"] == 1 and diag.tallies["lines_dropped"] == 1
+        assert diag.messages[0].startswith(f"{path}:2: bad_json: Exceeds the limit (4300 digits)")
+
+    def test_nesting_too_deep_is_bad_json(self, tmp_path):
+        path, diag = self.load(tmp_path, ["[" * 100_000])
+        assert diag.tallies["bad_json"] == 1
+        assert diag.messages[0].startswith(f"{path}:2: bad_json: ")
+
+    def test_nineteen_digit_ord_takes_the_slow_path_and_loads(self, tmp_path):
+        lines = [json.dumps(comment_rec(ord=n), separators=(",", ":")) for n in (10**18 - 1, 10**18)]
+        assert [ingest._CANONICAL_COMMENT(line) is not None for line in lines] == [True, False]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        events, _ = assert_loads_like_oracle(path, COMMENT)
+        assert [e.doc_order for e in events] == [10**18 - 1, 10**18]
+
+    def test_hindex_exits_zero_and_reports_both(self, tmp_path, capsys, caplog):
+        good = json.dumps(comment_rec(), separators=(",", ":"))
+        clean, path = tmp_path / "clean.jsonl", tmp_path / "c.jsonl"
+        clean.write_text(good + "\n", encoding="utf-8")
+        path.write_text("\n".join([good.replace('"depth":0', '"depth":1e999'),
+                                   good.replace('"ord":0', '"ord":' + DIGITS_4301), good]) + "\n",
+                        encoding="utf-8")
+        assert cli.main(["hindex", "--comments", str(clean)]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["hindex", "--comments", str(path)]) == 0
+        assert capsys.readouterr().out == want
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings[0] == f"{path}:1: bad_int_field: depth/ord in c0"
+        assert warnings[1].startswith(f"{path}:2: bad_json: Exceeds the limit")
+
+
+# Characters json.dumps writes unescaped (it escapes quote, backslash and
+# control characters, and a file cannot hold a lone surrogate).
+plain_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\'
+                  + "".join(map(chr, range(0x20)))),
+    min_size=1, max_size=12,
+)
+optional_stamp = st.one_of(st.none(), st.datetimes(
+    min_value=datetime(2001, 1, 1), max_value=datetime(2100, 1, 1),
+    timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0)))
+comment_events = st.builds(
+    CommentEvent, plain_text, plain_text, st.one_of(st.none(), plain_text),
+    st.integers(0, 10**18 - 1), optional_stamp, st.one_of(st.none(), plain_text),
+    st.integers(0, 10**18 - 1),
+)
+edit_events = st.builds(EditEvent, plain_text, optional_stamp.filter(lambda t: t is not None))
+
+
+class TestCanonicalPattern:
+    """The fast path matches every line the writer writes, and reads it back unchanged."""
+
+    @given(event=comment_events)
+    @settings(max_examples=300)
+    def test_every_written_comment_line_matches(self, event):
+        line = event_json_line(event)
+        for text in (line, line + "\n"):
+            match = ingest._CANONICAL_COMMENT(text)
+            assert match is not None, text
+            ts = format_timestamp(event.timestamp) if event.timestamp else None
+            assert match.groups() == (event.article_id, event.comment_id, event.parent_id,
+                                      str(event.depth), ts, event.author, str(event.doc_order))
+
+    @given(event=edit_events)
+    @settings(max_examples=200)
+    def test_every_written_edit_line_matches(self, event):
+        line = event_json_line(event)
+        for text in (line, line + "\n"):
+            match = ingest._CANONICAL_EDIT(text)
+            assert match is not None, text
+            assert match.groups() == (event.article_id, format_timestamp(event.timestamp))
+
+    @given(events=st.lists(comment_events, max_size=10), chunk=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_written_comments_load_like_oracle(self, tmp_path_factory, events, chunk):
+        path = tmp_path_factory.mktemp("canonical") / "c.jsonl"
+        write_events_jsonl(path, events)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, COMMENT, now=utc(2100, 1, 1))
 
 
 class TestSeriesKernel:

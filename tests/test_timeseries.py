@@ -349,6 +349,39 @@ class TestStreamStep:
         assert sparse_out == dense_nonzero
 
 
+    @given(steps=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 500)), min_size=1,
+                          max_size=60),
+           window=halfwidths, params=params_st)
+    @settings(max_examples=200)
+    def test_gap_fill_equals_zero_pushes(self, steps, window, params):
+        # Filling a gap by one reset when it covers the window equals one
+        # push(0) per missing day, in ratios, flags and the buffer.
+        state = StreamState(window=window)
+        looped = StreamState(window=window)
+        day = date(2006, 1, 1)
+        for gap, count in steps:
+            day += timedelta(days=gap)
+            got = stream_step(state, day, count, params)[:2]
+            if looped.current_day is not None:
+                for _ in range(gap - 1):
+                    looped.push(0)
+            floor = max(looped.median(), float(params.n_min))
+            assert got == (count / floor, count > params.c * floor)
+            looped.push(count)
+            looped.current_day = day
+            assert state.buffer == looped.buffer
+            assert state.median() == looped.median()
+
+    def test_push_zeros_resets_to_a_window_of_zeros(self):
+        state = StreamState(window=3, buffer=[5, 9, 1])
+        state.push_zeros(2)
+        assert state.buffer == (1, 0, 0) and state.median() == 0.0
+        state.push_zeros(40)
+        assert state.buffer == (0, 0, 0)
+        state.push(7)
+        assert state.buffer == (0, 0, 7) and state.median() == 0.0
+
+
 def counts_at(schedule: list[tuple[int, int]], offset: int) -> int:
     for o, c in schedule:
         if o == offset:
