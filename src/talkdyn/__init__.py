@@ -9,9 +9,9 @@ from .discussion import (
     MaturityStatus,
     NoDatedCommentsError,
     SpeedRank,
+    build_forest,
     build_tree,
     delta_h,
-    forests,
     h_index,
     h_trace,
     maturity,

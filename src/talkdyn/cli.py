@@ -48,7 +48,6 @@ SPEED_HEADER = [
 ]
 
 Series = dict[str, ingest.ActivitySeries]
-Forest = dict[str, list[CommentEvent]]
 Trees = dict[str, discussion.DiscussionTree]
 Traces = dict[str, discussion.HTrace]
 Runs = dict[str, list[PeakRun]]  # COMMENT, then EDIT -> that kind's peak runs
@@ -56,18 +55,18 @@ Samples = dict[str, dict[str, list[int]]]  # kind -> distributions table -> samp
 Paces = dict[str, tuple[discussion.DeltaH, discussion.MaturityStatus]]
 
 
-def _check_tolerances(tolerances: Sequence[int]) -> None:
-    """Overlap tolerances are day counts; peakstats.overlap takes any >= 0."""
-    if any(t < 0 for t in tolerances):
-        raise ValueError(f"tolerances must be >= 0, got {list(tolerances)}")
+# The smallest value of each number setting that is checked where it comes in;
+# every one must also be finite.  Overlap tolerances are day counts.
+MINIMUMS = {
+    "min_comments": 0, "top_n": 1, "bins_per_decade": 1, "x_min": 1, "tolerance": 0,
+    "maturity_multiple": -math.inf, "threshold_multiple": -math.inf,
+}
 
 
-# The smallest value of each integer setting that is checked where it comes in.
-MINIMUMS = {"min_comments": 0, "top_n": 1, "bins_per_decade": 1, "x_min": 1}
-
-
-def _check_minimums(**settings: int) -> None:
+def _check_minimums(**settings: float) -> None:
     for name, value in settings.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
         if value < MINIMUMS[name]:
             raise ValueError(f"{name} must be >= {MINIMUMS[name]}, got {value}")
 
@@ -95,9 +94,9 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _check_minimums(
-            min_comments=self.min_comments, top_n=self.top_n, bins_per_decade=self.bins_per_decade
+            min_comments=self.min_comments, top_n=self.top_n, bins_per_decade=self.bins_per_decade,
+            tolerance=min(self.tolerances, default=0), maturity_multiple=self.maturity_multiple,
         )
-        _check_tolerances(self.tolerances)
 
 
 class Table(NamedTuple):
@@ -189,20 +188,14 @@ def _log_load(diag: Diagnostics) -> None:
     )
 
 
-def _load_comment_forest(
-    path: Path, fmt: str, now: datetime | None = None
-) -> tuple[Forest, datetime | None, Diagnostics]:
-    """Comments grouped by article, the latest timestamp seen, and the load's diagnostics."""
+def _load(
+    path: Path, kind: str, fmt: str, now: datetime | None = None
+) -> tuple[ingest.Columns, Diagnostics]:
+    """One file's usable records as columns, and the load's diagnostics, logged."""
     diag = Diagnostics()
-    by_article: dict[str, list[CommentEvent]] = defaultdict(list)
-    latest: datetime | None = None
-    for event in ingest.load_events(path, COMMENT, fmt=fmt, diagnostics=diag, now=now):
-        by_article[event.article_id].append(event)
-        ts = event.timestamp
-        if ts is not None and (latest is None or ts > latest):
-            latest = ts
+    columns = ingest.load_columns(path, kind, fmt=fmt, diagnostics=diag, now=now)
     _log_load(diag)
-    return dict(by_article), latest, diag
+    return columns, diag
 
 
 def _detect_all(series_by_article: Series, params: PeakParams) -> list[PeakRun]:
@@ -235,13 +228,6 @@ def _load_peak_runs(path: Path) -> Runs:
     except ValueError as exc:
         raise IngestError(f"{path}: malformed peaks table: {exc}") from exc
     return {kind: [r for r in runs if r.kind == kind] for kind in (COMMENT, EDIT)}
-
-
-def _trees(by_article: Forest, diag: Diagnostics) -> Trees:
-    return {
-        article: discussion.build_tree(article, by_article[article], diag)
-        for article in sorted(by_article)
-    }
 
 
 def _traces(trees: Trees, diag: Diagnostics) -> Traces:
@@ -494,10 +480,8 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     runs = {}
     for path, kind in sources:
-        diag = Diagnostics()
-        series, _ = ingest.load_series(path, kind, fmt=args.format, diagnostics=diag)
-        _log_load(diag)
-        runs[kind] = _detect_all(series, params)
+        columns, _ = _load(path, kind, args.format)
+        runs[kind] = _detect_all(columns.series(), params)
     _emit(_peaks_table(runs), args.out)
     return 0
 
@@ -505,8 +489,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if bool(args.report) == bool(args.powerlaw):
         raise ValueError("stats needs exactly one of --report or --powerlaw")
-    _check_tolerances(args.tolerance)
-    _check_minimums(x_min=args.xmin)
+    _check_minimums(x_min=args.xmin, tolerance=min(args.tolerance))
     runs = _load_peak_runs(Path(args.peaks))
     if args.report == "overlap":
         table = _overlap_table(runs, args.tolerance)
@@ -528,10 +511,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_hindex(args: argparse.Namespace) -> int:
-    by_article, _, diag = _load_comment_forest(Path(args.comments), args.format)
+    comments, diag = _load(Path(args.comments), COMMENT, args.format)
     rows = [
         [article, discussion.h_index(tree), tree.max_level, tree.n_comments]
-        for article, tree in _trees(by_article, diag).items()
+        for article, tree in discussion.build_forest(comments, diag).items()
     ]
     _emit(Table("hindex", ["article", "final_h", "max_depth", "n_comments"], rows), args.out)
     return 0
@@ -539,20 +522,21 @@ def _cmd_hindex(args: argparse.Namespace) -> int:
 
 def _cmd_deltah(args: argparse.Namespace) -> int:
     _check_minimums(min_comments=args.min_comments)
-    by_article, _, diag = _load_comment_forest(Path(args.comments), args.format)
-    trees = _trees(by_article, diag)
+    comments, diag = _load(Path(args.comments), COMMENT, args.format)
+    trees = discussion.build_forest(comments, diag)
     ranked = _rank(trees, _traces(trees, diag), args.min_comments)
     _emit(Table("deltah", SPEED_HEADER, _speed_rows(ranked)), args.out)
     return 0
 
 
 def _cmd_maturity(args: argparse.Namespace) -> int:
+    _check_minimums(threshold_multiple=args.threshold_multiple)
     as_of = _parse_as_of(args.as_of) if args.as_of else None
-    by_article, latest, diag = _load_comment_forest(Path(args.comments), args.format)
-    as_of = as_of or latest
+    comments, diag = _load(Path(args.comments), COMMENT, args.format)
+    as_of = as_of or comments.latest()
     if as_of is None:
         raise IngestError("no dated comments and no --as-of; nothing to judge maturity against")
-    paces = _paces(_traces(_trees(by_article, diag), diag), as_of, args.threshold_multiple)
+    paces = _paces(_traces(discussion.build_forest(comments, diag), diag), as_of, args.threshold_multiple)
     rows = [
         [article, status.mature, status.time_since_last_increase,
          status.threshold_multiple, pace.value]
@@ -571,41 +555,32 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
 def run_report(config: RunConfig) -> list[Path]:
     """Run every analysis over one corpus and write all tables to out_dir.
 
-    Returns the written paths.  Edits become (article, day) columns, never
-    event objects; comments are held in memory grouped by article, which is
-    what the tree metrics need anyway.
+    Returns the written paths.  Each file is loaded once into columns, never
+    event objects; the comment columns feed the series and the trees alike.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     # One clock reading bounds "future" timestamps in both files and stands
     # in for as_of when nothing is dated.
     now = datetime.now(timezone.utc)
-    fmt = config.input_format
-    diag_edits = Diagnostics()
-    edit_series, latest_edit = ingest.load_series(
-        config.edits_path, EDIT, fmt=fmt, diagnostics=diag_edits, now=now
-    )
-    _log_load(diag_edits)
-    by_article, latest_comment, diag_comments = _load_comment_forest(
-        config.comments_path, fmt, now
-    )
-    comment_series = ingest.build_series(
-        (event for events in by_article.values() for event in events), COMMENT
-    )
+    edits, diag_edits = _load(config.edits_path, EDIT, config.input_format, now)
+    comments, diag_comments = _load(config.comments_path, COMMENT, config.input_format, now)
+    # Trees first: the forest's sort buffers are freed before the dense series exist.
+    trees = discussion.build_forest(comments, diag_comments)
+    edit_series, comment_series = edits.series(), comments.series()
     as_of = config.as_of or max(
-        (ts for ts in (latest_comment, latest_edit) if ts is not None), default=now
+        (ts for ts in (comments.latest(), edits.latest()) if ts is not None), default=now
     )
 
     comment_runs = _detect_all(comment_series, config.params)
     edit_runs = _detect_all(edit_series, config.params)
     runs = {COMMENT: comment_runs, EDIT: edit_runs}
     samples = _sample_sets(runs)
-    trees = _trees(by_article, diag_comments)
     traces = _traces(trees, diag_comments)
     paces = _paces(traces, as_of, config.maturity_multiple)
     ranked = _rank(trees, traces, config.min_comments)
     top_n, params = config.top_n, config.params
     n_edit_events = sum(s.total for s in edit_series.values())
-    n_comment_events = sum(len(events) for events in by_article.values())
+    n_comment_events = comments.articles.size
     delta_hist = peakstats.log_binned_histogram(
         [r.delta_h_days for r in ranked if r.delta_h_days > 0], config.bins_per_decade
     )
@@ -636,7 +611,7 @@ def run_report(config: RunConfig) -> list[Path]:
             ["n_comment_events", n_comment_events],
             ["comment_edit_ratio", n_comment_events / n_edit_events if n_edit_events else None],
             ["n_articles_with_edits", len(edit_series)],
-            ["n_articles_with_comments", len(by_article)],
+            ["n_articles_with_comments", len(comments.names)],
             ["peak_runs_edit", len(edit_runs)],
             ["peak_runs_comment", len(comment_runs)],
             ["peak_days_edit", sum(r.length for r in edit_runs)],
@@ -730,7 +705,7 @@ def simulate_watch(
     states: dict[tuple[str, str], StreamState] = {}
     alerts: list[list[object]] = []
     if sort:
-        series, _ = ingest.load_series(events_path, kind, fmt=fmt, diagnostics=diag)
+        series = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diag).series()
         for article in sorted(series):
             counts = series[article].counts
             for offset in np.flatnonzero(counts).tolist():

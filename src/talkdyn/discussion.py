@@ -14,12 +14,14 @@ settled once no climb has happened for a few multiples of that pace.
 from __future__ import annotations
 
 import logging
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Sequence
+from datetime import datetime, timezone
+from typing import Iterable, Mapping
 
-from .ingest import CommentEvent, Diagnostics
+import numpy as np
+
+from .ingest import COMMENT, NO_PARENT, UNDATED, Columns, CommentEvent, Diagnostics, event_columns
 
 logger = logging.getLogger(__name__)
 
@@ -36,23 +38,27 @@ class InsufficientGrowthError(ValueError):
     """The trace has fewer than two steps, so no growth interval exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscussionTree:
     """Reply forest of one article's talk page.
 
-    nodes are in document order; levels maps comment id to nesting level
-    (thread starters = 1, each reply one below its parent); depth_counts maps
+    levels and seconds hold one entry per comment kept, in document order:
+    its nesting level (thread starters = 1, each reply one below its parent)
+    and its epoch seconds (ingest.UNDATED when undated).  depth_counts maps
     level to the number of comments sitting exactly there.
     """
 
     article_id: str
-    nodes: tuple[CommentEvent, ...]
-    levels: dict[str, int]
-    depth_counts: dict[int, int]
+    levels: np.ndarray
+    seconds: np.ndarray
+
+    @property
+    def depth_counts(self) -> dict[int, int]:
+        return {lv: n for lv, n in enumerate(np.bincount(self.levels).tolist()) if n}
 
     @property
     def n_comments(self) -> int:
-        return len(self.nodes)
+        return len(self.levels)
 
     @property
     def max_level(self) -> int:
@@ -152,112 +158,105 @@ def h_index(tree: DiscussionTree) -> int:
     return h_index_from_counts(tree.depth_counts)
 
 
-def build_tree(
-    article_id: str,
-    events: Iterable[CommentEvent],
-    diagnostics: Diagnostics | None = None,
-) -> DiscussionTree:
-    """Assemble one article's reply tree from its comment events.
+def build_forest(
+    comments: Columns, diagnostics: Diagnostics | None = None
+) -> dict[str, DiscussionTree]:
+    """Every article's reply tree from one load's comment columns, by article name.
 
+    An article's comments are taken in document order, ties in line order.
     Levels derive from the parent chain, not the stored depth field: a
     comment whose parent id is unknown (or appears later in document order)
     is kept as a thread starter and tallied as an orphan, and disagreement
     between stored depth and derived level is tallied but the derived level
     wins.  Duplicate comment ids keep the first occurrence.
     """
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    order = np.lexsort((comments.orders, comments.articles))
+    rows = np.arange(order.size)
+    articles, parents = comments.articles[order], comments.parents[order]
+    # Each (article, id) key's first row; a later row with that key is a duplicate.
+    span = int(max(comments.ids.max(initial=0), parents.max(initial=0))) + 1
+    keys = articles * span + comments.ids[order]
+    unique, first = np.unique(keys, return_index=True)
+    kept = first[np.searchsorted(unique, keys)] == rows
+    keys = articles * span + parents
+    at = np.minimum(np.searchsorted(unique, keys), unique.size - 1)
+    up = np.where((parents != NO_PARENT) & (unique[at] == keys) & (first[at] < rows), first[at], -1)
+    # Pointer doubling: up jumps to ever higher ancestors, levels adds the edges jumped.
+    levels = (up >= 0).astype(np.int64)
+    while (live := np.flatnonzero(up >= 0)).size:
+        above = up[live]
+        levels[live] += levels[above]
+        up[live] = up[above]
+    levels += 1
+    diag.tally("duplicate_comment_id", order.size - np.count_nonzero(kept))
+    diag.tally("orphan_comment", np.count_nonzero(kept & (parents != NO_PARENT) & (levels == 1)))
+    diag.tally("depth_level_mismatch", np.count_nonzero(kept & (comments.depths[order] + 1 != levels)))
+    articles, levels, seconds = articles[kept], levels[kept], comments.seconds[order][kept]
+    starts = np.flatnonzero(np.diff(articles, prepend=-1)).tolist()
+    trees = [
+        DiscussionTree(comments.names[articles[lo]], levels[lo:hi], seconds[lo:hi])
+        for lo, hi in zip(starts, [*starts[1:], articles.size])
+    ]
+    return {tree.article_id: tree for tree in sorted(trees, key=lambda tree: tree.article_id)}
+
+
+def build_tree(
+    article_id: str,
+    events: Iterable[CommentEvent],
+    diagnostics: Diagnostics | None = None,
+) -> DiscussionTree:
+    """Assemble one article's reply tree from its comment events, as build_forest does."""
+    comments = event_columns(events, COMMENT)
+    if stray := [name for name in comments.names if name != article_id]:
+        raise ValueError(f"event for {stray[0]!r} in tree {article_id!r}")
     diag = diagnostics if diagnostics is not None else Diagnostics(source=article_id)
-    ordered = sorted(events, key=lambda e: e.doc_order)
-    nodes: list[CommentEvent] = []
-    levels: dict[str, int] = {}
-    depth_counts: Counter = Counter()
-    for event in ordered:
-        if event.article_id != article_id:
-            raise ValueError(f"event for {event.article_id!r} in tree {article_id!r}")
-        if event.comment_id in levels:
-            diag.tally("duplicate_comment_id")
-            continue
-        if event.parent_id is None:
-            level = 1
-        elif event.parent_id in levels:
-            level = levels[event.parent_id] + 1
-        else:
-            diag.tally("orphan_comment")
-            level = 1
-        if event.depth + 1 != level:
-            diag.tally("depth_level_mismatch")
-        nodes.append(event)
-        levels[event.comment_id] = level
-        depth_counts[level] += 1
-    return DiscussionTree(article_id, tuple(nodes), levels, dict(depth_counts))
+    empty = np.empty(0, dtype=np.int64)
+    return build_forest(comments, diag).get(article_id) or DiscussionTree(article_id, empty, empty)
 
 
-def forests(
-    events: Iterable[CommentEvent], diagnostics: Diagnostics | None = None
-) -> dict[str, DiscussionTree]:
-    """Group comment events by article and build every tree."""
-    by_article: dict[str, list[CommentEvent]] = defaultdict(list)
-    for event in events:
-        by_article[event.article_id].append(event)
-    return {
-        article: build_tree(article, article_events, diagnostics)
-        for article, article_events in sorted(by_article.items())
-    }
-
-
-def effective_timestamps(tree: DiscussionTree) -> list[tuple[datetime, int, CommentEvent]]:
-    """Pair every comment with its effective timestamp, sorted for replay.
+def effective_timestamps(tree: DiscussionTree) -> np.ndarray:
+    """Every comment's effective epoch seconds, in document order.
 
     An undated comment inherits the timestamp of the nearest preceding dated
     comment in document order; undated comments before any dated one take
     the first dated comment's timestamp (the structure existed by then, and
-    that moment is the earliest it can be placed).  Result is sorted by
-    (timestamp, document order).  Raises NoDatedCommentsError when nothing
-    is dated.
+    that moment is the earliest it can be placed).  Raises
+    NoDatedCommentsError when nothing is dated.
     """
-    first_dated = next((n.timestamp for n in tree.nodes if n.timestamp is not None), None)
-    if first_dated is None:
+    dated = tree.seconds != UNDATED
+    if not dated.any():
         raise NoDatedCommentsError(f"no dated comments in {tree.article_id!r}")
-    out: list[tuple[datetime, int, CommentEvent]] = []
-    last_dated = first_dated
-    for node in tree.nodes:
-        if node.timestamp is not None:
-            last_dated = node.timestamp
-        out.append((last_dated, node.doc_order, node))
-    out.sort(key=lambda item: (item[0], item[1]))
-    return out
+    source = np.where(dated, np.arange(dated.size), np.argmax(dated))
+    return tree.seconds[np.maximum.accumulate(source)]
 
 
 def h_trace(tree: DiscussionTree) -> HTrace:
     """Replay the discussion in time order and record every h increase.
 
-    Comments sharing a timestamp are absorbed as one batch.  The first batch
-    that lifts h above zero contributes a single opening step carrying the
-    whole value reached (that is h0); every later batch that lifts h by k
-    contributes k unit steps at its timestamp, so zero-length intervals
-    survive into the trace.
+    Comments sharing an effective timestamp are absorbed as one batch.  The
+    first batch that lifts h above zero contributes a single opening step
+    carrying the whole value reached (that is h0); every later batch that
+    lifts h by k contributes k unit steps at its timestamp, so zero-length
+    intervals survive into the trace.  Level L holds L comments from the
+    time of its L-th comment on, so h after a batch is the largest L reached
+    by then, and only those times need visiting.
     """
-    counter = HIndexCounter()
-    steps: list[tuple[datetime, int]] = []
-    pending_ts: datetime | None = None
-    h_before_batch = 0
-
-    def flush(ts: datetime, h_now: int) -> None:
-        if h_now > h_before_batch:
-            if not steps:
-                steps.append((ts, h_now))
-            else:
-                for value in range(h_before_batch + 1, h_now + 1):
-                    steps.append((ts, value))
-
-    for ts, _, node in effective_timestamps(tree):
-        if pending_ts is not None and ts != pending_ts:
-            flush(pending_ts, counter.h)
-            h_before_batch = counter.h
-        pending_ts = ts
-        counter.insert(tree.levels[node.comment_id])
-    if pending_ts is not None:
-        flush(pending_ts, counter.h)
-    return HTrace(tree.article_id, tuple(steps), steps[0][1])
+    seconds = effective_timestamps(tree)
+    by_level = np.lexsort((seconds, tree.levels))
+    counts = np.bincount(tree.levels)
+    starts = np.cumsum(counts) - counts
+    reached = sorted(
+        (int(seconds[by_level[starts[level] + level - 1]]), level)
+        for level in range(1, counts.size) if counts[level] >= level
+    )
+    h = max(level for second, level in reached if second == reached[0][0])
+    steps = [(reached[0][0], h)]
+    for second, level in reached:
+        steps += [(second, value) for value in range(h + 1, level + 1)]
+        h = max(h, level)
+    dated = tuple((datetime.fromtimestamp(second, timezone.utc), value) for second, value in steps)
+    return HTrace(tree.article_id, dated, dated[0][1])
 
 
 def delta_h(trace: HTrace) -> DeltaH:

@@ -17,9 +17,10 @@ integers of at most 18 digits) is matched by one compiled pattern per kind;
 the match proves every field's type, so only the depth/parent rule is left
 to check.  Every other line, and every CSV row, is decoded and checked field
 by field, with the same messages and tallies.  Everything else is built on
-the chunk columns: load_events yields event objects, load_series groups
-(article, day) pairs into ActivitySeries without building any, and the
-streaming watch replays the chunks' (article, day, count) runs.
+the chunk columns: load_events yields event objects, load_columns joins them
+into whole-file Columns (whose series() feeds peak detection and whose
+comment links feed the reply trees) without building any, and the streaming
+watch replays the chunks' (article, day, count) runs.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ import io
 import json
 import logging
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -127,19 +127,14 @@ class Diagnostics:
     messages: list[str] = field(default_factory=list)
 
     def tally(self, key: str, n: int = 1) -> None:
-        self.tallies[key] += n
+        if n:
+            self.tallies[key] += n
 
     def record(self, line_no: int, key: str, detail: str) -> None:
         self.tally(key)
         self.tally("lines_dropped")
         if len(self.messages) < _MAX_MESSAGES:
             self.messages.append(f"{self.source or 'input'}:{line_no}: {key}: {detail}")
-
-    def merge(self, other: "Diagnostics") -> None:
-        self.tallies.update(other.tallies)
-        room = _MAX_MESSAGES - len(self.messages)
-        if room > 0:
-            self.messages.extend(other.messages[:room])
 
     def rows(self) -> list[tuple[str, int]]:
         return sorted(self.tallies.items())
@@ -256,10 +251,6 @@ def _epoch_seconds(values: list, now: datetime) -> np.ndarray:
 def _day_ordinals(seconds: np.ndarray) -> np.ndarray:
     """Proleptic Gregorian ordinal (date.toordinal) of the UTC day of each epoch second."""
     return seconds // _DAY_S + _EPOCH_ORDINAL
-
-
-def _datetime_from_epoch(seconds: int) -> datetime:
-    return datetime.fromtimestamp(seconds, timezone.utc)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +520,8 @@ def load_events(
     for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
         names = chunk.names
         stamps = [
-            None if s == UNDATED else _datetime_from_epoch(s) for s in chunk.seconds.tolist()
+            None if s == UNDATED else datetime.fromtimestamp(s, timezone.utc)
+            for s in chunk.seconds.tolist()
         ]
         if kind == COMMENT:
             for code, ts, (comment_id, parent, depth, author, doc_order) in zip(
@@ -542,59 +534,112 @@ def load_events(
 
 
 # ---------------------------------------------------------------------------
-# Per-article daily series
+# Whole-file columns and per-article daily series
+
+NO_PARENT = -1  # parent code of a thread starter
 
 
-def group_series(
-    names: Sequence[str], codes: np.ndarray, days: np.ndarray, kind: str
-) -> dict[str, ActivitySeries]:
-    """Per-article dense daily series from one (article code, day ordinal) per event.
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Every usable record of one load, as whole-file int64 columns in line order.
 
-    codes index names.  Input order is irrelevant: only (article, day)
-    multiplicities matter.  Articles come out in code order; an article
-    without events is absent.
+    names, articles (codes into names) and seconds are the chunk columns
+    joined.  A comment load also fills ids and parents, codes of the id
+    texts shared across the load (NO_PARENT for a thread starter), depths
+    and orders (document order); an edit load leaves them empty.
     """
-    if codes.size == 0:
-        return {}
-    order = np.argsort(codes)
-    codes, days = codes[order], days[order]
-    bounds = (np.flatnonzero(np.diff(codes)) + 1).tolist()
-    out: dict[str, ActivitySeries] = {}
-    for lo, hi in zip([0, *bounds], [*bounds, codes.size]):
-        span = days[lo:hi]
-        first = int(span.min())
-        article = names[int(codes[lo])]
-        counts = np.bincount(span - first).astype(np.int64, copy=False)
-        out[article] = ActivitySeries(article, kind, date.fromordinal(first), counts)
-    return out
+
+    kind: str
+    names: list[str]
+    articles: np.ndarray
+    seconds: np.ndarray
+    ids: np.ndarray
+    parents: np.ndarray
+    depths: np.ndarray
+    orders: np.ndarray
+
+    def series(self) -> dict[str, ActivitySeries]:
+        """Per-article dense daily series of the dated records, in article code order.
+
+        Only (article, day) multiplicities matter, never the record order.
+        """
+        dated = self.seconds != UNDATED
+        order = np.argsort(self.articles[dated])
+        codes, days = self.articles[dated][order], _day_ordinals(self.seconds[dated][order])
+        starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+        out: dict[str, ActivitySeries] = {}
+        for lo, hi in zip(starts, [*starts[1:], codes.size]):
+            first = int(days[lo:hi].min())
+            article = self.names[codes[lo]]
+            counts = np.bincount(days[lo:hi] - first).astype(np.int64, copy=False)
+            out[article] = ActivitySeries(article, self.kind, date.fromordinal(first), counts)
+        return out
+
+    def latest(self) -> datetime | None:
+        """The latest timestamp; None when nothing is dated."""
+        latest = int(self.seconds.max(initial=UNDATED))
+        return None if latest == UNDATED else datetime.fromtimestamp(latest, timezone.utc)
 
 
-def load_series(
+def _gather(chunks: Iterable[Chunk], kind: str) -> Columns:
+    """Join chunks into one Columns; each id or parent text gets one code per load."""
+    names: list[str] = []
+    codes, seconds, links, numbers = [], [], [], []
+    texts: dict[str | None, int] = {None: NO_PARENT}
+    for chunk in chunks:
+        names = chunk.names  # one list shared by every chunk, complete after the last
+        codes.append(chunk.codes)
+        seconds.append(chunk.seconds)
+        if chunk.comments:
+            ids, parents, depths, _, orders = zip(*chunk.comments)
+            links.append(np.array(
+                [[texts.setdefault(text, len(texts)) for text in column] for column in (ids, parents)],
+                dtype=np.int64,
+            ))
+            try:
+                numbers.append(np.array((depths, orders), dtype=np.int64))
+            except OverflowError:  # only a non-canonical line can carry an int beyond int64
+                numbers.append(np.array((depths, orders), dtype=object))
+    empty = np.empty((2, 0), dtype=np.int64)
+    ids, parents = np.concatenate([empty, *links], axis=1)
+    depths, orders = np.concatenate([empty, *numbers], axis=1)
+    if orders.dtype == object:
+        # Ranks keep the order and the ties of any ord; a depth beyond every
+        # level still mismatches its level once capped at the comment count.
+        depths = np.minimum(depths, depths.size).astype(np.int64)
+        orders = np.unique(orders, return_inverse=True)[1].astype(np.int64)
+    return Columns(kind, names, np.concatenate([empty[0], *codes]),
+                   np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)
+
+
+def load_columns(
     path: str | Path,
     kind: str,
     *,
     fmt: str = "jsonl",
     diagnostics: Diagnostics | None = None,
     now: datetime | None = None,
-) -> tuple[dict[str, ActivitySeries], datetime | None]:
-    """Per-article daily series of one file, plus its latest timestamp (None if undated).
+) -> Columns:
+    """Every usable record of one file as whole-file columns; no event object is built.
 
-    No event object is built: each chunk contributes its dated (article, day)
-    columns, grouped once at the end.
+    read_chunks checks and tallies every line, so the columns hold exactly
+    the records load_events would yield, in the same order.
     """
-    codes: list[np.ndarray] = []
-    seconds: list[np.ndarray] = []
-    names: list[str] = []
-    for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
-        keep = chunk.seconds != UNDATED
-        codes.append(chunk.codes[keep])
-        seconds.append(chunk.seconds[keep])
-        names = chunk.names  # one list shared by every chunk, complete after the last
-    all_seconds = np.concatenate(seconds) if seconds else np.empty(0, dtype=np.int64)
-    if all_seconds.size == 0:
-        return {}, None
-    series = group_series(names, np.concatenate(codes), _day_ordinals(all_seconds), kind)
-    return series, _datetime_from_epoch(int(all_seconds.max()))
+    return _gather(read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now), kind)
+
+
+def event_columns(events: Iterable[EditEvent | CommentEvent], kind: str) -> Columns:
+    """The columns load_columns gives for a file holding these events in this order."""
+    events = list(events)
+    articles = {name: code for code, name in enumerate(dict.fromkeys(e.article_id for e in events))}
+    return _gather([Chunk(
+        list(articles),
+        np.array([articles[e.article_id] for e in events], dtype=np.int64),
+        np.array([UNDATED if e.timestamp is None else (e.timestamp - _UNIX_EPOCH) // _SECOND
+                  for e in events], dtype=np.int64),
+        [(e.comment_id, e.parent_id, e.depth, e.author, e.doc_order) for e in events]
+        if kind == COMMENT else [],
+    )], kind)
 
 
 def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[str, ActivitySeries]:
@@ -604,17 +649,7 @@ def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[
     result is keyed by article id; articles with no dated events are absent.
     Input order is irrelevant: only (article, day) multiplicities matter.
     """
-    index: dict[str, int] = {}
-    # Raw 8-byte columns: a million events cost 16 MB, not a million int objects.
-    codes, days = array("q"), array("q")
-    for event in events:
-        ts = event.timestamp
-        if ts is not None:
-            codes.append(index.setdefault(event.article_id, len(index)))
-            days.append(ts.toordinal())
-    return group_series(
-        list(index), np.frombuffer(codes, dtype=np.int64), np.frombuffer(days, dtype=np.int64), kind
-    )
+    return event_columns(events, kind).series()
 
 
 def comment_record(event: CommentEvent) -> dict:

@@ -16,12 +16,13 @@ centered one.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,8 +53,8 @@ class PeakParams:
     window_halfwidth: int = DEFAULT_WINDOW_HALFWIDTH
 
     def __post_init__(self) -> None:
-        if self.c <= 1.0:
-            raise ValueError(f"c must exceed 1, got {self.c}")
+        if not 1.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and exceed 1, got {self.c}")
         if self.n_min < 1:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
         if self.window_halfwidth < 1:
@@ -138,35 +139,32 @@ def _window_medians(arr: np.ndarray, lead: int, width: int) -> np.ndarray:
 
 def detect_peaks(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
     """Find all peak runs in one daily series, in chronological order."""
-    p = params or PeakParams()
+    return _detect(series, params or PeakParams(), sliding_median)
+
+
+def _detect(
+    series: ActivitySeries, p: PeakParams, medians: Callable[[np.ndarray, int], np.ndarray]
+) -> list[PeakRun]:
+    """Peak runs of series against medians(counts, p.window_halfwidth)."""
     counts = np.asarray(series.counts, dtype=np.float64)
     if counts.size == 0:
         return []
-    medians = sliding_median(counts, p.window_halfwidth)
-    floor = np.maximum(medians, float(p.n_min))
-    mask = counts > p.c * floor
-    return _runs_from_mask(series, mask, counts / floor)
-
-
-def _runs_from_mask(series: ActivitySeries, mask: np.ndarray, ratios: np.ndarray) -> list[PeakRun]:
-    runs: list[PeakRun] = []
-    idx = np.flatnonzero(mask)
+    floor = np.maximum(medians(counts, p.window_halfwidth), float(p.n_min))
+    idx = np.flatnonzero(counts > p.c * floor)
     if idx.size == 0:
-        return runs
+        return []
     # Split the sorted peak-day indices wherever consecutive days break.
     breaks = np.flatnonzero(np.diff(idx) > 1) + 1
-    for segment in np.split(idx, breaks):
-        start = int(segment[0])
-        runs.append(
-            PeakRun(
-                article_id=series.article_id,
-                kind=series.kind,
-                start_day=series.day(start),
-                length=len(segment),
-                day_ratios=tuple(float(ratios[i]) for i in segment),
-            )
+    return [
+        PeakRun(
+            article_id=series.article_id,
+            kind=series.kind,
+            start_day=series.day(int(segment[0])),
+            length=len(segment),
+            day_ratios=tuple(float(counts[i] / floor[i]) for i in segment),
         )
-    return runs
+        for segment in np.split(idx, breaks)
+    ]
 
 
 def trailing_median(
@@ -189,14 +187,7 @@ def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = No
     This is the reference the stream is checked against; it differs from
     detect_peaks in that day t never sees its own or later days.
     """
-    p = params or PeakParams()
-    counts = np.asarray(series.counts, dtype=np.float64)
-    if counts.size == 0:
-        return []
-    medians = trailing_median(counts, p.window_halfwidth)
-    floor = np.maximum(medians, float(p.n_min))
-    mask = counts > p.c * floor
-    return _runs_from_mask(series, mask, counts / floor)
+    return _detect(series, params or PeakParams(), trailing_median)
 
 
 class StreamState:

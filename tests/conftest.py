@@ -16,12 +16,19 @@ from collections import Counter, defaultdict
 from datetime import date, datetime, timezone
 from pathlib import Path
 from statistics import median
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import pytest
 
 import talkdyn
-from talkdyn import ActivitySeries, CommentEvent, EditEvent, PeakParams
+from talkdyn import (
+    ActivitySeries,
+    CommentEvent,
+    EditEvent,
+    HIndexCounter,
+    NoDatedCommentsError,
+    PeakParams,
+)
 from talkdyn.cli import _step_and_alert
 from talkdyn.ingest import (
     COMMENT,
@@ -298,6 +305,86 @@ def h_scan_oracle(depth_counts: dict[int, int]) -> int:
         if depth_counts.get(theta, 0) >= theta:
             best = max(best, theta)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Discussion oracles: the event-at-a-time tree, effective timestamps and
+# h-trace replay, as they ran before trees became columns.
+
+
+class TreeOracle(NamedTuple):
+    article_id: str
+    nodes: tuple[CommentEvent, ...]
+    levels: dict[str, int]
+    depth_counts: dict[int, int]
+
+
+def build_tree_oracle(article_id: str, events, diagnostics: Diagnostics) -> TreeOracle:
+    """Levels from the parent chain in document order; orphans start threads, first id wins."""
+    ordered = sorted(events, key=lambda e: e.doc_order)
+    nodes: list[CommentEvent] = []
+    levels: dict[str, int] = {}
+    depth_counts: Counter = Counter()
+    for event in ordered:
+        assert event.article_id == article_id
+        if event.comment_id in levels:
+            diagnostics.tally("duplicate_comment_id")
+            continue
+        if event.parent_id is None:
+            level = 1
+        elif event.parent_id in levels:
+            level = levels[event.parent_id] + 1
+        else:
+            diagnostics.tally("orphan_comment")
+            level = 1
+        if event.depth + 1 != level:
+            diagnostics.tally("depth_level_mismatch")
+        nodes.append(event)
+        levels[event.comment_id] = level
+        depth_counts[level] += 1
+    return TreeOracle(article_id, tuple(nodes), levels, dict(depth_counts))
+
+
+def effective_timestamps_oracle(tree: TreeOracle) -> list[tuple[datetime, int, CommentEvent]]:
+    """Each comment with the nearest preceding dated timestamp (first dated for a
+    leading undated run), sorted by (timestamp, document order)."""
+    first_dated = next((n.timestamp for n in tree.nodes if n.timestamp is not None), None)
+    if first_dated is None:
+        raise NoDatedCommentsError(f"no dated comments in {tree.article_id!r}")
+    out: list[tuple[datetime, int, CommentEvent]] = []
+    last_dated = first_dated
+    for node in tree.nodes:
+        if node.timestamp is not None:
+            last_dated = node.timestamp
+        out.append((last_dated, node.doc_order, node))
+    out.sort(key=lambda item: (item[0], item[1]))
+    return out
+
+
+def h_trace_oracle(tree: TreeOracle) -> tuple[tuple[datetime, int], ...]:
+    """Trace steps from one HIndexCounter insertion per comment, batched by timestamp."""
+    counter = HIndexCounter()
+    steps: list[tuple[datetime, int]] = []
+    pending_ts: datetime | None = None
+    h_before_batch = 0
+
+    def flush(ts: datetime, h_now: int) -> None:
+        if h_now > h_before_batch:
+            if not steps:
+                steps.append((ts, h_now))
+            else:
+                for value in range(h_before_batch + 1, h_now + 1):
+                    steps.append((ts, value))
+
+    for ts, _, node in effective_timestamps_oracle(tree):
+        if pending_ts is not None and ts != pending_ts:
+            flush(pending_ts, counter.h)
+            h_before_batch = counter.h
+        pending_ts = ts
+        counter.insert(tree.levels[node.comment_id])
+    if pending_ts is not None:
+        flush(pending_ts, counter.h)
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

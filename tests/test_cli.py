@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import simulate_watch_oracle, talkdyn_cmd, talkdyn_env
-from talkdyn import cli, ingest
+from talkdyn import cli, discussion, ingest
 from talkdyn.cli import OutOfOrderError, simulate_watch
 from talkdyn.timeseries import PeakParams
 
@@ -93,6 +93,41 @@ class TestRunReportGolden:
         run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path))
         printed = capsys.readouterr().out.splitlines()
         assert sorted(Path(p).stem for p in printed) == sorted(REPORT_TABLES)
+
+
+class TestCommentColumnsOnly:
+    """Comment commands build no event object: the event entry points are never called."""
+
+    EXPECTED = {
+        "hindex": "article,final_h,max_depth,n_comments\nAlpha,3,3,44\nBeta,1,12,12\n",
+        "deltah": "article,delta_h_days,start_day,end_day,duration_days,final_h,n_comments\n"
+                  "Alpha,13.4792,2006-01-05,2006-02-01,27,3,44\n",
+        "maturity": "article,mature,days_since_last_increase,threshold_multiple,delta_h_days\n"
+                    "Alpha,false,39.1667,3,13.4792\n",
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_event_entry_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("event entry point called")
+
+        monkeypatch.setattr(ingest, "load_events", refuse)
+        monkeypatch.setattr(ingest, "build_series", refuse)
+        monkeypatch.setattr(discussion, "build_tree", refuse)
+
+    def test_report_writes_golden_bytes(self, tmp_path, capsys):
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path)) == 0
+        capsys.readouterr()
+        for expected in sorted((GOLDEN / "expected").glob("*.csv")):
+            assert (tmp_path / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_subcommand_writes_same_bytes(self, tmp_path, capsys, command):
+        extra = ["--min-comments", "5"] if command == "deltah" else []
+        out = tmp_path / f"{command}.csv"
+        assert run_cli(command, "--comments", str(GOLDEN / "comments.jsonl"), *extra,
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == self.EXPECTED[command].encode()
 
 
 class TestRunReportEdges:
@@ -658,6 +693,19 @@ class TestInputChecks:
                           min_comments=-3)
         assert err == f"config error: {raised.value}\n"
         assert str(raised.value) == "min_comments must be >= 0, got -3"
+
+    @pytest.mark.parametrize("argv", [
+        ["peaks", "--edits", str(GOLDEN / "edits.jsonl"), "-c", "nan"],
+        ["peaks", "--edits", str(GOLDEN / "edits.jsonl"), "-c", "inf"],
+        ["maturity", "--comments", str(GOLDEN / "comments.jsonl"), "-k", "nan"],
+        ["report", "--edits", str(GOLDEN / "edits.jsonl"),
+         "--comments", str(GOLDEN / "comments.jsonl"), "-k", "inf"],
+    ], ids=["peaks-c-nan", "peaks-c-inf", "maturity-k-nan", "report-k-inf"])
+    def test_non_finite_factor_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / ("report" if argv[0] == "report" else "out.csv")
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_wide_tolerance_same_in_report_and_stats(self, tmp_path, capsys):
         cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,

@@ -2,30 +2,44 @@
 
 from __future__ import annotations
 
+import json
 import random
+from collections import defaultdict
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talkdyn import (
+    COMMENT,
     CommentEvent,
     Diagnostics,
     HIndexCounter,
     InsufficientGrowthError,
     NoDatedCommentsError,
+    build_forest,
     build_tree,
     delta_h,
-    forests,
     h_index,
     h_trace,
     maturity,
     rank_by_speed,
 )
+from talkdyn import cli, ingest
 from talkdyn.discussion import effective_timestamps, h_index_from_counts
 
-from conftest import h_scan_oracle, random_forest, utc
+from conftest import (
+    build_series_oracle,
+    build_tree_oracle,
+    effective_timestamps_oracle,
+    h_scan_oracle,
+    h_trace_oracle,
+    load_events_oracle,
+    random_forest,
+    utc,
+)
 
 
 def comment(i: int, parent: int | None, ts=None, article: str = "A") -> CommentEvent:
@@ -121,20 +135,24 @@ class TestHIndexCounter:
 class TestBuildTree:
     def test_levels_are_one_based_ancestry_counts(self):
         tree = build_tree("A", chain(4))
-        assert tree.levels == {"c0": 1, "c1": 2, "c2": 3, "c3": 4}
+        assert tree.levels.tolist() == [1, 2, 3, 4]
         assert tree.depth_counts == {1: 1, 2: 1, 3: 1, 4: 1}
         assert tree.max_level == 4
 
     def test_doc_order_wins_over_input_order(self):
-        events = list(reversed(chain(3)))
-        tree = build_tree("A", events)
-        assert [n.comment_id for n in tree.nodes] == ["c0", "c1", "c2"]
+        times = [utc(2006, 1, d) for d in (1, 2, 3)]
+        events = list(reversed(dated_chain_with_times(times)))
+        diag = Diagnostics()
+        tree = build_tree("A", events, diag)
+        assert tree.seconds.tolist() == [int(t.timestamp()) for t in times]
+        assert tree.levels.tolist() == [1, 2, 3]
+        assert diag.tallies == {}
 
     def test_orphan_becomes_thread_starter(self):
         diag = Diagnostics()
         orphan = CommentEvent("A", "c1", "missing", 1, None, None, 1)
         tree = build_tree("A", [comment(0, None), orphan], diag)
-        assert tree.levels["c1"] == 1
+        assert tree.levels.tolist() == [1, 1]
         assert diag.tallies["orphan_comment"] == 1
 
     def test_duplicate_ids_keep_first(self):
@@ -143,12 +161,6 @@ class TestBuildTree:
         tree = build_tree("A", [comment(0, None), dup], diag)
         assert tree.n_comments == 1
         assert diag.tallies["duplicate_comment_id"] == 1
-
-    def test_forests_groups_by_article(self):
-        events = chain(2, article="A") + chain(3, article="B")
-        by_article = forests(events)
-        assert set(by_article) == {"A", "B"}
-        assert by_article["B"].max_level == 3
 
     def test_h_index_of_tree(self):
         # Two starters, two level-2 replies: theta = 2 holds at level 2.
@@ -216,13 +228,13 @@ class TestHTrace:
             comment(2, 0, t1),
         ]
         eff = effective_timestamps(build_tree("A", events))
-        assert [ts for ts, _, _ in eff] == [t0, t0, t1]
+        assert eff.tolist() == [int(t.timestamp()) for t in (t0, t0, t1)]
 
     def test_undated_prefix_takes_first_dated_timestamp(self):
         t0 = utc(2006, 3, 1)
         events = [comment(0, None, None), comment(1, 0, t0)]
         eff = effective_timestamps(build_tree("A", events))
-        assert [ts for ts, _, _ in eff] == [t0, t0]
+        assert eff.tolist() == [int(t0.timestamp())] * 2
 
     def test_all_undated_raises(self):
         with pytest.raises(NoDatedCommentsError):
@@ -399,3 +411,86 @@ class TestRankBySpeed:
         t0 = utc(2006, 1, 1)
         stuck = h_trace(build_tree("A", [comment(0, None, t0)]))
         assert rank_by_speed([stuck], comment_counts=None) == []
+
+
+FOREST_NOW = utc(2030, 1, 1)
+
+
+@st.composite
+def comment_files(draw) -> list[str]:
+    """Comment JSONL lines of one to three articles, in shuffled line order.
+
+    Ids, parents and ords are drawn from small ranges, so duplicate ids,
+    duplicate ords, orphans and parents later in document order all occur;
+    timestamps are drawn from a few seconds, so batches share them, or are
+    missing or malformed, so leading and inner undated runs occur.  Some
+    files carry ords and depths beyond int64, and some an unusable line.
+    """
+    lines = []
+    for article in draw(st.lists(st.sampled_from(["A", "B", "Z\u00e9"]), min_size=1,
+                                 max_size=3, unique=True)):
+        n = draw(st.integers(1, 30))
+        wide = draw(st.booleans())
+        for _ in range(n):
+            parent = draw(st.one_of(st.none(), st.integers(0, n + 2).map("c{}".format)))
+            depth = draw(st.sampled_from([1, 2, 3, 10**20] if wide else [1, 2, 3]))
+            stamp = st.builds("2006-01-0{}T00:00:0{}Z".format, st.integers(1, 3), st.integers(0, 1))
+            lines.append(json.dumps({
+                "article": article,
+                "id": f"c{draw(st.integers(0, n))}",
+                "parent": parent,
+                "depth": 0 if parent is None else depth,
+                "ts": draw(st.one_of(st.none(), st.just("2006-02-30T00:00:00Z"), stamp, stamp)),
+                "author": None,
+                "ord": draw(st.integers(0, n)) + (10**19 if wide and draw(st.booleans()) else 0),
+            }, separators=(",", ":"), ensure_ascii=False))
+    lines += draw(st.lists(st.just('{"article":'), max_size=1))
+    return draw(st.permutations(lines))
+
+
+class TestColumnForest:
+    """One column load feeds series, trees and traces exactly as the event oracles do."""
+
+    @given(lines=comment_files(), chunk=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_event_oracles(self, tmp_path_factory, lines, chunk):
+        path = tmp_path_factory.mktemp("forest") / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        got_diag, want_diag = Diagnostics(), Diagnostics()
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            comments = ingest.load_columns(path, COMMENT, diagnostics=got_diag, now=FOREST_NOW)
+        trees = build_forest(comments, got_diag)
+        traces = cli._traces(trees, got_diag)
+        events = list(load_events_oracle(path, COMMENT, diagnostics=want_diag, now=FOREST_NOW))
+        by_article = defaultdict(list)
+        for event in events:
+            by_article[event.article_id].append(event)
+        assert list(trees) == sorted(by_article)
+        for article, tree in trees.items():
+            want = build_tree_oracle(article, by_article[article], want_diag)
+            assert tree.levels.tolist() == [want.levels[n.comment_id] for n in want.nodes]
+            assert tree.seconds.tolist() == [
+                ingest.UNDATED if n.timestamp is None else int(n.timestamp.timestamp())
+                for n in want.nodes
+            ]
+            assert tree.depth_counts == want.depth_counts
+            assert tree.n_comments == len(want.nodes)
+            try:
+                eff = effective_timestamps_oracle(want)
+            except NoDatedCommentsError:
+                want_diag.tally("articles_without_dated_comments")
+                assert article not in traces
+                continue
+            at = {id(node): int(ts.timestamp()) for ts, _, node in eff}
+            assert effective_timestamps(tree).tolist() == [at[id(n)] for n in want.nodes]
+            assert traces[article].steps == h_trace_oracle(want)
+            assert traces[article].h0 == traces[article].steps[0][1]
+        assert got_diag.tallies == want_diag.tallies
+        assert got_diag.messages == want_diag.messages
+        assert comments.articles.size == len(events)
+        assert {a: (s.start_day, s.counts.tolist()) for a, s in comments.series().items()} == {
+            a: (s.start_day, s.counts.tolist())
+            for a, s in build_series_oracle(events, COMMENT).items()
+        }
+        assert comments.latest() == max(
+            (e.timestamp for e in events if e.timestamp is not None), default=None)

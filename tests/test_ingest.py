@@ -306,17 +306,6 @@ class TestDiagnostics:
         assert diag.tallies["edit_ts_malformed"] == 500
         assert len(diag.messages) == 50
 
-    def test_merge_accumulates(self):
-        a = Diagnostics(source="a")
-        b = Diagnostics(source="b")
-        a.tally("lines_read", 3)
-        b.tally("lines_read", 4)
-        b.record(9, "bad_json", "oops")
-        a.merge(b)
-        assert a.tallies["lines_read"] == 7
-        assert a.tallies["bad_json"] == 1
-        assert any("bad_json" in m for m in a.messages)
-
     def test_rows_are_sorted(self):
         diag = Diagnostics()
         diag.tally("zeta")
@@ -519,7 +508,7 @@ class TestLoaderMatchesOracle:
                         '{"article":"\\u00e9","ts":"2010-01-02T00:00:00Z"}\n', encoding="utf-8")
         events, _ = assert_loads_like_oracle(path, EDIT)
         assert [e.article_id for e in events] == ["é", "é"]
-        series, _ = ingest.load_series(path, EDIT, now=ORACLE_NOW)
+        series = ingest.load_columns(path, EDIT, now=ORACLE_NOW).series()
         assert list(series) == ["é"] and series["é"].counts.tolist() == [1, 1]
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
@@ -776,8 +765,9 @@ class TestSeriesKernel:
     def test_load_series_equals_counter_oracle(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
         with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
-            series, latest = ingest.load_series(path, COMMENT, diagnostics=Diagnostics(),
-                                                now=ORACLE_NOW)
+            columns = ingest.load_columns(path, COMMENT, diagnostics=Diagnostics(),
+                                          now=ORACLE_NOW)
+        series, latest = columns.series(), columns.latest()
         events = list(load_events_oracle(path, COMMENT, now=ORACLE_NOW))
         want = build_series_oracle(events, COMMENT)
         assert_same_series(series, want)
