@@ -214,19 +214,20 @@ def _load_peak_runs(path: Path) -> Runs:
             required = {"article", "kind", "start_day", "length"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise IngestError(f"{path}: expected columns {sorted(required)}")
-            for row in reader:
-                runs.append(
-                    PeakRun(
-                        article_id=row["article"],
-                        kind=row["kind"],
-                        start_day=date.fromisoformat(row["start_day"]),
-                        length=int(row["length"]),
-                    )
-                )
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    run = PeakRun(row["article"], row["kind"], date.fromisoformat(row["start_day"]),
+                                  int(row["length"]))
+                except (TypeError, ValueError) as exc:
+                    raise IngestError(f"{path}:{line_no}: malformed peaks row: {exc}") from exc
+                if run.kind not in ingest.KINDS:
+                    raise IngestError(f"{path}:{line_no}: kind must be one of"
+                                      f" {', '.join(ingest.KINDS)}, got {run.kind!r}")
+                if run.length < 1:
+                    raise IngestError(f"{path}:{line_no}: length must be >= 1, got {run.length}")
+                runs.append(run)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise IngestError(f"{path}: malformed peaks table: {exc}") from exc
     return {kind: [r for r in runs if r.kind == kind] for kind in (COMMENT, EDIT)}
 
 
@@ -322,6 +323,9 @@ def _fit(samples: list[int], x_min: int = 1) -> peakstats.PowerLawFit | ValueErr
 
 def _paces(traces: Traces, as_of: datetime, multiple: float) -> Paces:
     """delta_h and maturity at as_of of every trace that grew enough to have a pace."""
+    if multiple <= 0:
+        logger.warning("maturity threshold multiple %.3g is degenerate: everything is mature",
+                       multiple)
     paces = {}
     for article, trace in traces.items():
         try:

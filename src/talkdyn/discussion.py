@@ -13,7 +13,6 @@ settled once no climb has happened for a few multiples of that pace.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,8 +21,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .ingest import COMMENT, NO_PARENT, UNDATED, Columns, CommentEvent, Diagnostics, event_columns
-
-logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 DEFAULT_MIN_COMMENTS = 1000
@@ -293,12 +290,8 @@ def maturity(
     Mature means the time since the last h increase is at least k times the
     discussion's own pace (delta-h).  A non-positive k makes every
     discussion mature the moment it stops for an instant; that is permitted
-    but almost never meant, so it logs.
+    but almost never meant, so a caller taking k from a user should warn.
     """
-    if k <= 0:
-        logger.warning(
-            "maturity threshold multiple %.3g is degenerate: everything is mature", k
-        )
     pace = delta_h(trace)
     idle_days = (now - pace.last_increase).total_seconds() / SECONDS_PER_DAY
     return MaturityStatus(

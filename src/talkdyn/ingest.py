@@ -3,11 +3,13 @@
 Input records arrive as JSON Lines (one object per line) or CSV with identical
 column names.  Edit records carry {article, ts}; comment records carry
 {article, id, parent, depth, ts, author, ord} where parent, ts and author may
-be null (empty string in CSV).  Malformed lines never abort a load: each one
-is counted and reported through a Diagnostics collector and processing moves
-on.  A comment whose timestamp is unparseable keeps its structural fields and
-simply loses the timestamp; an edit without a valid timestamp carries no
-information at all and is dropped.
+be null (empty string in CSV).  A timestamp is ASCII 'YYYY-MM-DDTHH:MM:SS'
+plus 'Z' or '+00:00' within [2001-01-01, now]; depth and ord are integers in
+[0, 2**63).  Malformed lines never abort a load: each one is counted and
+reported through a Diagnostics collector and processing moves on.  A comment
+whose timestamp is unparseable keeps its structural fields and simply loses
+the timestamp; an edit without a valid timestamp carries no information at
+all and is dropped.
 
 One loader, read_chunks, reads a bounded chunk of lines at a time: each line
 is checked on its own, then the chunk's timestamps become int64 epoch seconds
@@ -16,9 +18,10 @@ writes (fixed key order, no spaces, unescaped non-empty strings, unsigned
 integers of at most 18 digits) is matched by one compiled pattern per kind;
 the match proves every field's type, so only the depth/parent rule is left
 to check.  Every other line, and every CSV row, is decoded and checked field
-by field, with the same messages and tallies.  Everything else is built on
-the chunk columns: load_events yields event objects, load_columns joins them
-into whole-file Columns (whose series() feeds peak detection and whose
+by field under the same rules, with the same messages and tallies; the
+pattern only reads the writer's spelling faster.  Everything else is built
+on the chunk columns: load_events yields event objects, load_columns joins
+them into whole-file Columns (whose series() feeds peak detection and whose
 comment links feed the reply trees) without building any, and the streaming
 watch replays the chunks' (article, day, count) runs.
 """
@@ -51,6 +54,9 @@ EARLIEST_TIMESTAMP = datetime(2001, 1, 1, tzinfo=timezone.utc)
 
 COMMENT_FIELDS = ("article", "id", "parent", "depth", "ts", "author", "ord")
 EDIT_FIELDS = ("article", "ts")
+
+# depth and ord are counts in [0, 2**63): they become int64 columns.
+_INT64_LIMIT = 1 << 63
 
 _MAX_MESSAGES = 50
 
@@ -143,40 +149,11 @@ class Diagnostics:
 def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | None:
     """Parse 'YYYY-MM-DDTHH:MM:SSZ' (or +00:00 suffix) to an aware UTC datetime.
 
-    Returns None for anything malformed or outside [2001-01-01, now]; hand
-    slicing beats datetime.fromisoformat by about 2x on this fixed shape and
-    the loader calls this once per line.
+    Returns None for anything else, or outside [2001-01-01, now]; it is the
+    loader's own rule (_epoch_seconds) applied to one value.
     """
-    if not isinstance(text, str):
-        return None
-    n = len(text)
-    if n == 20:
-        if text[19] != "Z":
-            return None
-    elif n == 25:
-        if text[19:] != "+00:00":
-            return None
-    else:
-        return None
-    if text[4] != "-" or text[7] != "-" or text[10] != "T" or text[13] != ":" or text[16] != ":":
-        return None
-    try:
-        ts = datetime(
-            int(text[0:4]),
-            int(text[5:7]),
-            int(text[8:10]),
-            int(text[11:13]),
-            int(text[14:16]),
-            int(text[17:19]),
-            tzinfo=timezone.utc,
-        )
-    except ValueError:
-        return None
-    if ts < EARLIEST_TIMESTAMP:
-        return None
-    if now is not None and ts > now:
-        return None
-    return ts
+    seconds = int(_epoch_seconds([text], now or _LATEST)[0])
+    return None if seconds == UNDATED else _UNIX_EPOCH + seconds * _SECOND
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -191,6 +168,7 @@ UNDATED = -1  # epoch seconds of a record without a usable timestamp
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_ORDINAL = _UNIX_EPOCH.toordinal()
 _SECOND = timedelta(seconds=1)
+_LATEST = datetime.max.replace(tzinfo=timezone.utc)
 _DAY_S = 86400
 _EARLIEST_S = (EARLIEST_TIMESTAMP - _UNIX_EPOCH) // _SECOND
 
@@ -204,15 +182,13 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _epoch_seconds(values: list, now: datetime) -> np.ndarray:
-    """Epoch seconds of every value parse_timestamp(value, now=now) accepts.
+    """Epoch seconds of every value that is a timestamp, UNDATED for the others.
 
-    Returns an int64 array with UNDATED wherever parse_timestamp gives None.
-    Strings of the canonical ASCII shape are decided at once by arithmetic
-    on their digits (month lengths, leap years, h < 24, m/s < 60, then the
-    [2001-01-01, now] window), so one impossible date costs nothing extra.
-    Any other string of a parseable length goes through parse_timestamp
-    itself, which also accepts int() forms such as ' 1', '+1' or non-ASCII
-    digits.
+    A timestamp is an ASCII string 'YYYY-MM-DDTHH:MM:SS' plus 'Z' or
+    '+00:00' naming a real time in [2001-01-01, now].  Every value is
+    decided at once by arithmetic on its digits (month lengths, leap years,
+    h < 24, m/s < 60, then the window), so one impossible date costs nothing
+    extra.
     """
     n = len(values)
     out = np.full(n, UNDATED, dtype=np.int64)
@@ -241,10 +217,6 @@ def _epoch_seconds(values: list, now: datetime) -> np.ndarray:
         & (seconds >= _EARLIEST_S) & (seconds <= (now - _UNIX_EPOCH) // _SECOND)
     )
     out[valid] = seconds[valid]
-    for i in np.flatnonzero(((lengths == 20) | (lengths == 25)) & ~shaped).tolist():
-        ts = parse_timestamp(texts[i], now=now)
-        if ts is not None:
-            out[i] = (ts - _UNIX_EPOCH) // _SECOND
     return out
 
 
@@ -289,10 +261,15 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
         raise _BadRecord("bad_article", f"article={article!r}")
     if not isinstance(comment_id, str) or not comment_id:
         raise _BadRecord("bad_comment_id", f"id={comment_id!r}")
+    depth, doc_order = record.get("depth"), record.get("ord")
     try:
-        depth = int(record.get("depth"))
-        doc_order = int(record.get("ord"))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int() of an infinite float
+        # int() would truncate a JSON float (1.7 -> 1) and take true as 1.
+        if isinstance(depth, (bool, float)) or isinstance(doc_order, (bool, float)):
+            raise ValueError
+        depth, doc_order = int(depth), int(doc_order)
+        if max(depth, doc_order) >= _INT64_LIMIT:
+            raise ValueError
+    except (TypeError, ValueError):
         raise _BadRecord("bad_int_field", f"depth/ord in {comment_id}") from None
     if depth < 0 or doc_order < 0:
         raise _BadRecord("negative_field", f"depth={depth} ord={doc_order}")
@@ -596,18 +573,10 @@ def _gather(chunks: Iterable[Chunk], kind: str) -> Columns:
                 [[texts.setdefault(text, len(texts)) for text in column] for column in (ids, parents)],
                 dtype=np.int64,
             ))
-            try:
-                numbers.append(np.array((depths, orders), dtype=np.int64))
-            except OverflowError:  # only a non-canonical line can carry an int beyond int64
-                numbers.append(np.array((depths, orders), dtype=object))
+            numbers.append(np.array((depths, orders), dtype=np.int64))
     empty = np.empty((2, 0), dtype=np.int64)
     ids, parents = np.concatenate([empty, *links], axis=1)
     depths, orders = np.concatenate([empty, *numbers], axis=1)
-    if orders.dtype == object:
-        # Ranks keep the order and the ties of any ord; a depth beyond every
-        # level still mismatches its level once capped at the comment count.
-        depths = np.minimum(depths, depths.size).astype(np.int64)
-        orders = np.unique(orders, return_inverse=True)[1].astype(np.int64)
     return Columns(kind, names, np.concatenate([empty[0], *codes]),
                    np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)
 

@@ -37,7 +37,6 @@ from talkdyn.ingest import (
     KINDS,
     Diagnostics,
     IngestError,
-    parse_timestamp,
 )
 from talkdyn.timeseries import OutOfOrderError
 
@@ -109,8 +108,31 @@ def runs_from_days(days: Sequence[int]) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Ingest oracle: the loader one line at a time, json.loads -> dict -> field
-# checks -> parse_timestamp -> event, exactly as it ran before chunked ingest.
-# The chunked loader must match it in events, tallies and messages.
+# checks -> timestamp -> event, as it ran before chunked ingest but under the
+# one input contract.  The chunked loader must match it in events, tallies
+# and messages.
+
+_EARLIEST = datetime(2001, 1, 1, tzinfo=timezone.utc)
+
+
+def parse_timestamp_oracle(text: object, now: datetime | None = None) -> datetime | None:
+    """ASCII 'YYYY-MM-DDTHH:MM:SS' + 'Z' or '+00:00' within [2001-01-01, now], by slicing."""
+    if not isinstance(text, str):
+        return None
+    if not ((len(text) == 20 and text[19] == "Z") or (len(text) == 25 and text[19:] == "+00:00")):
+        return None
+    if text[4] + text[7] + text[10] + text[13] + text[16] != "--T::":
+        return None
+    fields = [text[0:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19]]
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        return None
+    try:
+        ts = datetime(*map(int, fields), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    if ts < _EARLIEST or (now is not None and ts > now):
+        return None
+    return ts
 
 
 def _coerce_optional_oracle(value: object) -> str | None:
@@ -131,10 +153,15 @@ def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     if not isinstance(comment_id, str) or not comment_id:
         diagnostics.record(line_no, "bad_comment_id", f"id={comment_id!r}")
         return None
+    depth, doc_order = record.get("depth"), record.get("ord")
     try:
-        depth = int(record.get("depth"))
-        doc_order = int(record.get("ord"))
-    except (TypeError, ValueError, OverflowError):
+        if type(depth) in (bool, float) or type(doc_order) in (bool, float):
+            raise TypeError("a JSON boolean or float is not a count")
+        depth, doc_order = int(depth), int(doc_order)
+    except (TypeError, ValueError):
+        diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")
+        return None
+    if depth >= 2**63 or doc_order >= 2**63:  # beyond int64
         diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")
         return None
     if depth < 0 or doc_order < 0:
@@ -150,7 +177,7 @@ def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     if raw_ts is None:
         diagnostics.tally("comments_undated")
     else:
-        timestamp = parse_timestamp(raw_ts, now=now)
+        timestamp = parse_timestamp_oracle(raw_ts, now)
         if timestamp is None:
             diagnostics.tally("comment_ts_malformed")
             diagnostics.tally("comments_undated")
@@ -164,7 +191,7 @@ def _edit_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     if not isinstance(article, str) or not article:
         diagnostics.record(line_no, "bad_article", f"article={article!r}")
         return None
-    timestamp = parse_timestamp(record.get("ts"), now=now)
+    timestamp = parse_timestamp_oracle(record.get("ts"), now)
     if timestamp is None:
         diagnostics.record(line_no, "edit_ts_malformed", f"ts={record.get('ts')!r}")
         return None

@@ -238,6 +238,42 @@ class TestExitCodes:
         assert rc == 1
         assert "expected columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, error", [
+        ("Alpha,bogus,2006-01-10,2,1.5", "kind must be one of edit, comment, got 'bogus'"),
+        ("Alpha,edit,2006-01-10,0,1.5", "length must be >= 1, got 0"),
+        ("Alpha,comment,2006-01-10,-2,1.5", "length must be >= 1, got -2"),
+    ])
+    @pytest.mark.parametrize("report", ["distributions", "overlap"])
+    def test_impossible_peak_row_is_input_error(self, tmp_path, capsys, row, error, report):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text("article,kind,start_day,length,max_ratio\n"
+                         f"Alpha,edit,2006-01-05,1,6.0\n{row}\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert run_cli("stats", "--peaks", str(peaks), "--report", report, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {peaks}:3: {error}\n"
+        assert not out.exists()
+
+
+class TestDegenerateMaturityWarning:
+    @pytest.mark.parametrize("command", ["report", "maturity"])
+    def test_warned_once_per_run(self, tmp_path, capsys, caplog, command):
+        lines = (GOLDEN / "comments.jsonl").read_text(encoding="utf-8").splitlines()
+        comments = tmp_path / "c.jsonl"
+        comments.write_text("\n".join(lines + [line.replace('"Alpha"', '"Gamma"') for line in lines
+                                                if '"Alpha"' in line]) + "\n", encoding="utf-8")
+        if command == "report":
+            argv = report_args(GOLDEN / "edits.jsonl", comments, tmp_path / "out", "-k", "0")
+        else:
+            argv = ["maturity", "--comments", str(comments), "-k", "0",
+                    "--out", str(tmp_path / "out" / "maturity.csv")]
+        assert run_cli(*argv) == 0
+        header, *rows = read_rows(tmp_path / "out" / ("maturity.csv" if command == "maturity"
+                                                      else "articles.csv"))
+        mature = header.index("mature")
+        assert [row[0] for row in rows if row[mature] == "true"] == ["Alpha", "Gamma"]
+        warnings = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
+        assert warnings == ["maturity threshold multiple 0 is degenerate: everything is mature"]
+
 
 class TestPeaksAndStatsRoundTrip:
     def test_peaks_table_feeds_stats(self, tmp_path, capsys):

@@ -347,12 +347,9 @@ class TestMaturity:
         assert status.time_since_last_increase == pytest.approx(30.0)
         assert status.threshold_multiple == 3.0
 
-    def test_degenerate_multiple_logs_and_everything_matures(self, caplog):
+    def test_degenerate_multiple_makes_everything_mature(self):
         trace = self.make_trace()
-        with caplog.at_level("WARNING"):
-            status = maturity(trace, trace.last_increase, 0.0)
-        assert status.mature
-        assert any("degenerate" in r.message for r in caplog.records)
+        assert maturity(trace, trace.last_increase, 0.0).mature
 
 
 class TestRankBySpeed:
@@ -424,7 +421,8 @@ def comment_files(draw) -> list[str]:
     duplicate ords, orphans and parents later in document order all occur;
     timestamps are drawn from a few seconds, so batches share them, or are
     missing or malformed, so leading and inner undated runs occur.  Some
-    files carry ords and depths beyond int64, and some an unusable line.
+    files carry ords and depths beyond int64 (unusable lines), and some a
+    line that is not JSON.
     """
     lines = []
     for article in draw(st.lists(st.sampled_from(["A", "B", "Z\u00e9"]), min_size=1,

@@ -31,7 +31,7 @@ from talkdyn.ingest import (
     write_events_jsonl,
 )
 
-from conftest import build_series_oracle, load_events_oracle, utc
+from conftest import build_series_oracle, load_events_oracle, parse_timestamp_oracle, utc
 
 
 class TestParseTimestamp:
@@ -469,6 +469,16 @@ def write_lines(tmp_path_factory, lines):
     return path
 
 
+class TestTimestampContract:
+    @given(text=st.one_of(canonical_ts, odd_ts, st.text(max_size=26), st.none(), st.integers()),
+           now=st.one_of(st.none(), st.datetimes(min_value=datetime(2000, 1, 1),
+                                                 max_value=datetime(2040, 1, 1),
+                                                 timezones=st.just(timezone.utc))))
+    @settings(max_examples=500)
+    def test_parse_timestamp_is_the_oracle_rule(self, text, now):
+        assert parse_timestamp(text, now=now) == parse_timestamp_oracle(text, now)
+
+
 class TestLoaderMatchesOracle:
     @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
            chunk=st.integers(1, 8))
@@ -545,9 +555,9 @@ class TestLoaderMatchesOracle:
         ("2010-12-31T23:59:60Z", False),
         ("2010-12-31T23:60:00Z", False),
         ("2010-04-31T00:00:00Z", False),
-        ("2010-+1-05T00:00:00Z", True),
-        ("2010- 1-05T00:00:00Z", True),
-        ("٢٠١٠-٠١-٠٥T00:00:00Z", True),
+        ("2010-+1-05T00:00:00Z", False),
+        ("2010- 1-05T00:00:00Z", False),
+        ("٢٠١٠-٠١-٠٥T00:00:00Z", False),
         ("2031-01-01T00:00:00Z", False),
         (12345, False),
     ])
@@ -567,6 +577,25 @@ class TestLoaderMatchesOracle:
         else:
             assert len(events) == int(dated)
             assert diag.tallies["edit_ts_malformed"] == int(not dated)
+
+    @pytest.mark.parametrize("key, value, kept", [
+        ("ord", "9223372036854775807", True),
+        ("ord", "9223372036854775808", False),
+        ("depth", "9223372036854775808", False),
+        *((key, value, False) for key in ("depth", "ord")
+          for value in ("0.9", "1.7", "1.0", "1e0", "true")),
+    ])
+    def test_named_counts(self, tmp_path, key, value, kept):
+        """depth and ord are integers in [0, 2**63); a JSON float or boolean is not one."""
+        line = json.dumps(comment_rec(id="c1", parent="c0", depth=1, ord=1), separators=(",", ":"))
+        path = tmp_path / "c.jsonl"
+        path.write_text(line.replace(f'"{key}":1', f'"{key}":{value}', 1) + "\n", encoding="utf-8")
+        events, diag = assert_loads_like_oracle(path, COMMENT)
+        if kept:
+            assert [e.doc_order for e in events] == [int(value)] and not diag.messages
+        else:
+            assert events == [] and diag.tallies["bad_int_field"] == 1
+            assert diag.messages == [f"{path}:1: bad_int_field: depth/ord in c1"]
 
     def test_now_is_inclusive(self, tmp_path):
         path = tmp_path / "e.jsonl"
