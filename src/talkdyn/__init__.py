@@ -8,7 +8,6 @@ from .discussion import (
     InsufficientGrowthError,
     MaturityStatus,
     NoDatedCommentsError,
-    SpeedRank,
     build_forest,
     build_tree,
     delta_h,

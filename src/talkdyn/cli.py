@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 import math
+import re
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -52,7 +53,8 @@ Trees = dict[str, discussion.DiscussionTree]
 Traces = dict[str, discussion.HTrace]
 Runs = dict[str, list[PeakRun]]  # COMMENT, then EDIT -> that kind's peak runs
 Samples = dict[str, dict[str, list[int]]]  # kind -> distributions table -> samples
-Paces = dict[str, tuple[discussion.DeltaH, discussion.MaturityStatus]]
+Paces = dict[str, discussion.DeltaH]
+Statuses = dict[str, discussion.MaturityStatus]
 
 
 # The smallest value of each number setting that is checked where it comes in;
@@ -164,14 +166,13 @@ def _emit(table: Table, out: str | None) -> None:
 
 
 def _parse_as_of(text: str) -> datetime:
-    ts = ingest.parse_timestamp(text)
-    if ts is not None:
-        return ts
-    try:
-        day = date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"cannot parse --as-of {text!r}; use YYYY-MM-DD or full timestamp")
-    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+    """A full timestamp, or an ASCII YYYY-MM-DD day at 00:00 UTC, read by ingest's parser."""
+    day = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text)
+    ts = ingest.parse_timestamp(f"{text}T00:00:00Z" if day else text)
+    if ts is None:
+        raise ValueError(f"cannot parse --as-of {text!r}; use YYYY-MM-DD or full timestamp,"
+                         " from 2001-01-01 on")
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +322,42 @@ def _fit(samples: list[int], x_min: int = 1) -> peakstats.PowerLawFit | ValueErr
         return exc
 
 
-def _paces(traces: Traces, as_of: datetime, multiple: float) -> Paces:
-    """delta_h and maturity at as_of of every trace that grew enough to have a pace."""
-    if multiple <= 0:
-        logger.warning("maturity threshold multiple %.3g is degenerate: everything is mature",
-                       multiple)
-    paces = {}
+def _paces(traces: Traces) -> Paces:
+    """The one delta_h of every trace that grew enough to have a pace."""
+    paces: Paces = {}
     for article, trace in traces.items():
         try:
-            pace = discussion.delta_h(trace)
+            paces[article] = discussion.delta_h(trace)
         except discussion.InsufficientGrowthError:
             continue
-        paces[article] = (pace, discussion.maturity(trace, as_of, multiple))
     return paces
 
 
-def _rank(trees: Trees, traces: Traces, min_comments: int) -> list[discussion.SpeedRank]:
+def _maturities(paces: Paces, as_of: datetime, multiple: float) -> Statuses:
+    """Maturity at as_of of every paced discussion, read off its pace."""
+    if multiple <= 0:
+        logger.warning("maturity threshold multiple %.3g is degenerate: everything is mature",
+                       multiple)
+    return {article: discussion.maturity(pace, as_of, multiple) for article, pace in paces.items()}
+
+
+def _rank(trees: Trees, paces: Paces, min_comments: int) -> list[discussion.DeltaH]:
     counts = {article: tree.n_comments for article, tree in trees.items()}
-    return discussion.rank_by_speed(
-        traces.values(), min_comments=min_comments, comment_counts=counts
-    )
+    return discussion.rank_by_speed(paces.values(), counts, min_comments)
 
 
-def _speed_rows(ranked: list[discussion.SpeedRank]) -> list[list[object]]:
-    return [
-        [r.article_id, r.delta_h_days, r.start_day.date(), r.end_day.date(),
-         r.duration_days, r.final_h, r.n_comments]
-        for r in ranked
-    ]
+def _speed_rows(ranked: list[discussion.DeltaH], trees: Trees) -> list[list[object]]:
+    rows: list[list[object]] = []
+    for pace in ranked:
+        start, end = pace.first_increase.date(), pace.last_increase.date()
+        rows.append([pace.article_id, pace.value, start, end, (end - start).days, pace.final_h,
+                     trees[pace.article_id].n_comments])
+    return rows
 
 
-def _articles_table(edit_series: Series, trees: Trees, runs: Runs, paces: Paces) -> Table:
+def _articles_table(
+    edit_series: Series, trees: Trees, runs: Runs, paces: Paces, statuses: Statuses
+) -> Table:
     """One row per article.
 
     A cell whose precondition is unmet (no dated comments, too few h steps,
@@ -365,7 +371,7 @@ def _articles_table(edit_series: Series, trees: Trees, runs: Runs, paces: Paces)
     rows = []
     for article in sorted(set(edit_series) | set(trees)):
         tree = trees.get(article)
-        pace, status = paces.get(article, (None, None))
+        pace, status = paces.get(article), statuses.get(article)
         rows.append([
             article,
             edit_series[article].total if article in edit_series else 0,
@@ -406,14 +412,15 @@ def _daily_total_rows(edit_series: Series, comment_series: Series) -> list[list[
 
 
 def _growth_rows(
-    traces: Traces, paces: Paces, ranked: list[discussion.SpeedRank], edit_runs: list[PeakRun]
+    traces: Traces, paces: Paces, statuses: Statuses, ranked: list[discussion.DeltaH],
+    edit_runs: list[PeakRun],
 ) -> list[list[object]]:
-    ranked_delta = [r.delta_h_days for r in ranked]
+    ranked_delta = [pace.value for pace in ranked]
     rows: list[list[object]] = [
         ["n_traces", len(traces)],
         ["n_delta_h", len(paces)],
         ["n_delta_h_ranked", len(ranked_delta)],
-        ["n_mature", sum(1 for _, status in paces.values() if status.mature)],
+        ["n_mature", sum(1 for status in statuses.values() if status.mature)],
     ]
     if ranked_delta:
         rows += [
@@ -422,7 +429,7 @@ def _growth_rows(
             ["delta_h_min", min(ranked_delta)],
             ["delta_h_max", max(ranked_delta)],
         ]
-    delta_by_article = {article: pace.value for article, (pace, _) in paces.items()}
+    delta_by_article = {article: pace.value for article, pace in paces.items()}
     try:
         r, p, n = peakstats.delta_h_vs_max_run_length(delta_by_article, edit_runs)
     except ValueError:
@@ -528,8 +535,8 @@ def _cmd_deltah(args: argparse.Namespace) -> int:
     _check_minimums(min_comments=args.min_comments)
     comments, diag = _load(Path(args.comments), COMMENT, args.format)
     trees = discussion.build_forest(comments, diag)
-    ranked = _rank(trees, _traces(trees, diag), args.min_comments)
-    _emit(Table("deltah", SPEED_HEADER, _speed_rows(ranked)), args.out)
+    ranked = _rank(trees, _paces(_traces(trees, diag)), args.min_comments)
+    _emit(Table("deltah", SPEED_HEADER, _speed_rows(ranked, trees)), args.out)
     return 0
 
 
@@ -540,11 +547,11 @@ def _cmd_maturity(args: argparse.Namespace) -> int:
     as_of = as_of or comments.latest()
     if as_of is None:
         raise IngestError("no dated comments and no --as-of; nothing to judge maturity against")
-    paces = _paces(_traces(discussion.build_forest(comments, diag), diag), as_of, args.threshold_multiple)
+    paces = _paces(_traces(discussion.build_forest(comments, diag), diag))
     rows = [
         [article, status.mature, status.time_since_last_increase,
-         status.threshold_multiple, pace.value]
-        for article, (pace, status) in paces.items()
+         status.threshold_multiple, paces[article].value]
+        for article, status in _maturities(paces, as_of, args.threshold_multiple).items()
     ]
     header = ["article", "mature", "days_since_last_increase", "threshold_multiple",
               "delta_h_days"]
@@ -580,13 +587,14 @@ def run_report(config: RunConfig) -> list[Path]:
     runs = {COMMENT: comment_runs, EDIT: edit_runs}
     samples = _sample_sets(runs)
     traces = _traces(trees, diag_comments)
-    paces = _paces(traces, as_of, config.maturity_multiple)
-    ranked = _rank(trees, traces, config.min_comments)
+    paces = _paces(traces)
+    statuses = _maturities(paces, as_of, config.maturity_multiple)
+    ranked = _rank(trees, paces, config.min_comments)
     top_n, params = config.top_n, config.params
     n_edit_events = sum(s.total for s in edit_series.values())
     n_comment_events = comments.articles.size
     delta_hist = peakstats.log_binned_histogram(
-        [r.delta_h_days for r in ranked if r.delta_h_days > 0], config.bins_per_decade
+        [pace.value for pace in ranked if pace.value > 0], config.bins_per_decade
     )
     tables = [
         _peaks_table(runs),
@@ -598,12 +606,12 @@ def run_report(config: RunConfig) -> list[Path]:
         Table("speed", ["group", "rank", *SPEED_HEADER], [
             [group, rank, *row]
             for group, part in (("fastest", ranked[:top_n]), ("slowest", ranked[-top_n:][::-1]))
-            for rank, row in enumerate(_speed_rows(part), start=1)
+            for rank, row in enumerate(_speed_rows(part, trees), start=1)
         ]),
         Table("dist_delta_h", ["bin_lo", "bin_hi", "count", "density"], list(zip(
             delta_hist.bin_edges, delta_hist.bin_edges[1:], delta_hist.counts, delta_hist.density()
         ))),
-        _articles_table(edit_series, trees, runs, paces),
+        _articles_table(edit_series, trees, runs, paces, statuses),
         Table("summary", ["key", "value"], [
             ["as_of", as_of],
             ["peak_factor_c", params.c],
@@ -624,7 +632,7 @@ def run_report(config: RunConfig) -> list[Path]:
             ["twin_peaks_comment", sum(1 for r in comment_runs if r.length == 2)],
             ["articles_with_edit_runs", len({r.article_id for r in edit_runs})],
             ["articles_with_comment_runs", len({r.article_id for r in comment_runs})],
-            *_growth_rows(traces, paces, ranked, edit_runs),
+            *_growth_rows(traces, paces, statuses, ranked, edit_runs),
             *_alpha_rows(samples),
             *([f"{prefix}_{key}", diag.tallies[key]]
               for prefix, diag in (("edit", diag_edits), ("comment", diag_comments))

@@ -110,19 +110,6 @@ class MaturityStatus:
     threshold_multiple: float
 
 
-@dataclass(frozen=True)
-class SpeedRank:
-    """One row of the growth-speed table, fastest rows sorting first."""
-
-    article_id: str
-    delta_h_days: float
-    start_day: datetime
-    end_day: datetime
-    duration_days: int
-    final_h: int
-    n_comments: int | None
-
-
 class HIndexCounter:
     """Incremental h-index over a stream of level insertions.
 
@@ -281,21 +268,21 @@ def delta_h(trace: HTrace) -> DeltaH:
 
 
 def maturity(
-    trace: HTrace,
+    pace: DeltaH,
     now: datetime,
     k: float = DEFAULT_MATURITY_MULTIPLE,
 ) -> MaturityStatus:
     """Has the discussion stopped climbing, judged at time now?
 
     Mature means the time since the last h increase is at least k times the
-    discussion's own pace (delta-h).  A non-positive k makes every
-    discussion mature the moment it stops for an instant; that is permitted
-    but almost never meant, so a caller taking k from a user should warn.
+    discussion's own pace; both are read off delta_h's result, which is not
+    recomputed here.  A non-positive k makes every discussion mature the
+    moment it stops for an instant; that is permitted but almost never
+    meant, so a caller taking k from a user should warn.
     """
-    pace = delta_h(trace)
     idle_days = (now - pace.last_increase).total_seconds() / SECONDS_PER_DAY
     return MaturityStatus(
-        article_id=trace.article_id,
+        article_id=pace.article_id,
         mature=idle_days >= k * pace.value,
         time_since_last_increase=idle_days,
         threshold_multiple=k,
@@ -303,42 +290,16 @@ def maturity(
 
 
 def rank_by_speed(
-    traces: Iterable[HTrace],
+    paces: Iterable[DeltaH],
+    comment_counts: Mapping[str, int],
     min_comments: int = DEFAULT_MIN_COMMENTS,
-    comment_counts: Mapping[str, int] | None = None,
-) -> list[SpeedRank]:
-    """Rank discussions by delta-h, fastest first.
+) -> list[DeltaH]:
+    """Rank discussions by delta-h, fastest first, ties by article id.
 
     Only discussions with strictly more than min_comments comments enter the
     table (tiny discussions reach any h value on a handful of posts, which
-    says nothing about pace).  comment_counts supplies the sizes; with no
-    mapping the filter cannot be applied, so it is skipped and sizes are
-    reported as unknown.  Traces with fewer than two steps are skipped: they
-    have no measurable pace.
+    says nothing about pace); comment_counts supplies the sizes, and a
+    discussion missing from it counts as empty.
     """
-    rows: list[SpeedRank] = []
-    for trace in traces:
-        size: int | None = None
-        if comment_counts is not None:
-            size = comment_counts.get(trace.article_id)
-            if size is None or size <= min_comments:
-                continue
-        try:
-            pace = delta_h(trace)
-        except InsufficientGrowthError:
-            continue
-        start = trace.steps[0][0]
-        end = trace.steps[-1][0]
-        rows.append(
-            SpeedRank(
-                article_id=trace.article_id,
-                delta_h_days=pace.value,
-                start_day=start,
-                end_day=end,
-                duration_days=(end.date() - start.date()).days,
-                final_h=trace.final_h,
-                n_comments=size,
-            )
-        )
-    rows.sort(key=lambda r: (r.delta_h_days, r.article_id))
-    return rows
+    kept = [pace for pace in paces if comment_counts.get(pace.article_id, 0) > min_comments]
+    return sorted(kept, key=lambda pace: (pace.value, pace.article_id))

@@ -5,11 +5,12 @@ column names.  Edit records carry {article, ts}; comment records carry
 {article, id, parent, depth, ts, author, ord} where parent, ts and author may
 be null (empty string in CSV).  A timestamp is ASCII 'YYYY-MM-DDTHH:MM:SS'
 plus 'Z' or '+00:00' within [2001-01-01, now]; depth and ord are integers in
-[0, 2**63).  Malformed lines never abort a load: each one is counted and
-reported through a Diagnostics collector and processing moves on.  A comment
-whose timestamp is unparseable keeps its structural fields and simply loses
-the timestamp; an edit without a valid timestamp carries no information at
-all and is dropped.
+[0, 2**63), given as a JSON integer or as a string of ASCII digits.
+Malformed lines never abort a load: each one is counted and reported through
+a Diagnostics collector and processing moves on.  A comment whose timestamp
+is unparseable keeps its structural fields and simply loses the timestamp;
+an edit without a valid timestamp carries no information at all and is
+dropped.
 
 One loader, read_chunks, reads a bounded chunk of lines at a time: each line
 is checked on its own, then the chunk's timestamps become int64 epoch seconds
@@ -55,8 +56,10 @@ EARLIEST_TIMESTAMP = datetime(2001, 1, 1, tzinfo=timezone.utc)
 COMMENT_FIELDS = ("article", "id", "parent", "depth", "ts", "author", "ord")
 EDIT_FIELDS = ("article", "ts")
 
-# depth and ord are counts in [0, 2**63): they become int64 columns.
+# depth and ord are counts in [0, 2**63): they become int64 columns.  A string
+# spells one only as ASCII digits with an optional '-' (then negative_field).
 _INT64_LIMIT = 1 << 63
+_INT_TEXT = re.compile(r"-?[0-9]+").fullmatch
 
 _MAX_MESSAGES = 50
 
@@ -261,15 +264,9 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
         raise _BadRecord("bad_article", f"article={article!r}")
     if not isinstance(comment_id, str) or not comment_id:
         raise _BadRecord("bad_comment_id", f"id={comment_id!r}")
-    depth, doc_order = record.get("depth"), record.get("ord")
     try:
-        # int() would truncate a JSON float (1.7 -> 1) and take true as 1.
-        if isinstance(depth, (bool, float)) or isinstance(doc_order, (bool, float)):
-            raise ValueError
-        depth, doc_order = int(depth), int(doc_order)
-        if max(depth, doc_order) >= _INT64_LIMIT:
-            raise ValueError
-    except (TypeError, ValueError):
+        depth, doc_order = _int_field(record.get("depth")), _int_field(record.get("ord"))
+    except ValueError:
         raise _BadRecord("bad_int_field", f"depth/ord in {comment_id}") from None
     if depth < 0 or doc_order < 0:
         raise _BadRecord("negative_field", f"depth={depth} ord={doc_order}")
@@ -278,6 +275,21 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
         raise _depth_parent_mismatch(depth, parent)
     author = _coerce_optional(record.get("author"))
     return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
+
+
+def _int_field(value: object) -> int:
+    """A depth or ord below 2**63, else ValueError.
+
+    int() alone would truncate a JSON float (1.7 -> 1), take true as 1 and read
+    strings such as '1_0', ' 0 ', '+1' and Arabic-Indic digits.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, str) and _INT_TEXT(value)
+    ):
+        raise ValueError
+    if (number := int(value)) >= _INT64_LIMIT:
+        raise ValueError
+    return number
 
 
 def _check_edit(record: dict) -> tuple[str, object, None]:

@@ -29,8 +29,12 @@ AUTHOR_WINDOW_CHARS = 80
 
 HEADING_RE = re.compile(r"^(={1,6})(.*?)\1\s*$")
 
+# Neither the name nor the display text may hold a '[' or a newline (both are
+# illegal in user names), so a match attempt stops at the next link or line and
+# an unclosed link costs one pass to there.  The name keeps its surrounding
+# whitespace; _clean_author strips it.
 USER_LINK_RE = re.compile(
-    r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:\s*(?P<name>[^|\]#]+?)\s*(?:[|#][^\]]*)?\]\]"
+    r"\[\[\s*[Uu]ser(?:[ _][Tt]alk)?\s*:(?P<name>[^|\]#\[\n]+)(?:[|#][^\]\[\n]*)?\]\]"
 )
 
 # Months accepted in signature dates: full English names plus the common

@@ -157,6 +157,9 @@ def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     try:
         if type(depth) in (bool, float) or type(doc_order) in (bool, float):
             raise TypeError("a JSON boolean or float is not a count")
+        for value in (depth, doc_order):
+            if isinstance(value, str) and not (value.isascii() and value.removeprefix("-").isdigit()):
+                raise ValueError(f"{value!r} is not ASCII digits with an optional '-'")
         depth, doc_order = int(depth), int(doc_order)
     except (TypeError, ValueError):
         diagnostics.record(line_no, "bad_int_field", f"depth/ord in {comment_id}")

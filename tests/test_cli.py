@@ -10,12 +10,15 @@ import io
 import json
 import logging
 import random
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -212,6 +215,32 @@ class TestModuleEntry:
         assert "config error" in proc.stderr
 
 
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of every talkdyn command in README's CLI section, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command = re.search(r"(?:^|\|)\s*talkdyn\s(.*)", line)
+            if command:
+                commands.append(shlex.split(command.group(1), comments=True))
+    return commands
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_parses(self):
+        examples = readme_cli_examples()
+        parser = cli.build_parser()
+        assert {argv[0] for argv in examples} == {
+            "parse-talk", "peaks", "stats", "hindex", "deltah", "maturity", "report", "watch"}
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example rejected: talkdyn {shlex.join(argv)}")
+
+
 class TestExitCodes:
     def test_bad_peak_factor_is_config_error(self, tmp_path, capsys):
         rc = run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
@@ -253,14 +282,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {peaks}:3: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["maturity", "report"])
+    @pytest.mark.parametrize("as_of", ["2007-W01-1", "20070101", "2007-001"])
+    def test_as_of_takes_only_a_day_or_a_full_timestamp(self, tmp_path, capsys, command, as_of):
+        """ISO week dates, basic and ordinal forms are not YYYY-MM-DD."""
+        out = tmp_path / "out"
+        if command == "report":
+            argv = report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", out)
+        else:
+            argv = ["maturity", "--comments", str(GOLDEN / "comments.jsonl"),
+                    "--out", str(out / "maturity.csv")]
+        assert run_cli(*argv, "--as-of", as_of) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error" in captured.err
+        assert not out.exists()
+
+
+def comments_with_gamma(tmp_path: Path) -> Path:
+    """The golden comments plus Gamma, a copy of Alpha: two paced discussions."""
+    lines = (GOLDEN / "comments.jsonl").read_text(encoding="utf-8").splitlines()
+    comments = tmp_path / "c.jsonl"
+    comments.write_text("\n".join(lines + [line.replace('"Alpha"', '"Gamma"') for line in lines
+                                            if '"Alpha"' in line]) + "\n", encoding="utf-8")
+    return comments
+
 
 class TestDegenerateMaturityWarning:
     @pytest.mark.parametrize("command", ["report", "maturity"])
     def test_warned_once_per_run(self, tmp_path, capsys, caplog, command):
-        lines = (GOLDEN / "comments.jsonl").read_text(encoding="utf-8").splitlines()
-        comments = tmp_path / "c.jsonl"
-        comments.write_text("\n".join(lines + [line.replace('"Alpha"', '"Gamma"') for line in lines
-                                                if '"Alpha"' in line]) + "\n", encoding="utf-8")
+        comments = comments_with_gamma(tmp_path)
         if command == "report":
             argv = report_args(GOLDEN / "edits.jsonl", comments, tmp_path / "out", "-k", "0")
         else:
@@ -273,6 +323,27 @@ class TestDegenerateMaturityWarning:
         assert [row[0] for row in rows if row[mature] == "true"] == ["Alpha", "Gamma"]
         warnings = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
         assert warnings == ["maturity threshold multiple 0 is degenerate: everything is mature"]
+
+
+class TestOnePacePerDiscussion:
+    """Each h-trace gets one delta_h; maturity and the speed ranking read it."""
+
+    @pytest.mark.parametrize("command", ["report", "deltah", "maturity"])
+    def test_delta_h_at_most_once_per_trace(self, tmp_path, capsys, command):
+        comments = comments_with_gamma(tmp_path)
+        argv = {
+            "report": report_args(GOLDEN / "edits.jsonl", comments, tmp_path / "out"),
+            "deltah": ["deltah", "--comments", str(comments), "--min-comments", "0"],
+            "maturity": ["maturity", "--comments", str(comments)],
+        }[command]
+        with mock.patch.object(discussion, "h_trace", wraps=discussion.h_trace) as traced, \
+                mock.patch.object(discussion, "delta_h", wraps=discussion.delta_h) as paced:
+            assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert traced.call_count >= 3  # Alpha, Beta and Gamma
+        assert paced.call_count <= traced.call_count
+        traces = [call.args[0] for call in paced.call_args_list]
+        assert len({id(trace) for trace in traces}) == len(traces)
 
 
 class TestPeaksAndStatsRoundTrip:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from datetime import timedelta
+from datetime import date, timedelta
 from unittest import mock
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from talkdyn import (
     COMMENT,
     CommentEvent,
+    DeltaH,
     Diagnostics,
     HIndexCounter,
     InsufficientGrowthError,
@@ -27,7 +28,7 @@ from talkdyn import (
     maturity,
     rank_by_speed,
 )
-from talkdyn import cli, ingest
+from talkdyn import cli, discussion, ingest
 from talkdyn.discussion import effective_timestamps, h_index_from_counts
 
 from conftest import (
@@ -329,31 +330,38 @@ def uniform_growth_events(times) -> list[CommentEvent]:
 
 
 class TestMaturity:
-    def make_trace(self):
+    def make_pace(self):
         t0 = utc(2006, 1, 1)
         times = [t0 + timedelta(days=10 * i) for i in range(4)]  # pace 10 d/level
-        return h_trace(build_tree("A", uniform_growth_events(times)))
+        return delta_h(h_trace(build_tree("A", uniform_growth_events(times))))
 
     def test_idle_long_enough_is_mature(self):
-        trace = self.make_trace()
-        last = trace.last_increase
-        assert maturity(trace, last + timedelta(days=30), 3.0).mature
-        assert not maturity(trace, last + timedelta(days=29), 3.0).mature
+        pace = self.make_pace()
+        last = pace.last_increase
+        assert maturity(pace, last + timedelta(days=30), 3.0).mature
+        assert not maturity(pace, last + timedelta(days=29), 3.0).mature
 
     def test_threshold_is_inclusive(self):
-        trace = self.make_trace()
-        status = maturity(trace, trace.last_increase + timedelta(days=30), 3.0)
+        pace = self.make_pace()
+        status = maturity(pace, pace.last_increase + timedelta(days=30), 3.0)
         assert status.mature
+        assert status.article_id == "A"
         assert status.time_since_last_increase == pytest.approx(30.0)
         assert status.threshold_multiple == 3.0
 
     def test_degenerate_multiple_makes_everything_mature(self):
-        trace = self.make_trace()
-        assert maturity(trace, trace.last_increase, 0.0).mature
+        pace = self.make_pace()
+        assert maturity(pace, pace.last_increase, 0.0).mature
+
+    def test_reads_the_pace_without_recomputing_it(self):
+        pace = DeltaH("A", 10.0, 3, utc(2006, 1, 1), utc(2006, 1, 31), 4)
+        with mock.patch.object(discussion, "delta_h", side_effect=AssertionError("recomputed")):
+            status = maturity(pace, utc(2006, 3, 2), 3.0)
+        assert status.mature and status.time_since_last_increase == pytest.approx(30.0)
 
 
 class TestRankBySpeed:
-    def traces(self):
+    def trees(self):
         out = {}
         for article, spacing in (("slow", 20), ("fast", 2), ("mid", 7)):
             t0 = utc(2006, 1, 1)
@@ -363,51 +371,58 @@ class TestRankBySpeed:
                              e.timestamp, e.author, e.doc_order)
                 for e in uniform_growth_events(times)
             ]
-            out[article] = h_trace(build_tree(article, events))
+            out[article] = build_tree(article, events)
         return out
 
+    def paces(self, trees):
+        return {article: delta_h(h_trace(tree)) for article, tree in trees.items()}
+
     def test_orders_fastest_first(self):
-        ranked = rank_by_speed(self.traces().values(), comment_counts=None)
+        trees = self.trees()
+        ranked = rank_by_speed(self.paces(trees).values(), {a: 5000 for a in trees})
         assert [r.article_id for r in ranked] == ["fast", "mid", "slow"]
-        assert [r.delta_h_days for r in ranked] == [2.0, 7.0, 20.0]
+        assert [r.value for r in ranked] == [2.0, 7.0, 20.0]
 
     def test_size_filter_is_strict(self):
-        traces = self.traces()
+        paces = self.paces(self.trees())
         counts = {"fast": 1001, "mid": 1000, "slow": 5000}
-        ranked = rank_by_speed(traces.values(), min_comments=1000, comment_counts=counts)
+        ranked = rank_by_speed(paces.values(), counts, min_comments=1000)
         # 1000 comments does not clear a "more than 1000" bar.
         assert [r.article_id for r in ranked] == ["fast", "slow"]
-        assert ranked[0].n_comments == 1001
-
-    def test_no_counts_means_no_filter(self):
-        ranked = rank_by_speed(self.traces().values(), min_comments=1000,
-                               comment_counts=None)
-        assert len(ranked) == 3
-        assert all(r.n_comments is None for r in ranked)
+        # A discussion the counts do not name counts as empty.
+        assert rank_by_speed(paces.values(), {"mid": 3}, min_comments=2) == [paces["mid"]]
 
     def test_ties_break_by_article_id(self):
-        traces = self.traces()
-        twin = h_trace(build_tree("aaa", [
+        trees = self.trees()
+        trees["aaa"] = build_tree("aaa", [
             CommentEvent("aaa", e.comment_id, e.parent_id, e.depth,
                          e.timestamp, e.author, e.doc_order)
             for e in uniform_growth_events(
                 [utc(2006, 1, 1) + timedelta(days=2 * i) for i in range(4)]
             )
-        ]))
-        ranked = rank_by_speed(list(traces.values()) + [twin], comment_counts=None)
+        ])
+        ranked = rank_by_speed(reversed(self.paces(trees).values()), {a: 5000 for a in trees})
         assert [r.article_id for r in ranked[:2]] == ["aaa", "fast"]
 
     def test_duration_in_whole_days(self):
-        ranked = rank_by_speed(self.traces().values(), comment_counts=None)
-        fast = next(r for r in ranked if r.article_id == "fast")
-        assert fast.duration_days == 6
-        assert fast.start_day == utc(2006, 1, 1)
-        assert fast.end_day == utc(2006, 1, 7)
+        trees = self.trees()
+        ranked = rank_by_speed(self.paces(trees).values(), {a: 5000 for a in trees})
+        rows = cli._speed_rows(ranked, trees)
+        fast = next(row for row in rows if row[0] == "fast")
+        assert fast[1:5] == [2.0, date(2006, 1, 1), date(2006, 1, 7), 6]
+        assert fast[6] == trees["fast"].n_comments
 
     def test_stagnant_traces_are_skipped(self):
         t0 = utc(2006, 1, 1)
         stuck = h_trace(build_tree("A", [comment(0, None, t0)]))
-        assert rank_by_speed([stuck], comment_counts=None) == []
+        assert cli._paces({"A": stuck}) == {}
+
+    def test_reads_the_paces_without_recomputing_them(self):
+        trees = self.trees()
+        paces = self.paces(trees)
+        with mock.patch.object(discussion, "delta_h", side_effect=AssertionError("recomputed")):
+            ranked = rank_by_speed(paces.values(), {a: 5000 for a in trees})
+        assert ranked == sorted(paces.values(), key=lambda pace: pace.value)
 
 
 FOREST_NOW = utc(2030, 1, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from datetime import date, datetime, timedelta, timezone
@@ -596,6 +597,29 @@ class TestLoaderMatchesOracle:
         else:
             assert events == [] and diag.tallies["bad_int_field"] == 1
             assert diag.messages == [f"{path}:1: bad_int_field: depth/ord in c1"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("key", ["depth", "ord"])
+    @pytest.mark.parametrize("text, dropped_as", [
+        ("7", None), ("007", None), ("-1", "negative_field"),
+        *((text, "bad_int_field") for text in ("٠", "1_0", " 0 ", "+1", "0x1", "１", "1\n", "")),
+    ])
+    def test_named_count_strings(self, tmp_path, fmt, key, text, dropped_as):
+        """A string depth or ord is a count only as ASCII digits with an optional '-'."""
+        record = comment_rec(id="c1", parent="c0", depth=1, ord=1) | {key: text}
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(path, [record])
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.DictWriter(handle, fieldnames=list(record))
+                writer.writeheader()
+                writer.writerow(record)
+        events, diag = assert_loads_like_oracle(path, COMMENT, fmt=fmt)
+        if dropped_as is None:
+            assert [(e.depth, e.doc_order) for e in events] == [{"depth": (7, 1), "ord": (1, 7)}[key]]
+        else:
+            assert events == [] and diag.tallies[dropped_as] == 1
 
     def test_now_is_inclusive(self, tmp_path):
         path = tmp_path / "e.jsonl"

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talkdyn import (
     COMMENT,
@@ -112,6 +116,55 @@ class TestExtractSignature:
     def test_case_insensitive_user_prefix(self):
         sig = extract_signature("[[user:bob]] 10:00, 5 May 2006 (UTC)")
         assert sig.author == "bob"
+
+
+HOSTILE_SHAPES = [
+    "[[User:abc ", "[[User:a|", "[[User:a#", "[[User:a|b\n",
+    "[[User:a" + " " * 50, "[[User:" + " " * 50,
+]
+
+
+def signature_dates():
+    return st.builds(
+        "{:02d}:{:02d}, {} {} {} (UTC)".format,
+        st.integers(0, 23), st.integers(0, 59), st.integers(1, 28),
+        st.sampled_from(["March", "Sep.", "december"]), st.sampled_from([2000, 2001, 2012, 2099]),
+    )
+
+
+hostile_bodies = st.lists(
+    st.one_of(
+        st.sampled_from(["[[User:", "[[User talk:", "[[user_talk:", "|", "#", "]]", "[", "\n"]),
+        st.text(alphabet="ab _:]-", max_size=6),
+        signature_dates(),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestHostileBodies:
+    """Unclosed and broken user links cost one pass, and never leak into an author."""
+
+    @pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+    def test_four_thousand_copies_parse_fast(self, shape):
+        body = shape * 4000 + " 12:04, 7 March 2007 (UTC)"
+        start = time.perf_counter()
+        sig = extract_signature(body)
+        assert time.perf_counter() - start < 0.5
+        assert sig.timestamp == utc(2007, 3, 7, 12, 4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_bodies)
+    def test_signature_stays_inside_its_body(self, body):
+        sig = extract_signature(body)
+        if sig is None:
+            return
+        assert 0 <= sig.span[0] <= sig.span[1] <= len(body)
+        if sig.author is not None:
+            assert not set(sig.author) & set("[]|#\n")
+            assert body.startswith("[[", sig.span[0])
+        if sig.timestamp is not None:
+            assert utc(2001, 1, 1) <= sig.timestamp <= datetime.now(timezone.utc)
 
 
 class TestToEventsDiagnostics:
