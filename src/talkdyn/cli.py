@@ -254,11 +254,7 @@ def _peaks_table(runs: Runs) -> Table:
         (run for kind_runs in runs.values() for run in kind_runs),
         key=lambda r: (r.article_id, r.kind, r.start_day),
     )
-    rows = [
-        [r.article_id, r.kind, r.start_day, r.length,
-         max(r.day_ratios) if r.day_ratios else None]
-        for r in ordered
-    ]
+    rows = [[r.article_id, r.kind, r.start_day, r.length, r.max_ratio] for r in ordered]
     return Table("peaks", ["article", "kind", "start_day", "length", "max_ratio"], rows)
 
 
@@ -465,9 +461,11 @@ def _cmd_parse_talk(args: argparse.Namespace) -> int:
         files = [source]
     diag = Diagnostics(source=str(source))
     events: list[CommentEvent] = []
+    # One clock reading bounds "future" signature dates on every page.
+    now = datetime.now(timezone.utc)
     for path in files:
         try:
-            events.extend(talkparser.parse_file(path, patterns, diag))
+            events.extend(talkparser.parse_file(path, patterns, diag, now=now))
         except OSError as exc:
             raise IngestError(f"cannot read {path}: {exc}") from exc
     if args.out:
@@ -489,9 +487,11 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
     if not sources:
         raise ValueError("peaks needs --edits, --comments or both")
     params = _params_from_args(args)
+    # One clock reading bounds "future" timestamps in both files.
+    now = datetime.now(timezone.utc)
     runs = {}
     for path, kind in sources:
-        columns, _ = _load(path, kind, args.format)
+        columns, _ = _load(path, kind, args.format, now)
         runs[kind] = _detect_all(columns.series(), params)
     _emit(_peaks_table(runs), args.out)
     return 0

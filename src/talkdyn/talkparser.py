@@ -227,7 +227,7 @@ def _clean_author(raw: str) -> str:
 
 
 def extract_signature(
-    body: str, patterns: Sequence[re.Pattern] | None = None
+    body: str, patterns: Sequence[re.Pattern] | None = None, now: datetime | None = None
 ) -> SignatureMatch | None:
     """Find the signature of one comment body, scanning from the end.
 
@@ -236,10 +236,11 @@ def extract_signature(
     or user-talk link within AUTHOR_WINDOW_CHARS before that date.  A date
     with no nearby link yields an authorless match; a user link with no
     parseable date yields a dateless match; a body with neither has no
-    signature at all.
+    signature at all.  A date after now (default: the clock) is no date.
     """
     pats = DEFAULT_DATE_PATTERNS if patterns is None else patterns
-    now = datetime.now(timezone.utc)
+    if now is None:
+        now = datetime.now(timezone.utc)
     candidates: list[tuple[int, int, re.Match]] = []
     for priority, pattern in enumerate(pats):
         for m in pattern.finditer(body):
@@ -269,6 +270,8 @@ def to_events(
     page: RawTalkPage,
     patterns: Sequence[re.Pattern] | None = None,
     diagnostics: Diagnostics | None = None,
+    *,
+    now: datetime | None = None,
 ) -> list[CommentEvent]:
     """Parse a talk page into comment events in document order.
 
@@ -280,9 +283,12 @@ def to_events(
     tallied as repairs; the event depth counts actual tree ancestry, so it
     can be smaller than the raw indent.  Unsigned blocks carry no event:
     they merge into the following signed comment (continuation text) or are
-    dropped when a heading or the page end cuts them off.
+    dropped when a heading or the page end cuts them off.  Signature dates
+    after now (default: one clock reading for the page) are no dates.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics(source=page.article_id)
+    if now is None:
+        now = datetime.now(timezone.utc)
     events: list[CommentEvent] = []
     stack: list[tuple[int, int, str]] = []  # (raw indent, event depth, comment id)
     pending_unsigned = 0
@@ -296,7 +302,7 @@ def to_events(
             stack.clear()
             continue
         diag.tally("blocks")
-        signature = extract_signature(body, patterns)
+        signature = extract_signature(body, patterns, now)
         if signature is None:
             pending_unsigned += 1
             continue
@@ -342,8 +348,10 @@ def parse_file(
     path: str | Path,
     patterns: Sequence[re.Pattern] | None = None,
     diagnostics: Diagnostics | None = None,
+    *,
+    now: datetime | None = None,
 ) -> list[CommentEvent]:
     """Parse one talk-page file; the article id is the file's stem."""
     p = Path(path)
     page = RawTalkPage(p.stem, p.read_text(encoding="utf-8"))
-    return to_events(page, patterns, diagnostics)
+    return to_events(page, patterns, diagnostics, now=now)

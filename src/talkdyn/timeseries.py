@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,8 +80,9 @@ class PeakRun:
         return self.start_day + timedelta(days=self.length - 1)
 
     @property
-    def max_ratio(self) -> float:
-        return max(self.day_ratios)
+    def max_ratio(self) -> float | None:
+        """The run's highest day ratio; None when the profile was not kept."""
+        return max(self.day_ratios, default=None)
 
     def days(self) -> Iterator[date]:
         for offset in range(self.length):
@@ -104,66 +105,88 @@ def sliding_median(
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a nonempty 1-d sequence")
+    return _window_medians(arr, *_centred(arr.size, halfwidth), np.arange(arr.size))
+
+
+def _centred(n: int, halfwidth: int) -> tuple[int, int]:
+    """(lead, width) of the centred window on n days."""
     # A halfwidth beyond the series length sees the same (whole) series.
-    halfwidth = min(halfwidth, arr.size)
-    return _window_medians(arr, halfwidth, 2 * halfwidth + 1)
+    halfwidth = min(halfwidth, n)
+    return halfwidth, 2 * halfwidth + 1
 
 
-def _window_medians(arr: np.ndarray, lead: int, width: int) -> np.ndarray:
-    """Median of arr[t - lead : t - lead + width], clipped to arr, for every t.
+def _trailing(n: int, window: int) -> tuple[int, int]:
+    """(lead, width) of the trailing window on n days."""
+    # No day sees more than the days before it, so a longer window is moot.
+    window = min(window, max(n, 1))
+    return window, window
+
+
+def _window_medians(arr: np.ndarray, lead: int, width: int, rows: np.ndarray) -> np.ndarray:
+    """Median of arr[t - lead : t - lead + width], clipped to arr, for each t in rows.
 
     One kernel for every window shape: the array is padded with NaN, each
     day's window is a row of one strided view, rows are sorted (NaN sorts
     last) and the middle of each row's real values is picked by its true
-    size.  Empty windows give 0.  Rows are sorted a chunk at a time so a wide
-    window on a long series never holds more than ~_SORT_CHUNK values.
+    size.  Empty windows give 0.  Rows are gathered and sorted a chunk at a
+    time so a wide window on a long series never holds more than
+    ~_SORT_CHUNK values.
     """
     n = arr.size
     padded = np.concatenate(
         (np.full(lead, np.nan), arr, np.full(max(0, width - 1 - lead), np.nan))
     )
     windows = sliding_window_view(padded, width)
-    start = np.arange(n) - lead
+    start = rows - lead
     sizes = np.minimum(start + width, n) - np.maximum(start, 0)
     lo, hi = (sizes - 1) // 2, sizes // 2
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty(rows.size, dtype=np.float64)
     step = max(1, _SORT_CHUNK // width)
-    for first in range(0, n, step):
-        last = min(first + step, n)
-        ordered = np.sort(windows[first:last], axis=1)
-        rows = np.arange(last - first)
-        out[first:last] = (ordered[rows, lo[first:last]] + ordered[rows, hi[first:last]]) / 2
+    for first in range(0, rows.size, step):
+        last = min(first + step, rows.size)
+        ordered = windows[rows[first:last]]
+        ordered.sort(axis=1)
+        k = np.arange(last - first)
+        out[first:last] = (ordered[k, lo[first:last]] + ordered[k, hi[first:last]]) / 2
     out[sizes == 0] = 0.0
     return out
 
 
 def detect_peaks(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
     """Find all peak runs in one daily series, in chronological order."""
-    return _detect(series, params or PeakParams(), sliding_median)
+    p = params or PeakParams()
+    return _detect(series, p, *_centred(len(series.counts), p.window_halfwidth))
 
 
-def _detect(
-    series: ActivitySeries, p: PeakParams, medians: Callable[[np.ndarray, int], np.ndarray]
-) -> list[PeakRun]:
-    """Peak runs of series against medians(counts, p.window_halfwidth)."""
+def _detect(series: ActivitySeries, p: PeakParams, lead: int, width: int) -> list[PeakRun]:
+    """Peak runs of series against the medians of the (lead, width) window.
+
+    PeakParams holds c > 1 and n_min >= 1, so a day with n(t) <= c * n_min is
+    no peak whatever its median: medians are read on the other days only,
+    with the same kernel, so every float matches the whole-series medians.
+    """
     counts = np.asarray(series.counts, dtype=np.float64)
-    if counts.size == 0:
+    n_min = float(p.n_min)
+    candidates = np.flatnonzero(counts > p.c * n_min)
+    if candidates.size == 0:
         return []
-    floor = np.maximum(medians(counts, p.window_halfwidth), float(p.n_min))
-    idx = np.flatnonzero(counts > p.c * floor)
+    floor = np.maximum(_window_medians(counts, lead, width, candidates), n_min)
+    hits = counts[candidates] > p.c * floor
+    idx = candidates[hits]
     if idx.size == 0:
         return []
+    ratios = (counts[idx] / floor[hits]).tolist()
     # Split the sorted peak-day indices wherever consecutive days break.
-    breaks = np.flatnonzero(np.diff(idx) > 1) + 1
+    breaks = (np.flatnonzero(np.diff(idx) > 1) + 1).tolist()
     return [
         PeakRun(
             article_id=series.article_id,
             kind=series.kind,
-            start_day=series.day(int(segment[0])),
-            length=len(segment),
-            day_ratios=tuple(float(counts[i] / floor[i]) for i in segment),
+            start_day=series.day(int(idx[a])),
+            length=b - a,
+            day_ratios=tuple(ratios[a:b]),
         )
-        for segment in np.split(idx, breaks)
+        for a, b in zip([0, *breaks], [*breaks, idx.size])
     ]
 
 
@@ -176,9 +199,7 @@ def trailing_median(
     if isinstance(counts, ActivitySeries):
         counts = counts.counts
     arr = np.asarray(counts, dtype=np.float64)
-    # No day sees more than the days before it, so a longer window is moot.
-    window = min(window, max(arr.size, 1))
-    return _window_medians(arr, window, window)
+    return _window_medians(arr, *_trailing(arr.size, window), np.arange(arr.size))
 
 
 def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
@@ -187,7 +208,8 @@ def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = No
     This is the reference the stream is checked against; it differs from
     detect_peaks in that day t never sees its own or later days.
     """
-    return _detect(series, params or PeakParams(), trailing_median)
+    p = params or PeakParams()
+    return _detect(series, p, *_trailing(len(series.counts), p.window_halfwidth))
 
 
 class StreamState:

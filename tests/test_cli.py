@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 
 from conftest import simulate_watch_oracle, talkdyn_cmd, talkdyn_env
-from talkdyn import cli, discussion, ingest
+from talkdyn import cli, discussion, ingest, talkparser
 from talkdyn.cli import OutOfOrderError, simulate_watch
 from talkdyn.timeseries import PeakParams
 
@@ -362,6 +362,16 @@ class TestPeaksAndStatsRoundTrip:
         assert out_rows[0][0] == "tolerance_days"
         assert out_rows[1] == ["0", "1", "1"]
 
+    def test_runs_read_back_have_no_max_ratio(self, tmp_path):
+        peaks = tmp_path / "peaks.csv"
+        assert run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
+                       "--out", str(peaks), "-c", "5", "--nmin", "2") == 0
+        rows = read_rows(peaks)[1:]
+        table = cli._peaks_table(cli._load_peak_runs(peaks))
+        assert rows and [row[:4] for row in table.rows] == [
+            [a, k, date.fromisoformat(d), int(n)] for a, k, d, n, _ in rows]
+        assert [row[4] for row in table.rows] == [None] * len(rows)
+
     def test_anniversary_report(self, tmp_path, capsys):
         peaks = tmp_path / "peaks.csv"
         run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
@@ -523,8 +533,9 @@ class TestSimulateWatch:
 
 
 class TestReportClock:
-    def test_one_clock_reading_bounds_both_loads(self, tmp_path, monkeypatch):
-        now = datetime(2006, 1, 20, 12, tzinfo=timezone.utc)
+    @staticmethod
+    def frozen(monkeypatch, now: datetime) -> list:
+        """Patch cli's clock to now; any other module reading the clock fails."""
         reads = []
 
         class FrozenClock(datetime):
@@ -536,10 +547,15 @@ class TestReportClock:
         class NoClock(datetime):
             @classmethod
             def now(cls, tz=None):
-                raise AssertionError("the loader read the clock itself")
+                raise AssertionError("a callee read the clock itself")
 
         monkeypatch.setattr(cli, "datetime", FrozenClock)
         monkeypatch.setattr(ingest, "datetime", NoClock)
+        monkeypatch.setattr(talkparser, "datetime", NoClock)
+        return reads
+
+    def test_one_clock_reading_bounds_both_loads(self, tmp_path, monkeypatch):
+        reads = self.frozen(monkeypatch, datetime(2006, 1, 20, 12, tzinfo=timezone.utc))
         cli.run_report(cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path))
         assert reads == [timezone.utc]
 
@@ -553,6 +569,26 @@ class TestReportClock:
         assert future("edits.jsonl") > 0 and future("comments.jsonl") > 0
         assert tallies[("edits", "edit_ts_malformed")] == future("edits.jsonl")
         assert tallies[("comments", "comment_ts_malformed")] == future("comments.jsonl")
+
+    def test_parse_talk_reads_the_clock_once_for_all_pages(self, tmp_path, monkeypatch):
+        names = ["simple_chain", "depth_jump", "multiple_signatures"]
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        for name in names:
+            (pages / f"{name}.txt").write_bytes((TALKPAGES / f"{name}.txt").read_bytes())
+        reads = self.frozen(monkeypatch, datetime(2030, 1, 1, tzinfo=timezone.utc))
+        out = tmp_path / "events.jsonl"
+        assert run_cli("parse-talk", "--in", str(pages), "--out", str(out)) == 0
+        assert reads == [timezone.utc]
+        assert out.read_bytes() == b"".join(
+            (TALKPAGES / f"{name}.expected.jsonl").read_bytes() for name in sorted(names))
+
+    def test_peaks_reads_the_clock_once_for_both_files(self, tmp_path, monkeypatch):
+        reads = self.frozen(monkeypatch, datetime(2030, 1, 1, tzinfo=timezone.utc))
+        assert run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
+                       "--comments", str(GOLDEN / "comments.jsonl"),
+                       "--out", str(tmp_path / "peaks.csv"), "-c", "5", "--nmin", "2") == 0
+        assert reads == [timezone.utc]
 
 
 def comment_stream(rng: random.Random, articles: int, days: int) -> list[str]:

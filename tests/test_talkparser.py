@@ -190,6 +190,17 @@ class TestToEventsDiagnostics:
         assert diag.tallies["orphan_reply"] == 1
         assert diag.tallies["comments_unattributed"] == 1
 
+    def test_signature_after_now_leaves_the_comment_undated(self, tmp_path):
+        text = "a. [[User:A]] 10:00, 5 May 2006 (UTC)\n"
+        diag = Diagnostics()
+        early = to_events(RawTalkPage("A", text), diagnostics=diag, now=utc(2006, 5, 4, 23, 59))
+        assert [(e.author, e.timestamp) for e in early] == [("A", None)]
+        assert diag.tallies["comments_undated"] == 1
+        page = tmp_path / "A.txt"
+        page.write_text(text, encoding="utf-8")
+        exact = parse_file(page, now=utc(2006, 5, 5, 10))
+        assert [e.timestamp for e in exact] == [utc(2006, 5, 5, 10)]
+
     def test_event_ids_follow_document_order(self):
         text = (
             "a. [[User:A]] 10:00, 5 May 2006 (UTC)\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from datetime import date, timedelta
@@ -25,6 +26,7 @@ from talkdyn import timeseries
 from talkdyn.timeseries import PeakRun, alert_tier, trailing_median
 
 from conftest import (
+    START_DAY,
     make_series,
     median_oracle,
     peak_days_oracle,
@@ -107,6 +109,10 @@ class TestDetectPeaks:
         assert run.day_ratios == (6.0,)
         assert run.max_ratio == 6.0
 
+    def test_max_ratio_of_a_run_without_profile_is_none(self):
+        assert PeakRun("A", "edit", START_DAY, 3).max_ratio is None
+        assert PeakRun("A", "edit", START_DAY, 2, (6.5, 7.0)).max_ratio == 7.0
+
     def test_constant_series_never_peaks(self):
         for level in (1, 10, 500):
             assert detect_peaks(make_series([level] * 60)) == []
@@ -174,6 +180,104 @@ class TestDetectPeaks:
 
 def peak_day_set(runs: list[PeakRun]) -> set[date]:
     return {day for run in runs for day in run.days()}
+
+
+def thresholded(series, params: PeakParams, medians) -> list[tuple[int, int, list[float]]]:
+    """(start, length, day ratios) of the runs over whole-series medians."""
+    counts = series.counts.astype(np.float64)
+    floor = np.maximum(medians(counts, params.window_halfwidth), float(params.n_min))
+    days = np.flatnonzero(counts > params.c * floor).tolist()
+    return [
+        (start, length, [float(counts[t] / floor[t]) for t in range(start, start + length)])
+        for start, length in runs_from_days(days)
+    ]
+
+
+def as_tuples(runs: list[PeakRun]) -> list[tuple[int, int, list[float]]]:
+    return [((r.start_day - START_DAY).days, r.length, list(r.day_ratios)) for r in runs]
+
+
+@st.composite
+def edge_inputs(draw):
+    """Counts around the candidate bound c * n_min, and windows up to far beyond the series."""
+    c = draw(st.sampled_from([math.nextafter(1.0, 2.0), 1.5, 2.0, 4.0]))
+    n_min = draw(st.sampled_from([1, 2, 3, 10]))
+    edge = math.floor(c * n_min)  # c * n_min itself whenever that is whole
+    values = st.one_of(st.integers(0, 3 * edge + 3), st.sampled_from([edge, edge + 1]))
+    counts = draw(st.lists(values, min_size=1, max_size=120))
+    halfwidth = draw(st.one_of(st.integers(1, 20), st.just(10**6)))
+    return counts, PeakParams(c=c, n_min=n_min, window_halfwidth=halfwidth)
+
+
+DETECTORS = [(detect_peaks, sliding_median), (detect_peaks_trailing, trailing_median)]
+
+
+class TestCandidateDaysOnly:
+    """Medians are read only on days above c * n_min, with an identical result."""
+
+    @pytest.mark.parametrize("detect,medians", DETECTORS)
+    @given(case=edge_inputs())
+    @example(case=([1, 2, 1, 1, 2], PeakParams(math.nextafter(1.0, 2.0), 1, 1)))
+    @example(case=([6, 7, 0, 6, 7, 7], PeakParams(2.0, 3, 2)))
+    @example(case=([0, 3, 4, 0, 0, 4], PeakParams(1.5, 2, 10**6)))
+    @settings(max_examples=300)
+    def test_equals_thresholding_whole_series_medians(self, detect, medians, case):
+        counts, params = case
+        series = make_series(counts)
+        assert as_tuples(detect(series, params)) == thresholded(series, params, medians)
+
+    @staticmethod
+    def spy(monkeypatch) -> list[list[int]]:
+        asked: list[list[int]] = []
+        kernel = timeseries._window_medians
+
+        def spy(arr, lead, width, rows):
+            asked.append(rows.tolist())
+            return kernel(arr, lead, width, rows)
+
+        monkeypatch.setattr(timeseries, "_window_medians", spy)
+        return asked
+
+    @pytest.mark.parametrize("detect,medians", DETECTORS)
+    def test_series_without_candidates_never_reaches_the_kernel(self, monkeypatch,
+                                                                 detect, medians):
+        asked = self.spy(monkeypatch)
+        params = PeakParams(c=2.0, n_min=3, window_halfwidth=5)
+        # 6 == c * n_min: no day can be a peak, whatever its median.
+        assert detect(make_series([6, 0, 6, 1] * 50), params) == []
+        assert asked == []
+
+    @pytest.mark.parametrize("detect,medians", DETECTORS)
+    def test_kernel_sees_exactly_the_candidate_rows(self, monkeypatch, detect, medians):
+        asked = self.spy(monkeypatch)
+        params = PeakParams(c=2.0, n_min=3, window_halfwidth=5)
+        counts = [6] * 40
+        for day, count in ((0, 7), (17, 50), (18, 9), (39, 100)):
+            counts[day] = count
+        runs = detect(make_series(counts), params)
+        assert asked == [[0, 17, 18, 39]]
+        assert runs and {day for run in runs for day in run.days()} <= {
+            START_DAY + timedelta(days=d) for d in (0, 17, 18, 39)}
+
+    def test_candidates_are_gathered_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "_SORT_CHUNK", 100)
+        rng = random.Random(7)
+        counts = [rng.choice([0, 1, 2, 40]) for _ in range(300)]
+        params = PeakParams(c=2.0, n_min=3, window_halfwidth=40)
+        series = make_series(counts)
+        for detect, medians in DETECTORS:
+            assert as_tuples(detect(series, params)) == thresholded(series, params, medians)
+
+    @pytest.mark.parametrize("detect,medians", DETECTORS)
+    def test_huge_window_over_many_candidates_stays_in_budget(self, monkeypatch,
+                                                              detect, medians):
+        # 2,000 candidate rows of 4,001 values would be 64 MB gathered at once.
+        monkeypatch.setattr(timeseries, "_SORT_CHUNK", 1 << 14)
+        series = make_series([7, 50, 9, 80] * 500)
+        params = PeakParams(c=2.0, n_min=3, window_halfwidth=10**6)
+        runs, peak = peak_bytes(detect, series, params)
+        assert as_tuples(runs) == thresholded(series, params, medians)
+        assert peak < 1 << 20
 
 
 class TestPeakParams:
