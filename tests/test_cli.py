@@ -215,6 +215,54 @@ class TestModuleEntry:
         assert "config error" in proc.stderr
 
 
+BLOCK_SCIPY = textwrap.dedent("""
+    import runpy, sys
+
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, BlockScipy())
+    sys.argv = ["talkdyn", *sys.argv[1:]]
+    runpy.run_module("talkdyn", run_name="__main__")
+""")
+
+
+class TestNumpyOnlyRuntime:
+    """The CLI imports and runs with numpy alone; scipy is a test dependency."""
+
+    def test_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, talkdyn.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=talkdyn_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def run_without_scipy(self, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", BLOCK_SCIPY, *argv],
+            capture_output=True, text=True, env=talkdyn_env(), timeout=120,
+        )
+
+    def test_report_writes_golden_bytes(self, tmp_path):
+        proc = self.run_without_scipy(
+            *report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        for expected in sorted((GOLDEN / "expected").glob("*.csv")):
+            assert (tmp_path / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+    def test_watch_runs(self, tmp_path):
+        proc = self.run_without_scipy(
+            "watch", "--events", str(GOLDEN / "comments.jsonl"), "--kind", "comment",
+            "--out", str(tmp_path / "alerts.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert read_rows(tmp_path / "alerts.csv")[0] == list(cli.WATCH_HEADER)
+
+
 def readme_cli_examples() -> list[list[str]]:
     """The argv of every talkdyn command in README's CLI section, continuations joined."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -21,9 +21,11 @@ from talkdyn import (
 )
 from talkdyn.peakstats import (
     MIN_FIT_SAMPLES,
+    _beta_cf,
     delta_h_vs_max_run_length,
     peaks_per_article,
     run_lengths,
+    student_t_p,
 )
 from talkdyn.timeseries import PeakRun
 
@@ -312,6 +314,61 @@ class TestPearson:
         xs = [10.0, 20.0, 30.0, 5.0]
         ys = [4.0, 3.0, 2.0, 5.0]
         assert (r, p) == pearson(xs, ys)
+
+
+# Degrees of freedom 1..40 one by one, then log-spaced up to 20,000; t
+# log-spaced from 1e-8 (p within 1e-8 of 1) to 60.
+T_GRID_DF = sorted({*range(1, 41), *np.geomspace(41, 20_000, 24).round().astype(int).tolist()})
+T_GRID_T = np.geomspace(1e-8, 60.0, 40).tolist()
+
+
+class TestStudentTail:
+    """The two-sided t tail against a 40-digit incomplete beta, not against scipy.
+
+    scipy's own t.sf is off by ~3e-9 at df = 1, t = 1e-8, so it cannot be
+    the reference for a 1e-12 bound.
+    """
+
+    def test_grid_against_mpmath(self):
+        import mpmath
+
+        worst = (0.0, (0, 0.0))
+        with mpmath.workdps(40):
+            for df in T_GRID_DF:
+                a = mpmath.mpf(df) / 2
+                for t in T_GRID_T:
+                    x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                    exact = mpmath.betainc(a, 0.5, 0, x, regularized=True)
+                    err = abs(student_t_p(t, df) - float(exact))
+                    worst = max(worst, (err, (df, t)))
+        assert worst[0] <= 1e-12, worst
+
+    @pytest.mark.parametrize("t", [0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0, 40.0, 1e6])
+    def test_closed_forms(self, t):
+        # df = 1 is the Cauchy distribution; df = 2 has an algebraic tail.
+        assert student_t_p(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(t), abs=1e-14)
+        assert student_t_p(t, 2) == pytest.approx(1.0 - t / math.sqrt(2.0 + t * t), abs=1e-14)
+
+    def test_sign_of_t_does_not_matter(self):
+        assert student_t_p(-2.5, 7) == student_t_p(2.5, 7)
+
+    def test_extreme_t(self):
+        assert student_t_p(1e-200, 5) == 1.0
+        assert student_t_p(1e200, 5) == 0.0
+
+    def test_non_finite_input_raises_instead_of_looping(self):
+        with pytest.raises(ArithmeticError):
+            _beta_cf(0.5, 3.0, math.nan)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_r_one_ulp_from_one(self, sign):
+        # Found by search: data whose compensated r is the double next to +-1.
+        xs = [3.0, 4.0, 1.0, 4.0, 8.0, 3.0]
+        ys = [sign * x for x in xs]
+        ys[3] += sign * 1e-8
+        r, p = pearson(xs, ys)
+        assert r == sign * math.nextafter(1.0, 0.0)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 class TestHistogramInvariants:
