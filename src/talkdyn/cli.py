@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -210,12 +211,15 @@ def _load_peak_runs(path: Path) -> Runs:
     """Read back a peaks.csv table, by kind (ratio profiles are not retained there)."""
     runs: list[PeakRun] = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
             reader = csv.DictReader(handle)
             required = {"article", "kind", "start_day", "length"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise IngestError(f"{path}: expected columns {sorted(required)}")
             for line_no, row in enumerate(reader, start=2):
+                cells = [cell for cell in row.values() if isinstance(cell, str)]
+                if reason := next(filter(None, map(ingest.undecodable, cells)), None):
+                    raise IngestError(f"{path}:{line_no}: {reason}")
                 try:
                     run = PeakRun(row["article"], row["kind"], date.fromisoformat(row["start_day"]),
                                   int(row["length"]))
@@ -756,11 +760,16 @@ def simulate_watch(
 def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
     """Alert rows for article,kind,day,count lines on stdin, as each line arrives."""
     states: dict[tuple[str, str], StreamState] = {}
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its number.
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     for row_no, row in enumerate(csv.reader(sys.stdin), start=1):
         if not row or row[0].strip().startswith("#"):
             continue
         if row_no == 1 and row[:2] == ["article", "kind"]:
             continue
+        if reason := next(filter(None, map(ingest.undecodable, row)), None):
+            raise IngestError(f"stdin:{row_no}: {reason}")
         if len(row) != 4:
             raise IngestError(f"stdin:{row_no}: expected article,kind,day,count")
         article, kind, day_text, count_text = (cell.strip() for cell in row)

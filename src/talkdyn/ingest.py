@@ -12,19 +12,28 @@ is unparseable keeps its structural fields and simply loses the timestamp;
 an edit without a valid timestamp carries no information at all and is
 dropped.
 
-One loader, read_chunks, reads a bounded chunk of lines at a time: each line
-is checked on its own, then the chunk's timestamps become int64 epoch seconds
-in one vectorised pass.  A JSONL line in the exact shape event_json_line
-writes (fixed key order, no spaces, unescaped non-empty strings, unsigned
-integers of at most 18 digits) is matched by one compiled pattern per kind;
-the match proves every field's type, so only the depth/parent rule is left
-to check.  Every other line, and every CSV row, is decoded and checked field
-by field under the same rules, with the same messages and tallies; the
-pattern only reads the writer's spelling faster.  Everything else is built
-on the chunk columns: load_events yields event objects, load_columns joins
-them into whole-file Columns (whose series() feeds peak detection and whose
-comment links feed the reply trees) without building any, and the streaming
-watch replays the chunks' (article, day, count) runs.
+Input is bytes.  A line ends at '\n', '\r\n' or a lone '\r', and each line
+is decoded as UTF-8 on its own: one that does not decode is dropped as
+bad_utf8 and the load goes on.
+
+One loader, read_chunks, reads a bounded block of lines at a time.  A JSONL
+line in the exact shape event_json_line writes (fixed key order, no spaces,
+non-empty strings without quote, backslash or control byte, unsigned
+integers of at most 18 digits) is read from its bytes: the block's quote,
+backslash and control bytes are indexed once, and array comparisons decide
+which lines hold the key bytes where the quotes put them, which counts are
+canonical and which obey the depth/parent rule.  Every other line, and every
+CSV row, is decoded and checked field by field under the same rules, with
+the same messages and tallies, and its checked fields are spelled back as
+bytes beside the block; the byte path only reads the writer's spelling
+faster.  Then every record's timestamp becomes int64 epoch seconds in one
+vectorised pass over a (rows, 25) byte matrix, and every run of equal
+article names is decoded once.  Everything else is built on the chunk
+columns: load_events yields event objects, load_columns joins them into
+whole-file Columns (whose series() feeds peak detection and whose comment
+links feed the reply trees) without building any, and the streaming watch
+replays the chunks' (article, day, count) runs, which builds no per-record
+object at all.
 """
 
 from __future__ import annotations
@@ -63,9 +72,9 @@ _INT_TEXT = re.compile(r"-?[0-9]+").fullmatch
 
 _MAX_MESSAGES = 50
 
-# Lines decoded and checked before their timestamps are parsed in one pass;
-# a chunk of typical comment lines holds ~1 MB.
-_CHUNK_LINES = 1 << 10
+# Lines read and checked as one block, whose array operations then cost
+# little per line; a block of typical comment lines holds ~230 KB.
+_CHUNK_LINES = 1 << 11
 
 
 class IngestError(Exception):
@@ -155,7 +164,9 @@ def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | Non
     Returns None for anything else, or outside [2001-01-01, now]; it is the
     loader's own rule (_epoch_seconds) applied to one value.
     """
-    seconds = int(_epoch_seconds([text], now or _LATEST)[0])
+    raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else b""
+    chars = np.frombuffer(raw[:_SHAPE_WIDTH].ljust(_SHAPE_WIDTH, b"\0"), dtype=np.uint8)
+    seconds = int(_epoch_seconds(chars[None], np.array([len(raw)]), now or _LATEST)[0])
     return None if seconds == UNDATED else _UNIX_EPOCH + seconds * _SECOND
 
 
@@ -175,52 +186,51 @@ _LATEST = datetime.max.replace(tzinfo=timezone.utc)
 _DAY_S = 86400
 _EARLIEST_S = (EARLIEST_TIMESTAMP - _UNIX_EPOCH) // _SECOND
 
-# The canonical shape 'YYYY-MM-DDTHH:MM:SS' + 'Z' or '+00:00', as code points.
+# The canonical shape 'YYYY-MM-DDTHH:MM:SS' + 'Z' or '+00:00', as bytes.
 _SHAPE_WIDTH = 25
 _DIGIT_AT = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _SEPARATOR_AT = np.array([4, 7, 10, 13, 16])
-_SEPARATORS = np.array([ord(c) for c in "--T::"], dtype=np.uint32)
-_UTC_SUFFIX = np.array([ord(c) for c in "+00:00"], dtype=np.uint32)
+_SEPARATORS = np.frombuffer(b"--T::", dtype=np.uint8)
+_UTC_SUFFIX = np.frombuffer(b"+00:00", dtype=np.uint8)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS)[:-1]))
+_PAIR_LIMITS = np.array([100, 100, 13, 32, 24, 60, 60])  # each two-digit field stays below
+# Per year 0-9999: whether it is a leap year, and its first day in days since 1970-01-01.
+_YEARS = np.arange(10_000)
+_LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
+_YEAR_START = np.concatenate(([0], np.cumsum(365 + _LEAP[:-1]))) - (365 * 1970 + _LEAP[:1970].sum())
 
 
-def _epoch_seconds(values: list, now: datetime) -> np.ndarray:
-    """Epoch seconds of every value that is a timestamp, UNDATED for the others.
+def _epoch_seconds(chars: np.ndarray, widths: np.ndarray, now: datetime) -> np.ndarray:
+    """Epoch seconds of every row that spells a timestamp, UNDATED for the others.
 
-    A timestamp is an ASCII string 'YYYY-MM-DDTHH:MM:SS' plus 'Z' or
-    '+00:00' naming a real time in [2001-01-01, now].  Every value is
-    decided at once by arithmetic on its digits (month lengths, leap years,
-    h < 24, m/s < 60, then the window), so one impossible date costs nothing
-    extra.
+    Row i of the (rows, 25) uint8 matrix chars holds the first bytes of a
+    UTF-8 text widths[i] bytes long.  A timestamp is 'YYYY-MM-DDTHH:MM:SS'
+    plus 'Z' or '+00:00', every byte of it ASCII, naming a real time in
+    [2001-01-01, now].  Every row is decided at once by arithmetic on its
+    digits (month lengths, leap years, h < 24, m/s < 60, then the window),
+    so one impossible date costs nothing extra.
     """
-    n = len(values)
-    out = np.full(n, UNDATED, dtype=np.int64)
-    if n == 0:
-        return out
-    texts = [v if isinstance(v, str) else "" for v in values]
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
-    chars = np.array(texts, dtype=f"U{_SHAPE_WIDTH}").view(np.uint32).reshape(n, _SHAPE_WIDTH)
-    digits = chars[:, _DIGIT_AT].astype(np.int64) - ord("0")
+    digits = chars[:, _DIGIT_AT] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
+    # century, year, month, day, hour, minute, second
+    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
     shaped = (
-        (((lengths == 20) & (chars[:, 19] == ord("Z")))
-         | ((lengths == 25) & (chars[:, 19:] == _UTC_SUFFIX).all(axis=1)))
+        (((widths == 20) & (chars[:, 19] == ord("Z")))
+         | ((widths == _SHAPE_WIDTH) & (chars[:, 19:_SHAPE_WIDTH] == _UTC_SUFFIX).all(axis=1)))
         & (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
-        & ((digits >= 0) & (digits <= 9)).all(axis=1)
+        & (digits <= 9).all(axis=1) & (pairs < _PAIR_LIMITS).all(axis=1)
     )
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    first_of_month = (year - 1970).astype("datetime64[Y]").astype("datetime64[M]") + (month - 1)
-    days = first_of_month.astype("datetime64[D]").astype(np.int64) + (day - 1)
+    pairs *= shaped[:, None]  # every table index below is then in range
+    century, year, month, day, hour, minute, second = pairs.T
+    year = century * 100 + year
+    leap = _LEAP[year]
+    days = _YEAR_START[year] + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1
     seconds = days * _DAY_S + hour * 3600 + minute * 60 + second
     valid = (
-        shaped & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        & (hour < 24) & (minute < 60) & (second < 60)
+        shaped & (month >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
         & (seconds >= _EARLIEST_S) & (seconds <= (now - _UNIX_EPOCH) // _SECOND)
     )
-    out[valid] = seconds[valid]
-    return out
+    return np.where(valid, seconds, UNDATED)
 
 
 def _day_ordinals(seconds: np.ndarray) -> np.ndarray:
@@ -234,6 +244,23 @@ def _day_ordinals(seconds: np.ndarray) -> np.ndarray:
 
 class _BadRecord(Exception):
     """A line that cannot become an event; args are (tally key, message detail)."""
+
+
+_ESCAPED = re.compile("[\udc80-\udcff]").search
+
+
+def undecodable(text: str) -> str | None:
+    """Why text, decoded with surrogateescape, is not UTF-8; None when it is.
+
+    The reason is the strict decoder's message for the original bytes.
+    """
+    if text.isascii() or _ESCAPED(text) is None:
+        return None
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError as exc:
+        return str(exc)
+    return None
 
 
 def _coerce_optional(value: object) -> str | None:
@@ -272,7 +299,7 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
         raise _BadRecord("negative_field", f"depth={depth} ord={doc_order}")
     parent = _coerce_optional(record.get("parent"))
     if (depth == 0) != (parent is None):
-        raise _depth_parent_mismatch(depth, parent)
+        raise _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
     author = _coerce_optional(record.get("author"))
     return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
 
@@ -300,50 +327,23 @@ def _check_edit(record: dict) -> tuple[str, object, None]:
     return article, record.get("ts"), None
 
 
-def _depth_parent_mismatch(depth: int, parent: str | None) -> _BadRecord:
-    return _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
+def _json_line(raw: bytes) -> dict | None:
+    """The object on one JSONL line; None for a line str.strip() leaves empty."""
+    text = raw.decode("utf-8", "surrogateescape")
+    if not text.strip():
+        return None
+    if reason := undecodable(text):
+        raise _BadRecord("bad_utf8", reason)
+    return _decode_json(text)
 
 
-# The exact lines event_json_line writes.  A string is non-empty (an empty one
-# means null to _coerce_optional) and holds no quote, backslash or control
-# character, so it needs no unescaping; an integer is ASCII digits without sign
-# or leading zero, at most 18 of them, so int() is exact and cheap.
-_TEXT = r'"([^"\\\x00-\x1f]+)"'
-_TEXT_OR_NULL = r"(?:null|" + _TEXT + r")"
-_COUNT = r"(0|[1-9][0-9]{0,17})"
-_CANONICAL_COMMENT = re.compile(
-    r'\{"article":' + _TEXT + r',"id":' + _TEXT + r',"parent":' + _TEXT_OR_NULL
-    + r',"depth":' + _COUNT + r',"ts":' + _TEXT_OR_NULL + r',"author":' + _TEXT_OR_NULL
-    + r',"ord":' + _COUNT + r'\}\n?'
-).fullmatch
-_CANONICAL_EDIT = re.compile(r'\{"article":' + _TEXT + r',"ts":' + _TEXT + r'\}\n?').fullmatch
-
-
-def _comment_line(line: str) -> tuple[str, str | None, tuple]:
-    """_check_comment of a JSONL line; a canonical one needs only the depth/parent rule."""
-    match = _CANONICAL_COMMENT(line)
-    if match is None:
-        return _check_comment(_decode_json(line))
-    article, comment_id, parent, depth, stamp, author, doc_order = match.groups()
-    depth = int(depth)
-    if (depth == 0) != (parent is None):
-        raise _depth_parent_mismatch(depth, parent)
-    return article, stamp, (comment_id, parent, depth, author, int(doc_order))
-
-
-def _edit_line(line: str) -> tuple[str, object, None]:
-    """_check_edit of a JSONL line; a canonical one is already checked."""
-    match = _CANONICAL_EDIT(line)
-    if match is None:
-        return _check_edit(_decode_json(line))
-    article, stamp = match.groups()
-    return article, stamp, None
-
-
-def _jsonl_lines(handle: io.TextIOBase) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(handle, start=1):
-        if line.strip():
-            yield line_no, line
+def _csv_record(row: dict) -> dict:
+    """A CSV row whose every cell decoded as UTF-8."""
+    for value in row.values():
+        for cell in value if isinstance(value, list) else [value]:
+            if isinstance(cell, str) and (reason := undecodable(cell)):
+                raise _BadRecord("bad_utf8", reason)
+    return row
 
 
 def _csv_rows(handle: io.TextIOBase, kind: str, source: str) -> Iterator[tuple[int, dict]]:
@@ -358,6 +358,182 @@ def _csv_rows(handle: io.TextIOBase, kind: str, source: str) -> Iterator[tuple[i
 
 
 # ---------------------------------------------------------------------------
+# Canonical JSONL lines, read from their bytes
+
+# A record's texts, as (start, end) byte spans; NO_SPAN stands for None.
+ARTICLE, TS, ID, PARENT, AUTHOR = range(5)
+NO_SPAN = -1
+_FIELDS = {EDIT: 2, COMMENT: 5}  # the texts a record of each kind has
+DEPTH, ORD = range(2)  # a comment's counts
+
+# The exact lines event_json_line writes, each text and count with the field
+# it fills.  A text is non-empty (an empty one means null to _coerce_optional)
+# and holds no quote, backslash or control byte, so it needs no unescaping; a
+# count is ASCII digits without sign or leading zero, at most 18 of them, so
+# it is exact in int64.
+_TEXT, _TEXT_OR_NULL, _COUNT = "text", "text or null", "count"
+_EDIT_SHAPE = (b'{"article":', (_TEXT, ARTICLE), b',"ts":', (_TEXT, TS), b"}")
+_COMMENT_SHAPE = (
+    b'{"article":', (_TEXT, ARTICLE), b',"id":', (_TEXT, ID),
+    b',"parent":', (_TEXT_OR_NULL, PARENT), b',"depth":', (_COUNT, DEPTH),
+    b',"ts":', (_TEXT_OR_NULL, TS), b',"author":', (_TEXT_OR_NULL, AUTHOR),
+    b',"ord":', (_COUNT, ORD), b"}",
+)
+_MAX_COUNT_DIGITS = 18
+# Zero bytes after a block, so every fixed-width read may run past its end.
+_PAD = bytes(40)
+_WORD_AT = np.arange(0, 32, 8)  # the words that hold a timestamp's 25 bytes
+
+
+def _words(text: bytes) -> np.ndarray:
+    """Every 8-byte word of text, one starting at each byte offset (a view, not a copy)."""
+    return np.ndarray((len(text) - 7,), dtype=np.uint64, buffer=text, strides=(1,))
+
+
+def _word_keys(part: bytes) -> list[tuple[int, np.uint64, np.uint64]]:
+    """(offset, mask, value) of each 8-byte word of part, to compare it a word at a time."""
+    keys = []
+    for at in range(0, len(part), 8):
+        piece = part[at:at + 8]
+        mask, value = _words(b"\xff" * len(piece) + _PAD)[0], _words(piece + _PAD)[0]
+        keys.append((at, mask, value))
+    return keys
+
+
+_SHAPE_KEYS = {part: _word_keys(part) for part in _COMMENT_SHAPE + _EDIT_SHAPE
+               if isinstance(part, bytes)}
+_NULL_KEY = _word_keys(b"null")[0]
+# _LOW_BYTES[k] keeps the first k bytes of a word.
+_LOW_BYTES = np.array([_words(b"\xff" * k + _PAD)[0] for k in range(9)])
+
+
+def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The file's bytes, a block of _CHUNK_LINES lines at a time, with each line's end offset.
+
+    Each block is followed by _PAD.  A line ends after '\\n', '\\r\\n' or a
+    lone '\\r', as text mode with newline="" splits it; reading splits at
+    '\\n' only, so a block holds one more line for every lone '\\r' in it.
+    """
+    while lines := list(islice(handle, _CHUNK_LINES)):
+        ends = np.cumsum(np.fromiter(map(len, lines), dtype=np.int64, count=len(lines)))
+        lines.append(_PAD)
+        data = b"".join(lines)
+        del lines
+        if b"\r" in data and data.count(b"\r") > data.count(b"\r\n"):
+            body = np.frombuffer(data, dtype=np.uint8)
+            returns = np.flatnonzero(body == ord("\r"))
+            ends = np.union1d(ends, returns[body[returns + 1] != ord("\n")] + 1)
+        yield data, ends
+
+
+def _canonical(
+    padded: bytes, starts: np.ndarray, ends: np.ndarray, kind: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which lines of a block (followed by _PAD) are canonical, with their text spans and counts.
+
+    Returns the mask, the (lines, fields, 2) spans by ARTICLE, TS[, ID,
+    PARENT, AUTHOR] and the (lines, 2) counts by DEPTH, ORD (zero for an
+    edit); rows the mask leaves out hold garbage.
+    """
+    size = int(ends[-1])
+    body = np.frombuffer(padded, dtype=np.uint8, count=size)
+    last = body[ends - 1]
+    feed = last == ord("\n")
+    crlf = feed & (ends - 2 >= starts) & (body[np.maximum(ends - 2, 0)] == ord("\r"))
+    body_ends = ends - (feed | (last == ord("\r"))) - crlf
+    # No string holds a backslash or a control byte: no line body does.
+    ok = np.ones(starts.size, dtype=bool)
+    if np.count_nonzero(body < 0x20) + np.count_nonzero(body == ord("\\")) > (ends - body_ends).sum():
+        stops = np.flatnonzero((body < 0x20) | (body == ord("\\")))
+        ok = np.searchsorted(stops, starts) == np.searchsorted(stops, body_ends)
+    if size and body.max() >= 0x80:
+        try:
+            padded[:size].decode("utf-8")
+        except UnicodeDecodeError:
+            # Lines with a byte beyond ASCII decode one at a time instead.
+            ok[np.searchsorted(ends, np.flatnonzero(body >= 0x80), side="right")] = False
+    quotes = np.flatnonzero(body == ord('"'))
+    if quotes.size == 0:
+        quotes = np.array([size])  # past every line, so no line is canonical
+    spans = np.empty((starts.size, _FIELDS[kind], 2), dtype=np.int64)
+    counts = np.zeros((starts.size, 2), dtype=np.int64)
+    ok &= _match(padded, size, quotes, starts, body_ends,
+                 _COMMENT_SHAPE if kind == COMMENT else _EDIT_SHAPE, spans, counts)
+    if kind == COMMENT:
+        ok &= (counts[:, DEPTH] == 0) == (spans[:, PARENT, 0] == NO_SPAN)
+    return ok, spans, counts
+
+
+def _match(
+    padded: bytes, size: int, quotes: np.ndarray, starts: np.ndarray, body_ends: np.ndarray,
+    shape: tuple, spans: np.ndarray, counts: np.ndarray,
+) -> np.ndarray:
+    """Which line bodies spell shape; fills spans and counts with the fields it reads.
+
+    One cursor per line walks the shape.  Key bytes must sit at the cursor
+    (compared a word at a time); a text opens at the quote the cursor has
+    counted up to and closes at the next one, so the quotes of a canonical
+    line fall exactly where the shape puts them; a count is the digits at
+    the cursor.
+    """
+    words = _words(padded)
+    byte = np.frombuffer(padded, dtype=np.uint8)
+    cursor = starts.copy()
+    quote = np.searchsorted(quotes, starts)  # index in quotes of the next quote due
+    ok = np.ones(starts.size, dtype=bool)
+    for part in shape:
+        if isinstance(part, bytes):
+            for at, mask, value in _SHAPE_KEYS[part]:
+                ok &= (words[cursor + at] & mask) == value
+            cursor += len(part)
+            quote += part.count(b'"')
+            continue
+        kind, field = part
+        # Past a failed part a cursor may point anywhere; keep its reads inside the padding.
+        np.minimum(cursor, size, out=cursor)
+        if kind is _COUNT:
+            count, width, live = np.zeros_like(cursor), np.zeros_like(cursor), ok.copy()
+            for _ in range(_MAX_COUNT_DIGITS + 1):
+                digit = byte[cursor + width] - np.uint8(ord("0"))
+                live &= digit <= 9
+                if not live.any():
+                    break
+                count = np.where(live, count * 10 + digit, count)
+                width += live
+            ok &= (width >= 1) & (width <= _MAX_COUNT_DIGITS) & ((byte[cursor] != ord("0")) | (width == 1))
+            counts[:, field] = count
+            cursor += width
+            continue
+        # A line that runs out of quotes reads the last one twice, an empty text.
+        opening, closing = quotes.take(quote, mode="clip"), quotes.take(quote + 1, mode="clip")
+        text = (opening == cursor) & (closing > cursor + 1)
+        if kind is _TEXT:
+            ok &= text
+            spans[:, field, 0], spans[:, field, 1] = cursor + 1, closing
+            cursor, quote = closing + 1, quote + 2
+            continue
+        _, mask, value = _NULL_KEY
+        null = (words[cursor] & mask) == value
+        ok &= null | text
+        spans[:, field, 0] = np.where(null, NO_SPAN, cursor + 1)
+        spans[:, field, 1] = np.where(null, NO_SPAN, closing)
+        cursor = np.where(null, cursor + 4, closing + 1)
+        quote += 2 * ~null
+    return ok & (cursor == body_ends)
+
+
+def _pack(rows: list[tuple[str | None, ...]], fields: int, offset: int) -> tuple[bytes, np.ndarray]:
+    """rows' texts as UTF-8 bytes placed at offset, and their (rows, fields, 2) spans."""
+    texts = [text for row in rows for text in row]
+    encoded = [b"" if text is None else text.encode("utf-8", "surrogatepass") for text in texts]
+    sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    ends = offset + np.cumsum(sizes)
+    spans = np.stack((ends - sizes, ends), axis=1)
+    spans[[text is None for text in texts]] = NO_SPAN
+    return b"".join(encoded), spans.reshape(len(rows), fields, 2)
+
+
+# ---------------------------------------------------------------------------
 # The chunked loader
 
 
@@ -368,14 +544,20 @@ class Chunk:
     codes index names, which one load shares across its chunks and extends
     as new articles appear (one string per article, however many lines name
     it).  seconds holds each record's epoch seconds, UNDATED for a comment
-    without a usable timestamp; every edit kept is dated.  comments holds
-    (id, parent, depth, author, ord) per record of a comment load.
+    without a usable timestamp; every edit kept is dated.  text holds every
+    record's texts as UTF-8 bytes, and spans their (records, fields, 2)
+    (start, end) offsets in it, by ARTICLE, TS and, for a comment, ID,
+    PARENT and AUTHOR (NO_SPAN for None); a comment load also fills depths
+    and ords.  So day_runs builds no per-record object; comments() does.
     """
 
     names: list[str]
     codes: np.ndarray
     seconds: np.ndarray
-    comments: list[tuple]
+    text: bytes
+    spans: np.ndarray
+    depths: np.ndarray
+    orders: np.ndarray
 
     def day_runs(self) -> list[tuple[str, int, int]]:
         """Consecutive dated records of one article and day as (article, day ordinal, count)."""
@@ -392,6 +574,19 @@ class Chunk:
             (names[code], day, count)
             for code, day, count in zip(codes[starts].tolist(), days[starts].tolist(), counts.tolist())
         ]
+
+    def texts(self, field: int) -> list[bytes | None]:
+        """One text field of every record as UTF-8 bytes, None where it is null."""
+        text = self.text
+        return [None if lo == NO_SPAN else text[lo:hi] for lo, hi in self.spans[:, field].tolist()]
+
+    def comments(self) -> list[tuple]:
+        """(id, parent, depth, author, ord) of every record of a comment load."""
+        ids, parents, authors = (
+            [None if raw is None else raw.decode("utf-8", "surrogatepass") for raw in self.texts(field)]
+            for field in (ID, PARENT, AUTHOR)
+        )
+        return list(zip(ids, parents, self.depths.tolist(), authors, self.orders.tolist()))
 
 
 def read_chunks(
@@ -419,76 +614,144 @@ def read_chunks(
         diag.source = str(path)
     if now is None:
         now = datetime.now(timezone.utc)
-    articles: dict[str, int] = {}
-    names: list[str] = []
+    load = _Load(kind, now, diag)
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        if fmt == "jsonl":
+            handle = open(path, "rb")
+        else:
+            handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:
         if fmt == "jsonl":
-            numbered = _jsonl_lines(handle)
-            check = _comment_line if kind == COMMENT else _edit_line
+            first = 1
+            for data, ends in _line_blocks(handle):
+                yield load.lines(data, ends, first)
+                first += ends.size
         else:
-            numbered = _csv_rows(handle, kind, diag.source)
-            check = _check_comment if kind == COMMENT else _check_edit
-        while block := list(islice(numbered, _CHUNK_LINES)):
-            yield _check_block(block, kind, check, articles, names, now, diag)
+            rows = _csv_rows(handle, kind, diag.source)
+            while block := list(islice(rows, _CHUNK_LINES)):
+                yield load.rows(block)
 
 
-def _check_block(
-    block: list[tuple[int, object]],
-    kind: str,
-    check: Callable[[object], tuple[str, object, tuple | None]],
-    articles: dict[str, int],
-    names: list[str],
-    now: datetime,
-    diag: Diagnostics,
-) -> Chunk:
-    """Check one block of numbered lines; record its failures in line order."""
-    failures: list[tuple[int, str, str]] = []
-    line_nos: list[int] = []
-    codes: list[int] = []
-    stamps: list[object] = []
-    extras: list[tuple | None] = []
-    for line_no, raw in block:
-        try:
-            article, stamp, extra = check(raw)
-        except _BadRecord as bad:
-            failures.append((line_no, *bad.args))
-            continue
-        code = articles.get(article)
-        if code is None:
-            code = articles[article] = len(names)
-            names.append(article)
-        line_nos.append(line_no)
-        codes.append(code)
-        stamps.append(stamp)
-        extras.append(extra)
-    seconds = _epoch_seconds(stamps, now)
-    code_array = np.array(codes, dtype=np.int64)
-    undated = np.flatnonzero(seconds == UNDATED)
-    if kind == EDIT:
-        extras = []
-        if undated.size:
-            # An edit without a time is dropped; its message joins the others in line order.
-            failures.extend(
-                (line_nos[i], "edit_ts_malformed", f"ts={stamps[i]!r}") for i in undated.tolist()
-            )
-            failures.sort()
-            keep = seconds != UNDATED
-            code_array, seconds = code_array[keep], seconds[keep]
-    elif undated.size:
-        diag.tally("comments_undated", int(undated.size))
-        malformed = int(undated.size) - stamps.count(None)
-        if malformed:
-            diag.tally("comment_ts_malformed", malformed)
-    diag.tally("lines_read", len(block))
-    for failure in failures:
-        diag.record(*failure)
-    if seconds.size:
-        diag.tally("events_used", int(seconds.size))
-    return Chunk(names, code_array, seconds, extras)
+class _Load:
+    """What one load shares across its blocks: the article codes, the clock bound and the diagnostics."""
+
+    def __init__(self, kind: str, now: datetime, diag: Diagnostics) -> None:
+        self.kind, self.now, self.diag = kind, now, diag
+        self.fields = _FIELDS[kind]
+        self.check = _check_comment if kind == COMMENT else _check_edit
+        self.articles: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def lines(self, padded: bytes, ends: np.ndarray, first: int) -> Chunk:
+        """One block of JSONL lines: canonical ones read from their bytes, the rest one at a time."""
+        starts = np.concatenate(([0], ends[:-1]))
+        ok, spans, numbers = _canonical(padded, starts, ends, self.kind)
+        slow = [(i, padded[starts[i]:ends[i]]) for i in np.flatnonzero(~ok).tolist()]
+        return self._chunk(padded, int(ends[-1]), first + np.arange(ends.size),
+                           ok, spans, numbers, slow, _json_line)
+
+    def rows(self, block: list[tuple[int, dict]]) -> Chunk:
+        """One block of numbered CSV rows, each checked on its own."""
+        n = len(block)
+        return self._chunk(
+            _PAD, 0, np.array([line_no for line_no, _ in block], dtype=np.int64), np.zeros(n, dtype=bool),
+            np.zeros((n, self.fields, 2), dtype=np.int64), np.zeros((n, 2), dtype=np.int64),
+            [(i, row) for i, (_, row) in enumerate(block)], _csv_record,
+        )
+
+    def _chunk(
+        self, padded: bytes, size: int, line_nos: np.ndarray, ok: np.ndarray, spans: np.ndarray,
+        numbers: np.ndarray, slow: list[tuple[int, object]], read: Callable[[object], dict | None],
+    ) -> Chunk:
+        """Check slow's lines one at a time, join them to the byte path's and record the failures.
+
+        padded holds size bytes of the block and then _PAD.  A slow line that
+        passes is spelled back as bytes after the block, so the names and
+        timestamps of every record are then read the same way.
+        """
+        failures: list[tuple[int, str, str]] = []
+        blank = 0
+        kept, rows, counts = [], [], []
+        for i, raw in slow:
+            try:
+                record = read(raw)
+                if record is None:
+                    blank += 1
+                    continue
+                article, stamp, extra = self.check(record)
+                if self.kind == EDIT and not isinstance(stamp, str):
+                    raise _BadRecord("edit_ts_malformed", f"ts={stamp!r}")
+            except _BadRecord as bad:
+                failures.append((int(line_nos[i]), *bad.args))
+                continue
+            kept.append(i)
+            if extra is None:
+                rows.append((article, stamp))
+            else:
+                comment_id, parent, depth, author, doc_order = extra
+                rows.append((article, stamp, comment_id, parent, author))
+                counts.append((depth, doc_order))
+        text = padded
+        if kept:
+            extra_text, spans[kept] = _pack(rows, self.fields, size)
+            text = padded[:size] + extra_text + _PAD
+            ok[kept] = True
+            if counts:
+                numbers[kept] = counts
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            spans, numbers, line_nos = spans[keep], numbers[keep], line_nos[keep]
+        codes = self._codes(text, spans[:, ARTICLE])
+        lo, hi = spans[:, TS].T
+        chars = _words(text)[np.maximum(lo, 0)[:, None] + _WORD_AT].view(np.uint8)[:, :_SHAPE_WIDTH]
+        seconds = _epoch_seconds(chars, hi - lo, self.now)
+        undated = seconds == UNDATED
+        if self.kind == EDIT:
+            if undated.any():
+                # An edit without a time is dropped; its message joins the others in line order.
+                failures.extend(
+                    (line_no, "edit_ts_malformed", f"ts={text[a:b].decode('utf-8', 'surrogatepass')!r}")
+                    for line_no, a, b in zip(line_nos[undated].tolist(), lo[undated].tolist(),
+                                             hi[undated].tolist())
+                )
+                dated = ~undated
+                codes, seconds, spans = codes[dated], seconds[dated], spans[dated]
+            depths = orders = np.empty(0, dtype=np.int64)
+        else:
+            self.diag.tally("comments_undated", int(np.count_nonzero(undated)))
+            self.diag.tally("comment_ts_malformed", int(np.count_nonzero(undated & (lo != NO_SPAN))))
+            depths, orders = numbers.T
+        self.diag.tally("lines_read", line_nos.size + len(slow) - len(kept) - blank)
+        for failure in sorted(failures):
+            self.diag.record(*failure)
+        self.diag.tally("events_used", int(seconds.size))
+        return Chunk(self.names, codes, seconds, text, spans, depths, orders)
+
+    def _codes(self, text: bytes, spans: np.ndarray) -> np.ndarray:
+        """The article code of every record; a run of equal names is decoded once."""
+        lo, hi = spans.T
+        widths = hi - lo
+        new = np.ones(lo.size, dtype=bool)
+        # A record continues a run when its name has the previous one's width and bytes,
+        # compared a word at a time.
+        new[1:] = widths[1:] != widths[:-1]
+        words = _words(text)
+        for at in range(0, int(widths.max(initial=0)), 8):
+            word = words[np.minimum(lo + at, words.size - 1)]
+            mask = _LOW_BYTES[np.minimum(np.maximum(widths[1:] - at, 0), 8)]
+            new[1:] |= (word[1:] ^ word[:-1]) & mask != 0
+        runs = np.flatnonzero(new)
+        codes = []
+        for a, b in zip(lo[runs].tolist(), hi[runs].tolist()):
+            name = text[a:b].decode("utf-8", "surrogatepass")
+            code = self.articles.get(name)
+            if code is None:
+                code = self.articles[name] = len(self.names)
+                self.names.append(name)
+            codes.append(code)
+        return np.repeat(np.array(codes, dtype=np.int64), np.diff(np.append(runs, lo.size)))
 
 
 def load_events(
@@ -514,13 +777,12 @@ def load_events(
         ]
         if kind == COMMENT:
             for code, ts, (comment_id, parent, depth, author, doc_order) in zip(
-                chunk.codes.tolist(), stamps, chunk.comments
+                chunk.codes.tolist(), stamps, chunk.comments()
             ):
                 yield CommentEvent(names[code], comment_id, parent, depth, ts, author, doc_order)
         else:
             for code, ts in zip(chunk.codes.tolist(), stamps):
                 yield EditEvent(names[code], ts)
-
 
 # ---------------------------------------------------------------------------
 # Whole-file columns and per-article daily series
@@ -574,18 +836,17 @@ def _gather(chunks: Iterable[Chunk], kind: str) -> Columns:
     """Join chunks into one Columns; each id or parent text gets one code per load."""
     names: list[str] = []
     codes, seconds, links, numbers = [], [], [], []
-    texts: dict[str | None, int] = {None: NO_PARENT}
+    texts: dict[bytes | None, int] = {None: NO_PARENT}
     for chunk in chunks:
         names = chunk.names  # one list shared by every chunk, complete after the last
         codes.append(chunk.codes)
         seconds.append(chunk.seconds)
-        if chunk.comments:
-            ids, parents, depths, _, orders = zip(*chunk.comments)
+        if kind == COMMENT:
             links.append(np.array(
-                [[texts.setdefault(text, len(texts)) for text in column] for column in (ids, parents)],
+                [[texts.setdefault(text, len(texts)) for text in chunk.texts(f)] for f in (ID, PARENT)],
                 dtype=np.int64,
-            ))
-            numbers.append(np.array((depths, orders), dtype=np.int64))
+            ).reshape(2, -1))
+            numbers.append(np.stack((chunk.depths, chunk.orders)))
     empty = np.empty((2, 0), dtype=np.int64)
     ids, parents = np.concatenate([empty, *links], axis=1)
     depths, orders = np.concatenate([empty, *numbers], axis=1)
@@ -613,13 +874,17 @@ def event_columns(events: Iterable[EditEvent | CommentEvent], kind: str) -> Colu
     """The columns load_columns gives for a file holding these events in this order."""
     events = list(events)
     articles = {name: code for code, name in enumerate(dict.fromkeys(e.article_id for e in events))}
+    comments = events if kind == COMMENT else []
+    # Columns read only the id and parent texts of a chunk.
+    text, spans = _pack([(None, None, e.comment_id, e.parent_id, None) for e in comments], _FIELDS[COMMENT], 0)
     return _gather([Chunk(
         list(articles),
         np.array([articles[e.article_id] for e in events], dtype=np.int64),
         np.array([UNDATED if e.timestamp is None else (e.timestamp - _UNIX_EPOCH) // _SECOND
                   for e in events], dtype=np.int64),
-        [(e.comment_id, e.parent_id, e.depth, e.author, e.doc_order) for e in events]
-        if kind == COMMENT else [],
+        text, spans,
+        np.array([e.depth for e in comments], dtype=np.int64),
+        np.array([e.doc_order for e in comments], dtype=np.int64),
     )], kind)
 
 
@@ -654,8 +919,9 @@ def event_json_line(event: EditEvent | CommentEvent) -> str:
     """Canonical one-line JSON for an event: fixed key order, no spaces.
 
     Serializing the same event always yields the same bytes, so round trips
-    through dump/load are byte-identical.  The loader's canonical patterns
-    match this shape; a change here must change them too.
+    through dump/load are byte-identical.  read_chunks reads lines of this
+    exact shape from their bytes (_EDIT_SHAPE, _COMMENT_SHAPE); a change
+    here must change those shapes too.
     """
     if isinstance(event, CommentEvent):
         record = comment_record(event)

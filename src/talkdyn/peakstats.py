@@ -327,17 +327,19 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Pearson r and two-sided p-value from the exact t transform.
 
     Sums are compensated (math.fsum), so r is reproducible to full double
-    precision regardless of summation order.  Requires n >= 3 and nonzero
-    variance on both sides; |r| = 1 maps to p = 0 rather than a divide by
-    zero in the t statistic.  The p-value is student_t_p: the regularized
-    incomplete beta by a Lentz continued fraction, with an asymptotic
-    log-gamma ratio for large (n - 2) / 2.
+    precision regardless of summation order.  Requires n >= 3, finite
+    values and nonzero variance on both sides; |r| = 1 maps to p = 0
+    rather than a divide by zero in the t statistic.  The p-value is
+    student_t_p: the regularized incomplete beta by a Lentz continued
+    fraction, with an asymptotic log-gamma ratio for large (n - 2) / 2.
     """
     n = len(xs)
     if len(ys) != n:
         raise ValueError(f"length mismatch: {n} vs {len(ys)}")
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
+        raise ValueError("non-finite input")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]

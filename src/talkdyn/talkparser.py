@@ -16,13 +16,16 @@ threads across a heading.
 from __future__ import annotations
 
 import json
+import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .ingest import EARLIEST_TIMESTAMP, CommentEvent, Diagnostics
+from .ingest import EARLIEST_TIMESTAMP, CommentEvent, Diagnostics, undecodable
+
+logger = logging.getLogger(__name__)
 
 INDENT_CHARS = ":*#"
 AUTHOR_WINDOW_CHARS = 80
@@ -351,7 +354,16 @@ def parse_file(
     *,
     now: datetime | None = None,
 ) -> list[CommentEvent]:
-    """Parse one talk-page file; the article id is the file's stem."""
+    """Parse one talk-page file; the article id is the file's stem.
+
+    A page that is not UTF-8 yields no events: it is tallied as
+    pages_bad_utf8, logged and skipped.
+    """
     p = Path(path)
-    page = RawTalkPage(p.stem, p.read_text(encoding="utf-8"))
-    return to_events(page, patterns, diagnostics, now=now)
+    text = p.read_text(encoding="utf-8", errors="surrogateescape")
+    if reason := undecodable(text):
+        if diagnostics is not None:
+            diagnostics.tally("pages_bad_utf8")
+        logger.warning("%s: bad_utf8: %s; page skipped", p, reason)
+        return []
+    return to_events(RawTalkPage(p.stem, text), patterns, diagnostics, now=now)

@@ -201,11 +201,25 @@ def _edit_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     return EditEvent(sys.intern(article), timestamp)
 
 
+def _undecodable_oracle(text: str) -> str | None:
+    """Why a text read with surrogateescape was not UTF-8: what the strict decoder says."""
+    if not any("\udc80" <= char <= "\udcff" for char in text):
+        return None
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} decodes")
+
+
 def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
     for line_no, line in enumerate(handle, start=1):
         if not line.strip():
             continue
         diagnostics.tally("lines_read")
+        if reason := _undecodable_oracle(line):
+            diagnostics.record(line_no, "bad_utf8", reason)
+            continue
         try:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
@@ -227,12 +241,23 @@ def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
         raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
     for line_no, row in enumerate(reader, start=2):
         diagnostics.tally("lines_read")
+        cells = [cell for value in row.values()
+                 for cell in (value if isinstance(value, list) else [value])]
+        reason = next(filter(None, (_undecodable_oracle(c) for c in cells if isinstance(c, str))),
+                      None)
+        if reason:
+            diagnostics.record(line_no, "bad_utf8", reason)
+            continue
         yield line_no, row
 
 
 def load_events_oracle(path, kind: str, *, fmt: str = "jsonl",
                        diagnostics: Diagnostics | None = None, now: datetime | None = None):
-    """The per-line loader; now defaults to the clock, as load_events does."""
+    """The per-line loader; now defaults to the clock, as load_events does.
+
+    The file is read as text with surrogateescape, so a line (or CSV row)
+    holding a byte that is not UTF-8 is read whole and dropped as bad_utf8.
+    """
     if kind not in KINDS:
         raise IngestError(f"unknown event kind {kind!r}")
     if fmt not in ("jsonl", "csv"):
@@ -243,7 +268,7 @@ def load_events_oracle(path, kind: str, *, fmt: str = "jsonl",
     if now is None:
         now = datetime.now(timezone.utc)
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     with handle:

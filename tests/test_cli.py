@@ -330,6 +330,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {peaks}:3: {error}\n"
         assert not out.exists()
 
+    def test_undecodable_peak_row_is_input_error(self, tmp_path, capsys):
+        peaks = tmp_path / "p.csv"
+        peaks.write_bytes(b"article,kind,start_day,length,max_ratio\n"
+                          b"Alpha,edit,2006-01-05,1,6.0\nAlph\xff,edit,2006-01-10,2,1.5\n")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err == (
+            f"error: {peaks}:3: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n")
+
     @pytest.mark.parametrize("command", ["maturity", "report"])
     @pytest.mark.parametrize("as_of", ["2007-W01-1", "20070101", "2007-001"])
     def test_as_of_takes_only_a_day_or_a_full_timestamp(self, tmp_path, capsys, command, as_of):
@@ -1042,3 +1050,78 @@ class TestBenchmarkSurface:
                      "peakstats.run_lengths", "discussion.delta_h", "discussion.maturity",
                      "discussion.rank_by_speed", "timeseries.detect_peaks"):
             assert calls.get(name, 0) > 0, name
+
+
+def with_undecodable_line(source: Path, dest: Path, at: int, line: bytes) -> Path:
+    """source with line inserted before its line number at (1-based)."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    dest.write_bytes(b"".join([*lines[:at - 1], line, *lines[at - 1:]]))
+    return dest
+
+
+BAD_EDIT = b'{"article":"A\xff","ts":"2006-01-02T00:00:00Z"}\n'
+BAD_COMMENT = (b'{"article":"Alpha","id":"c\xff","parent":null,"depth":0,'
+               b'"ts":"2006-01-05T10:00:00Z","author":"U","ord":99}\n')
+BAD_EDIT_REASON = "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 drops its line, page or row, never the whole run."""
+
+    def test_report_drops_the_line_and_tallies_it(self, tmp_path, capsys, caplog):
+        dirty = with_undecodable_line(GOLDEN / "edits.jsonl", tmp_path / "edits.jsonl", 4, BAD_EDIT)
+        clean_out, dirty_out = tmp_path / "clean", tmp_path / "dirty"
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", clean_out)) == 0
+        caplog.clear()
+        assert run_cli(*report_args(dirty, GOLDEN / "comments.jsonl", dirty_out)) == 0
+        capsys.readouterr()
+        for name in REPORT_TABLES:
+            if name not in ("diagnostics", "summary"):  # both count the lines read
+                assert (dirty_out / f"{name}.csv").read_bytes() == (clean_out / f"{name}.csv").read_bytes()
+        tallies = {(source, key): int(n)
+                   for source, key, n in read_rows(dirty_out / "diagnostics.csv")[1:]}
+        assert tallies[("edits", "bad_utf8")] == 1
+        assert tallies[("edits", "lines_read")] == 604
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert f"{dirty}:4: bad_utf8: {BAD_EDIT_REASON}" in warnings
+
+    def test_peaks_exits_zero_with_the_same_table(self, tmp_path, capsys):
+        dirty = with_undecodable_line(GOLDEN / "edits.jsonl", tmp_path / "edits.jsonl", 4, BAD_EDIT)
+        for path, out in ((GOLDEN / "edits.jsonl", "clean.csv"), (dirty, "dirty.csv")):
+            assert run_cli("peaks", "--edits", str(path), "--out", str(tmp_path / out),
+                           "-c", "5", "--nmin", "2") == 0
+        assert (tmp_path / "dirty.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+    def test_watch_events_drops_a_bad_comment_id(self, tmp_path, capsys, caplog):
+        dirty = with_undecodable_line(GOLDEN / "comments.jsonl", tmp_path / "comments.jsonl", 2,
+                                      BAD_COMMENT)
+        assert run_cli("watch", "--sort", "--events", str(GOLDEN / "comments.jsonl")) == 0
+        want = capsys.readouterr().out
+        caplog.clear()
+        assert run_cli("watch", "--sort", "--events", str(dirty)) == 0
+        assert capsys.readouterr().out == want
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [m for m in warnings if m.startswith(f"{dirty}:2: bad_utf8: ")], warnings
+
+    def test_parse_talk_skips_only_the_bad_page(self, tmp_path, capsys, caplog):
+        names = ["simple_chain", "depth_jump"]
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        for name in names:
+            (pages / f"{name}.txt").write_bytes((TALKPAGES / f"{name}.txt").read_bytes())
+        (pages / "bad.txt").write_bytes((TALKPAGES / "simple_chain.txt").read_bytes() + b"\xff\n")
+        out = tmp_path / "events.jsonl"
+        assert run_cli("parse-talk", "--in", str(pages), "--out", str(out)) == 0
+        assert "# pages_bad_utf8: 1" in capsys.readouterr().err.splitlines()
+        assert out.read_bytes() == b"".join(
+            (TALKPAGES / f"{name}.expected.jsonl").read_bytes() for name in sorted(names))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [m for m in warnings if m.startswith(f"{pages / 'bad.txt'}: bad_utf8: ")], warnings
+
+    def test_watch_stdin_names_the_row(self, capsys, monkeypatch):
+        rows = b"A,edit,2020-01-15,2\n# \xfe comment\nA\xff,edit,2020-01-16,3\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(rows), encoding="ascii"))
+        assert run_cli("watch", "--stdin") == 1
+        err = capsys.readouterr().err
+        assert "stdin:3: 'utf-8' codec can't decode byte 0xff in position 1" in err
+        assert "config error" not in err

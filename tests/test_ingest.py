@@ -739,10 +739,11 @@ class TestNumericFieldsDoNotAbort:
 
     def test_nineteen_digit_ord_takes_the_slow_path_and_loads(self, tmp_path):
         lines = [json.dumps(comment_rec(ord=n), separators=(",", ":")) for n in (10**18 - 1, 10**18)]
-        assert [ingest._CANONICAL_COMMENT(line) is not None for line in lines] == [True, False]
         path = tmp_path / "c.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        events, _ = assert_loads_like_oracle(path, COMMENT)
+        with mock.patch.object(ingest, "_decode_json", wraps=ingest._decode_json) as per_line:
+            events, _ = assert_loads_like_oracle(path, COMMENT)
+        assert [call.args[0] for call in per_line.call_args_list] == [lines[1] + "\n"]
         assert [e.doc_order for e in events] == [10**18 - 1, 10**18]
 
     def test_hindex_exits_zero_and_reports_both(self, tmp_path, capsys, caplog):
@@ -768,39 +769,64 @@ plain_text = st.text(
                   + "".join(map(chr, range(0x20)))),
     min_size=1, max_size=12,
 )
-optional_stamp = st.one_of(st.none(), st.datetimes(
+dated_stamp = st.datetimes(
     min_value=datetime(2001, 1, 1), max_value=datetime(2100, 1, 1),
-    timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0)))
+    timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0))
+optional_stamp = st.one_of(st.none(), dated_stamp)
 comment_events = st.builds(
     CommentEvent, plain_text, plain_text, st.one_of(st.none(), plain_text),
     st.integers(0, 10**18 - 1), optional_stamp, st.one_of(st.none(), plain_text),
     st.integers(0, 10**18 - 1),
 )
-edit_events = st.builds(EditEvent, plain_text, optional_stamp.filter(lambda t: t is not None))
+edit_events = st.builds(EditEvent, plain_text, dated_stamp)
+
+
+# Comments that obey the depth/parent rule, so every line written is canonical.
+linked_comment_events = st.builds(
+    lambda link, *rest: CommentEvent(rest[0], rest[1], link[1], link[0], *rest[2:]),
+    st.one_of(st.tuples(st.just(0), st.none()),
+              st.tuples(st.integers(1, 10**18 - 1), plain_text)),
+    plain_text, plain_text, optional_stamp, st.one_of(st.none(), plain_text),
+    st.integers(0, 10**18 - 1),
+)
+
+
+def load_on_byte_path(path, kind, chunk):
+    """load_events' events and diagnostics, asserting that no line took the per-line path."""
+    diag = Diagnostics()
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk), \
+            mock.patch.object(ingest, "_decode_json", wraps=ingest._decode_json) as per_line:
+        events = list(load_events(path, kind, diagnostics=diag, now=utc(2100, 1, 1)))
+    assert per_line.call_count == 0
+    return events, diag
 
 
 class TestCanonicalPattern:
-    """The fast path matches every line the writer writes, and reads it back unchanged."""
+    """The byte path decides every line the writer writes, and reads it back unchanged."""
 
-    @given(event=comment_events)
-    @settings(max_examples=300)
-    def test_every_written_comment_line_matches(self, event):
-        line = event_json_line(event)
-        for text in (line, line + "\n"):
-            match = ingest._CANONICAL_COMMENT(text)
-            assert match is not None, text
-            ts = format_timestamp(event.timestamp) if event.timestamp else None
-            assert match.groups() == (event.article_id, event.comment_id, event.parent_id,
-                                      str(event.depth), ts, event.author, str(event.doc_order))
+    @given(events=st.lists(linked_comment_events, min_size=1, max_size=12),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans(),
+           chunk=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_every_written_comment_line_matches(self, tmp_path_factory, events, ending, last, chunk):
+        path = tmp_path_factory.mktemp("canonical") / "c.jsonl"
+        text = ending.join(map(event_json_line, events)) + (ending if last else "")
+        path.write_bytes(text.encode("utf-8"))
+        got, diag = load_on_byte_path(path, COMMENT, chunk)
+        assert got == events
+        assert diag.tallies["lines_read"] == len(events) and not diag.messages
 
-    @given(event=edit_events)
-    @settings(max_examples=200)
-    def test_every_written_edit_line_matches(self, event):
-        line = event_json_line(event)
-        for text in (line, line + "\n"):
-            match = ingest._CANONICAL_EDIT(text)
-            assert match is not None, text
-            assert match.groups() == (event.article_id, format_timestamp(event.timestamp))
+    @given(events=st.lists(edit_events, min_size=1, max_size=12),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans(),
+           chunk=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_every_written_edit_line_matches(self, tmp_path_factory, events, ending, last, chunk):
+        path = tmp_path_factory.mktemp("canonical") / "e.jsonl"
+        text = ending.join(map(event_json_line, events)) + (ending if last else "")
+        path.write_bytes(text.encode("utf-8"))
+        got, diag = load_on_byte_path(path, EDIT, chunk)
+        assert got == events
+        assert diag.tallies["lines_read"] == len(events) and not diag.messages
 
     @given(events=st.lists(comment_events, max_size=10), chunk=st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -809,6 +835,99 @@ class TestCanonicalPattern:
         write_events_jsonl(path, events)
         with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
             assert_loads_like_oracle(path, COMMENT, now=utc(2100, 1, 1))
+
+
+# Byte-level changes to canonical lines.  Whitespace-only lines, Unicode
+# spaces included, are blank to str.strip() and so neither read nor dropped;
+# none of these characters ends a line.
+WHITESPACE_LINES = [" ", "\t", "\x0b\x0c", "\x1c\x1d\x1e\x1f", "\x85", "\xa0", "\u2028", "\u3000 "]
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90\x80\x80"]
+INSERTS = [b"\r", b"\x00", b"\t", b"\\", b" ", "\xa0".encode(), "\u2028".encode(), *NOT_UTF8]
+
+
+@st.composite
+def mutated_line(draw, kind):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(WHITESPACE_LINES)).encode()
+    record = {"article": draw(st.sampled_from(NAMES)), "ts": draw(utf8_ts)}
+    if kind == COMMENT:
+        depth = draw(st.integers(0, 2))
+        record = {"article": record["article"], "id": draw(st.sampled_from(["c0", "é", "c 1"])),
+                  "parent": None if depth == 0 else draw(st.sampled_from(["c0", "日本"])),
+                  "depth": depth, "ts": draw(st.one_of(st.none(), utf8_ts)),
+                  "author": draw(st.sampled_from([None, "U1", "x y"])),
+                  "ord": draw(st.one_of(st.integers(0, 10**18 - 1), st.integers(10**18, 2**63)))}
+    line = json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode()
+    change = draw(st.sampled_from(["raw", "insert", "insert", "leading_zero"]))
+    if change == "insert":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(INSERTS)) + line[at:]
+    elif change == "leading_zero" and kind == COMMENT:
+        key = draw(st.sampled_from([b'"depth":', b'"ord":']))
+        line = line.replace(key, key + b"0", 1)
+    return line
+
+
+@st.composite
+def mutated_files(draw, kind):
+    lines = draw(st.lists(mutated_line(kind), max_size=20))
+    endings = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    body = b"".join(line + ending for line, ending in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        body = body[:-len(endings[-1])]  # no final line end
+    return body
+
+
+class TestByteLevelMutations:
+    """Near-canonical bytes load exactly like the per-line oracle, whatever the chunk size."""
+
+    @given(body=mutated_files(COMMENT), chunk=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_comments(self, tmp_path_factory, body, chunk):
+        path = tmp_path_factory.mktemp("bytes") / "c.jsonl"
+        path.write_bytes(body)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, COMMENT)
+
+    @given(body=mutated_files(EDIT), chunk=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_edits(self, tmp_path_factory, body, chunk):
+        path = tmp_path_factory.mktemp("bytes") / "e.jsonl"
+        path.write_bytes(body)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert_loads_like_oracle(path, EDIT)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 100])
+    def test_undecodable_line_is_dropped_with_its_number(self, tmp_path, chunk):
+        good = json.dumps(comment_rec(), separators=(",", ":")).encode()
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\n".join([good, good.replace(b'"c0"', b'"c\xe6\x97"'), b" \xa0 ", good])
+                         + b"\n")
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            events, diag = assert_loads_like_oracle(path, COMMENT)
+        assert len(events) == 2
+        assert diag.tallies["lines_read"] == 4 and diag.tallies["bad_utf8"] == 2
+        assert diag.messages == [
+            f"{path}:2: bad_utf8: 'utf-8' codec can't decode bytes in position 22-23: "
+            "invalid continuation byte",
+            f"{path}:3: bad_utf8: 'utf-8' codec can't decode byte 0xa0 in position 1: "
+            "invalid start byte",
+        ]
+
+    @pytest.mark.parametrize("kind", [COMMENT, EDIT])
+    def test_undecodable_csv_row_is_dropped_with_its_number(self, tmp_path, kind):
+        path = tmp_path / "e.csv"
+        if kind == COMMENT:
+            path.write_bytes(b"article,id,parent,depth,ts,author,ord\n"
+                             b"A,c0,,0,2006-05-10T13:45:08Z,Alice,0\n"
+                             b"A,c1,c0,1,2006-05-10T13:45:08Z,B\xffb,1\n"
+                             b"A,c2,c0,1,2006-05-10T13:45:08Z,Bob,2\n")
+        else:
+            path.write_bytes(b"article,ts\nA,2006-05-10T13:45:08Z\nA\xff,2006-05-10T13:45:08Z\n"
+                             b"A,2006-05-11T13:45:08Z\n")
+        events, diag = assert_loads_like_oracle(path, kind, fmt="csv")
+        assert len(events) == 2 and diag.tallies["bad_utf8"] == 1
+        assert diag.messages[0].startswith(f"{path}:3: bad_utf8: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestSeriesKernel:

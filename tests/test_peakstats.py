@@ -380,3 +380,16 @@ class TestHistogramInvariants:
 
     def test_empty_histogram_density(self):
         assert Histogram((), (), "linear").density() == ()
+
+
+class TestPearsonNonFinite:
+    """A NaN or infinity anywhere is rejected like zero variance, not clamped into r = 1."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_raises(self, bad, side):
+        good = [1.0, 2.0, 3.0, 5.0]
+        other = [1.0, 2.0, bad, 4.0]
+        xs, ys = (other, good) if side == "x" else (good, other)
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson(xs, ys)
