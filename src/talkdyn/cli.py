@@ -166,10 +166,19 @@ def _emit(table: Table, out: str | None) -> None:
         _write_csv(sys.stdout, table.header, table.rows)
 
 
+_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
+
+
+def _parse_day(text: str) -> date:
+    """An ASCII YYYY-MM-DD day; ValueError for any other spelling."""
+    if not _DAY(text):
+        raise ValueError(f"expected a YYYY-MM-DD day, got {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_as_of(text: str) -> datetime:
     """A full timestamp, or an ASCII YYYY-MM-DD day at 00:00 UTC, read by ingest's parser."""
-    day = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text)
-    ts = ingest.parse_timestamp(f"{text}T00:00:00Z" if day else text)
+    ts = ingest.parse_timestamp(f"{text}T00:00:00Z" if _DAY(text) else text)
     if ts is None:
         raise ValueError(f"cannot parse --as-of {text!r}; use YYYY-MM-DD or full timestamp,"
                          " from 2001-01-01 on")
@@ -212,17 +221,19 @@ def _load_peak_runs(path: Path) -> Runs:
     runs: list[PeakRun] = []
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            reader = csv.DictReader(handle)
+            header, rows = ingest.csv_rows(handle, str(path))
             required = {"article", "kind", "start_day", "length"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            if header is None or not required.issubset(header):
                 raise IngestError(f"{path}: expected columns {sorted(required)}")
-            for line_no, row in enumerate(reader, start=2):
+            for line_no, row in rows:
+                if isinstance(row, csv.Error):
+                    raise IngestError(f"{path}:{line_no}: {row}")
                 cells = [cell for cell in row.values() if isinstance(cell, str)]
                 if reason := next(filter(None, map(ingest.undecodable, cells)), None):
                     raise IngestError(f"{path}:{line_no}: {reason}")
                 try:
-                    run = PeakRun(row["article"], row["kind"], date.fromisoformat(row["start_day"]),
-                                  int(row["length"]))
+                    run = PeakRun(row["article"], row["kind"], _parse_day(row["start_day"]),
+                                  ingest.int_field(row["length"]))
                 except (TypeError, ValueError) as exc:
                     raise IngestError(f"{path}:{line_no}: malformed peaks row: {exc}") from exc
                 if run.kind not in ingest.KINDS:
@@ -356,7 +367,7 @@ def _speed_rows(ranked: list[discussion.DeltaH], trees: Trees) -> list[list[obje
 
 
 def _articles_table(
-    edit_series: Series, trees: Trees, runs: Runs, paces: Paces, statuses: Statuses
+    edit_counts: dict[str, int], trees: Trees, runs: Runs, paces: Paces, statuses: Statuses
 ) -> Table:
     """One row per article.
 
@@ -369,12 +380,12 @@ def _articles_table(
         for run in kind_runs:
             longest[run.article_id] = max(longest.get(run.article_id, 0), run.length)
     rows = []
-    for article in sorted(set(edit_series) | set(trees)):
+    for article in sorted(set(edit_counts) | set(trees)):
         tree = trees.get(article)
         pace, status = paces.get(article), statuses.get(article)
         rows.append([
             article,
-            edit_series[article].total if article in edit_series else 0,
+            edit_counts.get(article, 0),
             tree.n_comments if tree else 0,
             n_runs[EDIT][article],
             n_runs[COMMENT][article],
@@ -388,24 +399,13 @@ def _articles_table(
     return Table("articles", header, rows)
 
 
-def _daily_total_rows(edit_series: Series, comment_series: Series) -> list[list[object]]:
+def _daily_total_rows(edits: ingest.Columns, comments: ingest.Columns) -> list[list[object]]:
     """Corpus-wide (day, edits, comments) for every day with any activity."""
-    every = [*edit_series.values(), *comment_series.values()]
-    if not every:
-        return []
-    first = min(s.start_day.toordinal() for s in every)
-    last = max(s.start_day.toordinal() + len(s.counts) for s in every)
-    # One ordinal-indexed row per kind; each series adds in as one slice.
-    totals = np.zeros((2, last - first), dtype=np.int64)
-    for slot, series_map in enumerate((edit_series, comment_series)):
-        for series in series_map.values():
-            start = series.start_day.toordinal() - first
-            totals[slot, start : start + len(series.counts)] += series.counts
-    active = np.flatnonzero(totals.sum(axis=0))
-    return [
-        [date.fromordinal(first + offset), edits, comments]
-        for offset, edits, comments in zip(active.tolist(), *totals[:, active].tolist())
-    ]
+    day_counts = [columns.day_counts()[1:] for columns in (edits, comments)]
+    active = np.unique(np.concatenate([days for days, _ in day_counts]))
+    totals = [np.bincount(np.searchsorted(active, days), counts, active.size).astype(np.int64).tolist()
+              for days, counts in day_counts]
+    return [[date.fromordinal(day), *kinds] for day, *kinds in zip(active.tolist(), *totals)]
 
 
 # Summary rows that take more than a count; run_report lists the rest.
@@ -581,13 +581,12 @@ def run_report(config: RunConfig) -> list[Path]:
     comments, diag_comments = _load(config.comments_path, COMMENT, config.input_format, now)
     # Trees first: the forest's sort buffers are freed before the dense series exist.
     trees = discussion.build_forest(comments, diag_comments)
-    edit_series, comment_series = edits.series(), comments.series()
     as_of = config.as_of or max(
         (ts for ts in (comments.latest(), edits.latest()) if ts is not None), default=now
     )
 
-    comment_runs = _detect_all(comment_series, config.params)
-    edit_runs = _detect_all(edit_series, config.params)
+    comment_runs = _detect_all(comments.series(), config.params)
+    edit_runs = _detect_all(edits.series(), config.params)
     runs = {COMMENT: comment_runs, EDIT: edit_runs}
     samples = _sample_sets(runs)
     traces = _traces(trees, diag_comments)
@@ -595,15 +594,15 @@ def run_report(config: RunConfig) -> list[Path]:
     statuses = _maturities(paces, as_of, config.maturity_multiple)
     ranked = _rank(trees, paces, config.min_comments)
     top_n, params = config.top_n, config.params
-    n_edit_events = sum(s.total for s in edit_series.values())
-    n_comment_events = comments.articles.size
+    edit_counts = dict(zip(edits.names, np.bincount(edits.articles, minlength=len(edits.names)).tolist()))
+    n_edit_events, n_comment_events = edits.articles.size, comments.articles.size
     delta_hist = peakstats.log_binned_histogram(
         [pace.value for pace in ranked if pace.value > 0], config.bins_per_decade
     )
     tables = [
         _peaks_table(runs),
         Table("daily_totals", ["day", "edits", "comments"],
-              _daily_total_rows(edit_series, comment_series)),
+              _daily_total_rows(edits, comments)),
         _overlap_table(runs, config.tolerances),
         _anniversaries_table(runs),
         _distributions_table(runs, samples),
@@ -615,7 +614,7 @@ def run_report(config: RunConfig) -> list[Path]:
         Table("dist_delta_h", ["bin_lo", "bin_hi", "count", "density"], list(zip(
             delta_hist.bin_edges, delta_hist.bin_edges[1:], delta_hist.counts, delta_hist.density()
         ))),
-        _articles_table(edit_series, trees, runs, paces, statuses),
+        _articles_table(edit_counts, trees, runs, paces, statuses),
         Table("summary", ["key", "value"], [
             ["as_of", as_of],
             ["peak_factor_c", params.c],
@@ -626,7 +625,7 @@ def run_report(config: RunConfig) -> list[Path]:
             ["n_edit_events", n_edit_events],
             ["n_comment_events", n_comment_events],
             ["comment_edit_ratio", n_comment_events / n_edit_events if n_edit_events else None],
-            ["n_articles_with_edits", len(edit_series)],
+            ["n_articles_with_edits", len(edit_counts)],
             ["n_articles_with_comments", len(comments.names)],
             ["peak_runs_edit", len(edit_runs)],
             ["peak_runs_comment", len(comment_runs)],
@@ -682,20 +681,40 @@ def _cmd_report(args: argparse.Namespace) -> int:
 WATCH_HEADER = ("article", "kind", "day", "count", "ratio", "tier")
 
 
-def _step_and_alert(
-    states: dict[tuple[str, str], StreamState], article: str, kind: str,
-    day: date, count: int, params: PeakParams,
-) -> list[object] | None:
-    """Feed one closed day to the per-article detector; alert row if it peaks."""
-    key = (article, kind)
-    state = states.get(key)
-    if state is None:
-        state = states[key] = StreamState(window=params.window_halfwidth)
-    ratio, is_peak, _ = timeseries.stream_step(state, day, count, params)
-    if not is_peak:
-        return None
-    tier = timeseries.alert_tier(ratio, params)
-    return [article, kind, day, count, float(ratio), tier]
+def _alerts(days: Iterable[tuple[str, str, date, int]], params: PeakParams) -> Iterator[list[object]]:
+    """An alert row for each closed day that peaks on its (article, kind) streaming detector."""
+    states: dict[tuple[str, str], StreamState] = {}
+    for article, kind, day, count in days:
+        state = states.get((article, kind))
+        if state is None:
+            state = states[article, kind] = StreamState(window=params.window_halfwidth)
+        ratio, is_peak, _ = timeseries.stream_step(state, day, count, params)
+        if is_peak:
+            yield [article, kind, day, count, float(ratio), timeseries.alert_tier(ratio, params)]
+
+
+def _closed_days(chunks: Iterable[ingest.Chunk], kind: str) -> Iterator[tuple[str, str, date, int]]:
+    """The days of chronological chunks, each closed once a later day of its article arrives.
+
+    A chunk's run of one article's events on one day extends the article's
+    open day, or closes it and opens the next.
+    """
+    open_days: dict[str, tuple[int, int]] = {}
+    for chunk in chunks:
+        for article, ordinal, count in chunk.day_runs():
+            entry = open_days.get(article)
+            if entry is None or ordinal == entry[0]:
+                open_days[article] = (ordinal, count if entry is None else entry[1] + count)
+                continue
+            if ordinal < entry[0]:
+                raise OutOfOrderError(
+                    f"{article}: event on {date.fromordinal(ordinal)} arrived after"
+                    f" {date.fromordinal(entry[0])}; rerun with --sort"
+                )
+            yield article, kind, date.fromordinal(entry[0]), entry[1]
+            open_days[article] = (ordinal, count)
+    for article, (ordinal, count) in sorted(open_days.items()):
+        yield article, kind, date.fromordinal(ordinal), count
 
 
 def simulate_watch(
@@ -712,58 +731,29 @@ def simulate_watch(
     detected peak day.  A day is closed and scored once a later day for the
     same article arrives, or at end of file.  Without sort=True the events
     must already be chronological within each article and a step backwards
-    raises OutOfOrderError; sort=True buffers everything and replays in day
-    order, trading memory for shuffled input.  Undated events are skipped
-    (and tallied in diagnostics).
+    raises OutOfOrderError; sort=True buffers everything and replays each
+    article's days in order, articles by name, trading memory for shuffled
+    input.  Undated events are skipped (and tallied in diagnostics).
     """
-    p = params or PeakParams()
-    diag = diagnostics if diagnostics is not None else Diagnostics()
-    states: dict[tuple[str, str], StreamState] = {}
-    alerts: list[list[object]] = []
     if sort:
-        series = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diag).series()
-        for article in sorted(series):
-            counts = series[article].counts
-            for offset in np.flatnonzero(counts).tolist():
-                row = _step_and_alert(
-                    states, article, kind, series[article].day(offset), int(counts[offset]), p
-                )
-                if row:
-                    alerts.append(row)
-        return alerts
-    # Each chunk arrives as runs of one article's events on one day; a run
-    # extends the article's open day, or closes it and opens the next.
-    open_days: dict[str, tuple[int, int]] = {}
-    for chunk in ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diag):
-        for article, ordinal, count in chunk.day_runs():
-            entry = open_days.get(article)
-            if entry is None or ordinal == entry[0]:
-                open_days[article] = (ordinal, count if entry is None else entry[1] + count)
-                continue
-            if ordinal < entry[0]:
-                raise OutOfOrderError(
-                    f"{article}: event on {date.fromordinal(ordinal)} arrived after"
-                    f" {date.fromordinal(entry[0])}; rerun with --sort"
-                )
-            row = _step_and_alert(states, article, kind, date.fromordinal(entry[0]), entry[1], p)
-            if row:
-                alerts.append(row)
-            open_days[article] = (ordinal, count)
-    for article in sorted(open_days):
-        ordinal, count = open_days[article]
-        row = _step_and_alert(states, article, kind, date.fromordinal(ordinal), count, p)
-        if row:
-            alerts.append(row)
-    return alerts
+        columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics)
+        days: Iterable[tuple[str, str, date, int]] = (
+            (columns.names[code], kind, date.fromordinal(ordinal), count)
+            for code, ordinal, count in zip(*(a.tolist() for a in columns.day_counts()))
+        )
+    else:
+        days = _closed_days(ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics), kind)
+    return list(_alerts(days, params or PeakParams()))
 
 
-def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
-    """Alert rows for article,kind,day,count lines on stdin, as each line arrives."""
-    states: dict[tuple[str, str], StreamState] = {}
+def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
+    """The article,kind,day,count rows on stdin, checked as each arrives."""
     if isinstance(sys.stdin, io.TextIOWrapper):
         # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its number.
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    for row_no, row in enumerate(csv.reader(sys.stdin), start=1):
+    for row_no, row in ingest.numbered_rows(csv.reader(sys.stdin), 1):
+        if isinstance(row, csv.Error):
+            raise IngestError(f"stdin:{row_no}: {row}")
         if not row or row[0].strip().startswith("#"):
             continue
         if row_no == 1 and row[:2] == ["article", "kind"]:
@@ -774,8 +764,7 @@ def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
             raise IngestError(f"stdin:{row_no}: expected article,kind,day,count")
         article, kind, day_text, count_text = (cell.strip() for cell in row)
         try:
-            day = date.fromisoformat(day_text)
-            count = int(count_text)
+            day, count = _parse_day(day_text), ingest.int_field(count_text)
         except ValueError as exc:
             raise IngestError(f"stdin:{row_no}: {exc}") from exc
         if kind not in ingest.KINDS:
@@ -785,15 +774,13 @@ def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
             )
         if count < 0:
             raise IngestError(f"stdin:{row_no}: count must be >= 0, got {count}")
-        alert = _step_and_alert(states, article, kind, day, count, params)
-        if alert:
-            yield alert
+        yield article, kind, day, count
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.stdin:
-        alerts: Iterable[list[object]] = _stdin_alerts(params)
+        alerts: Iterable[list[object]] = _alerts(_stdin_days(), params)
     else:
         diag = Diagnostics()
         alerts = simulate_watch(

@@ -30,10 +30,10 @@ faster.  Then every record's timestamp becomes int64 epoch seconds in one
 vectorised pass over a (rows, 25) byte matrix, and every run of equal
 article names is decoded once.  Everything else is built on the chunk
 columns: load_events yields event objects, load_columns joins them into
-whole-file Columns (whose series() feeds peak detection and whose comment
-links feed the reply trees) without building any, and the streaming watch
-replays the chunks' (article, day, count) runs, which builds no per-record
-object at all.
+whole-file Columns without building any (whose day_counts() hold every
+(article, day) count, series() spreads them into the dense input of peak
+detection and comment links feed the reply trees), and the streaming watch
+replays the chunks' (article, day, count) runs; one run kernel counts both.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -121,14 +121,6 @@ class ActivitySeries:
 
     def day(self, index: int) -> date:
         return date.fromordinal(self.start_day.toordinal() + index)
-
-    @property
-    def end_day(self) -> date:
-        return self.day(len(self.counts) - 1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -238,6 +230,14 @@ def _day_ordinals(seconds: np.ndarray) -> np.ndarray:
     return seconds // _DAY_S + _EPOCH_ORDINAL
 
 
+def _day_runs(codes: np.ndarray, days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(article code, day ordinal, count) of each run of equal consecutive (code, day) pairs."""
+    new = np.ones(codes.size, dtype=bool)
+    new[1:] = (codes[1:] != codes[:-1]) | (days[1:] != days[:-1])
+    starts = np.flatnonzero(new)
+    return codes[starts], days[starts], np.diff(np.append(starts, codes.size))
+
+
 # ---------------------------------------------------------------------------
 # Record checks: the one place a line is accepted or rejected
 
@@ -292,7 +292,7 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
     if not isinstance(comment_id, str) or not comment_id:
         raise _BadRecord("bad_comment_id", f"id={comment_id!r}")
     try:
-        depth, doc_order = _int_field(record.get("depth")), _int_field(record.get("ord"))
+        depth, doc_order = int_field(record.get("depth")), int_field(record.get("ord"))
     except ValueError:
         raise _BadRecord("bad_int_field", f"depth/ord in {comment_id}") from None
     if depth < 0 or doc_order < 0:
@@ -304,19 +304,17 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
     return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
 
 
-def _int_field(value: object) -> int:
-    """A depth or ord below 2**63, else ValueError.
+def int_field(value: object) -> int:
+    """A JSON integer, or ASCII digits with an optional '-', below 2**63; else ValueError.
 
     int() alone would truncate a JSON float (1.7 -> 1), take true as 1 and read
     strings such as '1_0', ' 0 ', '+1' and Arabic-Indic digits.
     """
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, str) and _INT_TEXT(value)
-    ):
-        raise ValueError
-    if (number := int(value)) >= _INT64_LIMIT:
-        raise ValueError
-    return number
+    ) or int(value) >= _INT64_LIMIT:
+        raise ValueError(f"expected an integer of ASCII digits below 2**63, got {value!r}")
+    return int(value)
 
 
 def _check_edit(record: dict) -> tuple[str, object, None]:
@@ -337,8 +335,10 @@ def _json_line(raw: bytes) -> dict | None:
     return _decode_json(text)
 
 
-def _csv_record(row: dict) -> dict:
-    """A CSV row whose every cell decoded as UTF-8."""
+def _csv_record(row: dict | csv.Error) -> dict:
+    """A CSV row that parsed and whose every cell decoded as UTF-8."""
+    if isinstance(row, csv.Error):
+        raise _BadRecord("bad_csv", str(row))
     for value in row.values():
         for cell in value if isinstance(value, list) else [value]:
             if isinstance(cell, str) and (reason := undecodable(cell)):
@@ -346,15 +346,26 @@ def _csv_record(row: dict) -> dict:
     return row
 
 
-def _csv_rows(handle: io.TextIOBase, kind: str, source: str) -> Iterator[tuple[int, dict]]:
-    expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
+def csv_rows(handle: io.TextIOBase, source: str) -> tuple[list[str] | None, Iterator]:
+    """A CSV file's header (None when empty) and its numbered_rows from 2, as csv.DictReader
+    reads them; a header the csv module cannot parse raises IngestError."""
     reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        return
-    missing = [c for c in expected if c not in reader.fieldnames]
-    if missing:
-        raise IngestError(f"{source}: missing CSV columns {missing}")
-    yield from enumerate(reader, start=2)
+    try:
+        return reader.fieldnames, numbered_rows(reader, 2)
+    except csv.Error as exc:
+        raise IngestError(f"{source}:1: {exc}") from None
+
+
+def numbered_rows(reader: Iterator, first: int) -> Iterator[tuple[int, object]]:
+    """Each row of a csv reader with its number, from first on; a row the csv module
+    cannot parse (a field over csv.field_size_limit()) comes as its csv.Error."""
+    for row_no in count(first):
+        try:
+            yield row_no, next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield row_no, exc
 
 
 # ---------------------------------------------------------------------------
@@ -562,18 +573,9 @@ class Chunk:
     def day_runs(self) -> list[tuple[str, int, int]]:
         """Consecutive dated records of one article and day as (article, day ordinal, count)."""
         dated = self.seconds != UNDATED
-        codes, days = self.codes[dated], _day_ordinals(self.seconds[dated])
-        if codes.size == 0:
-            return []
-        starts = np.flatnonzero(
-            np.concatenate(([True], (codes[1:] != codes[:-1]) | (days[1:] != days[:-1])))
-        )
-        counts = np.diff(np.append(starts, codes.size))
+        runs = _day_runs(self.codes[dated], _day_ordinals(self.seconds[dated]))
         names = self.names
-        return [
-            (names[code], day, count)
-            for code, day, count in zip(codes[starts].tolist(), days[starts].tolist(), counts.tolist())
-        ]
+        return [(names[code], day, count) for code, day, count in zip(*(a.tolist() for a in runs))]
 
     def texts(self, field: int) -> list[bytes | None]:
         """One text field of every record as UTF-8 bytes, None where it is null."""
@@ -629,7 +631,10 @@ def read_chunks(
                 yield load.lines(data, ends, first)
                 first += ends.size
         else:
-            rows = _csv_rows(handle, kind, diag.source)
+            header, rows = csv_rows(handle, diag.source)
+            expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
+            if header is not None and (missing := [c for c in expected if c not in header]):
+                raise IngestError(f"{diag.source}: missing CSV columns {missing}")
             while block := list(islice(rows, _CHUNK_LINES)):
                 yield load.rows(block)
 
@@ -703,7 +708,6 @@ class _Load:
         if not ok.all():
             keep = np.flatnonzero(ok)
             spans, numbers, line_nos = spans[keep], numbers[keep], line_nos[keep]
-        codes = self._codes(text, spans[:, ARTICLE])
         lo, hi = spans[:, TS].T
         chars = _words(text)[np.maximum(lo, 0)[:, None] + _WORD_AT].view(np.uint8)[:, :_SHAPE_WIDTH]
         seconds = _epoch_seconds(chars, hi - lo, self.now)
@@ -716,13 +720,14 @@ class _Load:
                     for line_no, a, b in zip(line_nos[undated].tolist(), lo[undated].tolist(),
                                              hi[undated].tolist())
                 )
-                dated = ~undated
-                codes, seconds, spans = codes[dated], seconds[dated], spans[dated]
+                seconds, spans = seconds[~undated], spans[~undated]
             depths = orders = np.empty(0, dtype=np.int64)
         else:
             self.diag.tally("comments_undated", int(np.count_nonzero(undated)))
             self.diag.tally("comment_ts_malformed", int(np.count_nonzero(undated & (lo != NO_SPAN))))
             depths, orders = numbers.T
+        # Only a kept record gives its article a code.
+        codes = self._codes(text, spans[:, ARTICLE])
         self.diag.tally("lines_read", line_nos.size + len(slow) - len(kept) - blank)
         for failure in sorted(failures):
             self.diag.record(*failure)
@@ -794,10 +799,11 @@ NO_PARENT = -1  # parent code of a thread starter
 class Columns:
     """Every usable record of one load, as whole-file int64 columns in line order.
 
-    names, articles (codes into names) and seconds are the chunk columns
-    joined.  A comment load also fills ids and parents, codes of the id
-    texts shared across the load (NO_PARENT for a thread starter), depths
-    and orders (document order); an edit load leaves them empty.
+    names lists each article with a kept record; articles (codes into names)
+    and seconds are the chunk columns joined.  A comment load also fills ids
+    and parents, codes of the id texts shared across the load (NO_PARENT for
+    a thread starter), depths and orders (document order); an edit load
+    leaves them empty.
     """
 
     kind: str
@@ -809,21 +815,32 @@ class Columns:
     depths: np.ndarray
     orders: np.ndarray
 
-    def series(self) -> dict[str, ActivitySeries]:
-        """Per-article dense daily series of the dated records, in article code order.
+    def day_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(article code, day ordinal, count) of every day with a dated record.
 
-        Only (article, day) multiplicities matter, never the record order.
+        Sorted by article name, in sorted() order, then by day; only (article,
+        day) multiplicities matter, never the record order.
         """
         dated = self.seconds != UNDATED
-        order = np.argsort(self.articles[dated])
-        codes, days = self.articles[dated][order], _day_ordinals(self.seconds[dated][order])
-        starts = np.flatnonzero(np.diff(codes, prepend=-1)).tolist()
+        codes, days = self.articles[dated], _day_ordinals(self.seconds[dated])
+        # rank[code] is the article's place in sorted() name order.
+        rank = np.argsort(sorted(range(len(self.names)), key=self.names.__getitem__))
+        order = np.argsort(rank[codes] * (int(days.max(initial=0)) + 1) + days)
+        return _day_runs(codes[order], days[order])
+
+    def series(self) -> dict[str, ActivitySeries]:
+        """Per-article dense daily series of the dated records, in article code order."""
+        codes, days, counts = self.day_counts()
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        ends = np.append(starts[1:], codes.size)
         out: dict[str, ActivitySeries] = {}
-        for lo, hi in zip(starts, [*starts[1:], codes.size]):
-            first = int(days[lo:hi].min())
+        for group in np.argsort(codes[starts]).tolist():
+            lo, hi = int(starts[group]), int(ends[group])
+            first = int(days[lo])
+            dense = np.zeros(int(days[hi - 1]) - first + 1, dtype=np.int64)
+            dense[days[lo:hi] - first] = counts[lo:hi]
             article = self.names[codes[lo]]
-            counts = np.bincount(days[lo:hi] - first).astype(np.int64, copy=False)
-            out[article] = ActivitySeries(article, self.kind, date.fromordinal(first), counts)
+            out[article] = ActivitySeries(article, self.kind, date.fromordinal(first), dense)
         return out
 
     def latest(self) -> datetime | None:
@@ -832,12 +849,23 @@ class Columns:
         return None if latest == UNDATED else datetime.fromtimestamp(latest, timezone.utc)
 
 
-def _gather(chunks: Iterable[Chunk], kind: str) -> Columns:
-    """Join chunks into one Columns; each id or parent text gets one code per load."""
+def load_columns(
+    path: str | Path,
+    kind: str,
+    *,
+    fmt: str = "jsonl",
+    diagnostics: Diagnostics | None = None,
+    now: datetime | None = None,
+) -> Columns:
+    """Every usable record of one file as whole-file columns; no event object is built.
+
+    read_chunks checks and tallies every line, so the columns hold exactly
+    the records load_events would yield, in the same order.
+    """
     names: list[str] = []
     codes, seconds, links, numbers = [], [], [], []
     texts: dict[bytes | None, int] = {None: NO_PARENT}
-    for chunk in chunks:
+    for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
         names = chunk.names  # one list shared by every chunk, complete after the last
         codes.append(chunk.codes)
         seconds.append(chunk.seconds)
@@ -854,38 +882,22 @@ def _gather(chunks: Iterable[Chunk], kind: str) -> Columns:
                    np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)
 
 
-def load_columns(
-    path: str | Path,
-    kind: str,
-    *,
-    fmt: str = "jsonl",
-    diagnostics: Diagnostics | None = None,
-    now: datetime | None = None,
-) -> Columns:
-    """Every usable record of one file as whole-file columns; no event object is built.
-
-    read_chunks checks and tallies every line, so the columns hold exactly
-    the records load_events would yield, in the same order.
-    """
-    return _gather(read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now), kind)
-
-
 def event_columns(events: Iterable[EditEvent | CommentEvent], kind: str) -> Columns:
     """The columns load_columns gives for a file holding these events in this order."""
     events = list(events)
     articles = {name: code for code, name in enumerate(dict.fromkeys(e.article_id for e in events))}
     comments = events if kind == COMMENT else []
-    # Columns read only the id and parent texts of a chunk.
-    text, spans = _pack([(None, None, e.comment_id, e.parent_id, None) for e in comments], _FIELDS[COMMENT], 0)
-    return _gather([Chunk(
-        list(articles),
+    texts: dict[str | None, int] = {None: NO_PARENT}
+    return Columns(
+        kind, list(articles),
         np.array([articles[e.article_id] for e in events], dtype=np.int64),
         np.array([UNDATED if e.timestamp is None else (e.timestamp - _UNIX_EPOCH) // _SECOND
                   for e in events], dtype=np.int64),
-        text, spans,
+        np.array([texts.setdefault(e.comment_id, len(texts)) for e in comments], dtype=np.int64),
+        np.array([texts.setdefault(e.parent_id, len(texts)) for e in comments], dtype=np.int64),
         np.array([e.depth for e in comments], dtype=np.int64),
         np.array([e.doc_order for e in comments], dtype=np.int64),
-    )], kind)
+    )
 
 
 def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[str, ActivitySeries]:

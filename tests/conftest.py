@@ -29,7 +29,6 @@ from talkdyn import (
     NoDatedCommentsError,
     PeakParams,
 )
-from talkdyn.cli import _step_and_alert
 from talkdyn.ingest import (
     COMMENT,
     COMMENT_FIELDS,
@@ -232,14 +231,29 @@ def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
 
 
 def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
+    """Rows as csv.DictReader reads them; one it cannot parse is dropped as bad_csv."""
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
     reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
+    try:
+        fieldnames = reader.fieldnames
+    except csv.Error as exc:
+        raise IngestError(f"{diagnostics.source}:1: {exc}") from None
+    if fieldnames is None:
         return
-    missing = [c for c in expected if c not in reader.fieldnames]
+    missing = [c for c in expected if c not in fieldnames]
     if missing:
         raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
-    for line_no, row in enumerate(reader, start=2):
+    line_no = 1
+    while True:
+        line_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            diagnostics.tally("lines_read")
+            diagnostics.record(line_no, "bad_csv", str(exc))
+            continue
         diagnostics.tally("lines_read")
         cells = [cell for value in row.values()
                  for cell in (value if isinstance(value, list) else [value])]
@@ -304,27 +318,44 @@ def build_series_oracle(events, kind: str) -> dict[str, ActivitySeries]:
     return out
 
 
+def stream_alerts_oracle(days, params: PeakParams) -> list[list[object]]:
+    """Alert rows of closed (article, kind, day ordinal, count) days, from the definitions.
+
+    Day t of a stream sees the window_halfwidth days before it, back to the
+    stream's first day, a day without events counting 0.  It peaks when
+    count > c * max(median of those days (0 for none), n_min); its ratio is
+    count / max(median, n_min), and its tier is 3, 2 or 1 for a ratio of at
+    least 4c, 2c or c.
+    """
+    history: dict[tuple[str, str], dict[int, int]] = defaultdict(dict)
+    alerts: list[list[object]] = []
+    for article, kind, ordinal, count in days:
+        seen = history[article, kind]
+        first = min(seen, default=ordinal)
+        window = [seen.get(d, 0) for d in range(max(first, ordinal - params.window_halfwidth), ordinal)]
+        floor = max(float(median(window)) if window else 0.0, float(params.n_min))
+        if count > params.c * floor:
+            ratio = count / floor
+            tier = next((k for k, m in ((3, 4.0), (2, 2.0), (1, 1.0)) if ratio >= m * params.c), None)
+            alerts.append([article, kind, date.fromordinal(ordinal), count, ratio, tier])
+        seen[ordinal] = count
+    return alerts
+
+
 def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
                           sort: bool = False, now: datetime | None = None) -> list[list[object]]:
     """The event-at-a-time watch replay over the per-line loader."""
-    states: dict = {}
-    alerts: list[list[object]] = []
     events = load_events_oracle(events_path, kind, diagnostics=Diagnostics(), now=now)
+    closed: list[tuple[str, str, int, int]] = []
     if sort:
-        days: dict[str, dict[int, int]] = defaultdict(dict)
+        days: dict[str, Counter] = defaultdict(Counter)
         for event in events:
-            if event.timestamp is None:
-                continue
-            per = days[event.article_id]
-            ordinal = event.timestamp.toordinal()
-            per[ordinal] = per.get(ordinal, 0) + 1
+            if event.timestamp is not None:
+                days[event.article_id][event.timestamp.toordinal()] += 1
         for article in sorted(days):
-            for ordinal in sorted(days[article]):
-                row = _step_and_alert(states, article, kind, date.fromordinal(ordinal),
-                                      days[article][ordinal], params)
-                if row:
-                    alerts.append(row)
-        return alerts
+            closed += [(article, kind, ordinal, days[article][ordinal])
+                       for ordinal in sorted(days[article])]
+        return stream_alerts_oracle(closed, params)
     open_days: dict[str, tuple[date, int]] = {}
     for event in events:
         if event.timestamp is None:
@@ -339,15 +370,12 @@ def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
                 f"{event.article_id}: event on {day} arrived after {entry[0]};"
                 " rerun with --sort"
             )
-        row = _step_and_alert(states, event.article_id, kind, entry[0], entry[1], params)
-        if row:
-            alerts.append(row)
+        closed.append((event.article_id, kind, entry[0].toordinal(), entry[1]))
         open_days[event.article_id] = (day, 1)
     for article in sorted(open_days):
-        row = _step_and_alert(states, article, kind, *open_days[article], params)
-        if row:
-            alerts.append(row)
-    return alerts
+        day, count = open_days[article]
+        closed.append((article, kind, day.toordinal(), count))
+    return stream_alerts_oracle(closed, params)
 
 
 # ---------------------------------------------------------------------------

@@ -1125,3 +1125,82 @@ class TestUndecodableBytes:
         err = capsys.readouterr().err
         assert "stdin:3: 'utf-8' codec can't decode byte 0xff in position 1" in err
         assert "config error" not in err
+
+
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+HUGE_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+class TestCsvStructureErrors:
+    """A CSV field over the csv module's limit names its row instead of ending in a traceback."""
+
+    def test_peaks_drops_the_event_row(self, tmp_path, capsys, caplog):
+        rows = [f"{r['article']},{r['ts']}" for r in map(json.loads, open(GOLDEN / "edits.jsonl"))]
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        clean.write_text("\n".join(["article,ts", *rows]) + "\n", encoding="utf-8")
+        dirty.write_text("\n".join(["article,ts", rows[0], f"{HUGE_FIELD},{rows[0]}", *rows[1:]]) + "\n",
+                         encoding="utf-8")
+        for path, out in ((clean, "clean_peaks.csv"), (dirty, "dirty_peaks.csv")):
+            assert run_cli("peaks", "--format", "csv", "--edits", str(path),
+                           "--out", str(tmp_path / out), "-c", "5", "--nmin", "2") == 0
+        assert len(read_rows(tmp_path / "clean_peaks.csv")) > 1
+        assert (tmp_path / "dirty_peaks.csv").read_bytes() == (tmp_path / "clean_peaks.csv").read_bytes()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{dirty}:3: bad_csv: {FIELD_LIMIT}"]
+
+    def test_stats_names_the_peaks_row(self, tmp_path, capsys):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text("article,kind,start_day,length,max_ratio\nAlpha,edit,2006-01-05,1,6.0\n"
+                         f"{HUGE_FIELD},edit,2006-01-10,2,1.5\n", encoding="utf-8")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err == f"error: {peaks}:3: {FIELD_LIMIT}\n"
+
+    def test_watch_stdin_names_the_row(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"A,edit,2020-01-15,2\n{HUGE_FIELD},edit,2020-01-16,3\n"))
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err == f"error: stdin:2: {FIELD_LIMIT}\n"
+
+
+# Spellings Python 3.11's date.fromisoformat and int() accept, and the input contract does not.
+LOOSE_DAYS = ["20200116", "2020-W03-4"]
+LOOSE_COUNTS = ["1_0", "+1", "١٠"]
+
+
+class TestOneDayAndCountRule:
+    """A day is ASCII YYYY-MM-DD and a count or length ASCII digits, on every interpreter."""
+
+    @pytest.mark.parametrize("day, number", [*((d, "2") for d in LOOSE_DAYS),
+                                             *(("2020-01-16", n) for n in LOOSE_COUNTS)])
+    def test_peaks_row(self, tmp_path, capsys, day, number):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text("article,kind,start_day,length,max_ratio\nAlpha,edit,2020-01-05,1,6.0\n"
+                         f"Alpha,edit,{day},{number},1.5\n", encoding="utf-8")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err.startswith(f"error: {peaks}:3: malformed peaks row: ")
+
+    @pytest.mark.parametrize("day, number", [*((d, "2") for d in LOOSE_DAYS),
+                                             *(("2020-01-16", n) for n in LOOSE_COUNTS)])
+    def test_stdin_row(self, capsys, monkeypatch, day, number):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"A,edit,2020-01-15,2\nA,edit,{day},{number}\n"))
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err.startswith("error: stdin:2: ")
+
+
+class TestArticleWithoutKeptEdits:
+    def test_appears_in_no_table(self, tmp_path, capsys):
+        """An article whose every edit is dropped for its ts is no article with edits."""
+        edits = tmp_path / "edits.jsonl"
+        edits.write_bytes((GOLDEN / "edits.jsonl").read_bytes()
+                          + b'{"article":"Ghost","ts":"2999-01-01T00:00:00Z"}\n{"article":"Ghost","ts":null}\n')
+        assert "Ghost" not in ingest.load_columns(edits, "edit").names
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        for path, out in ((GOLDEN / "edits.jsonl", clean), (edits, dirty)):
+            assert run_cli(*report_args(path, GOLDEN / "comments.jsonl", out)) == 0
+        for name in REPORT_TABLES:
+            text = (dirty / f"{name}.csv").read_text(encoding="utf-8")
+            assert "Ghost" not in text, name
+            if name not in ("diagnostics", "summary"):  # both count the lines read
+                assert text == (clean / f"{name}.csv").read_text(encoding="utf-8"), name
+        summaries = [dict(read_rows(out / "summary.csv")[1:]) for out in (clean, dirty)]
+        for key in ("n_edit_events", "n_articles_with_edits", "comment_edit_ratio"):
+            assert summaries[0][key] == summaries[1][key], key

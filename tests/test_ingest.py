@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import subprocess
+import sys
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -231,9 +235,7 @@ class TestBuildSeries:
         ]
         series = build_series(events, EDIT)["A"]
         assert series.start_day == date(2006, 5, 10)
-        assert series.end_day == date(2006, 5, 13)
         assert series.counts.tolist() == [2, 0, 0, 1]
-        assert series.total == 3
 
     def test_undated_events_contribute_nothing(self):
         events = [
@@ -241,7 +243,7 @@ class TestBuildSeries:
             CommentEvent("A", "c1", None, 0, utc(2006, 5, 10), None, 1),
         ]
         series = build_series(events, COMMENT)["A"]
-        assert series.total == 1
+        assert series.counts.tolist() == [1]
 
     def test_article_with_no_dated_events_is_absent(self):
         events = [CommentEvent("A", "c0", None, 0, None, None, 0)]
@@ -257,7 +259,7 @@ class TestBuildSeries:
         t0 = utc(2006, 1, 1)
         events = [EditEvent("A", t0 + timedelta(days=o, hours=o % 24)) for o in offsets]
         series = build_series(events, EDIT)["A"]
-        assert series.total == len(offsets)
+        assert series.counts.sum() == len(offsets)
         assert series.counts[0] > 0
         assert series.counts[-1] > 0
 
@@ -947,6 +949,21 @@ class TestSeriesKernel:
         stamps = [e.timestamp for e in events if e.timestamp is not None]
         assert latest == (max(stamps) if stamps else None)
 
+    @given(edits=st.lists(st.one_of(edit_lines(), junk_lines), max_size=40),
+           comments=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
+           chunk=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_daily_totals_equal_counter_oracle(self, tmp_path_factory, edits, comments, chunk):
+        sources = [(write_lines(tmp_path_factory, edits), EDIT),
+                   (write_lines(tmp_path_factory, comments), COMMENT)]
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            columns = [ingest.load_columns(path, kind, diagnostics=Diagnostics(), now=ORACLE_NOW)
+                       for path, kind in sources]
+        want = [Counter(e.timestamp.date() for e in load_events_oracle(path, kind, now=ORACLE_NOW)
+                        if e.timestamp is not None) for path, kind in sources]
+        assert cli._daily_total_rows(*columns) == [
+            [day, want[0][day], want[1][day]] for day in sorted(want[0] | want[1])]
+
     def test_series_dtype_and_order(self):
         events = [EditEvent("B", utc(2006, 1, 3)), EditEvent("A", utc(2006, 1, 1)),
                   EditEvent("B", utc(2006, 1, 1))]
@@ -962,3 +979,50 @@ def assert_same_series(got, want):
         g = got[article]
         assert (g.article_id, g.kind, g.start_day) == (s.article_id, s.kind, s.start_day)
         assert g.counts.tolist() == s.counts.tolist()
+
+
+class TestCsvStructureErrors:
+    """A row the csv module cannot parse is dropped, and the load goes on."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 14])
+    @pytest.mark.parametrize("kind", [COMMENT, EDIT])
+    def test_oversized_field_is_dropped_with_its_number(self, tmp_path, kind, chunk):
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "e.csv"
+        if kind == COMMENT:
+            path.write_text("article,id,parent,depth,ts,author,ord\n"
+                            "A,c0,,0,2006-05-10T13:45:08Z,Alice,0\n"
+                            f"A,c1,c0,1,2006-05-10T13:45:08Z,{huge},1\n"
+                            "A,c2,c0,1,2006-05-11T13:45:08Z,Bob,2\n", encoding="utf-8")
+        else:
+            path.write_text(f"article,ts\nA,2006-05-10T13:45:08Z\n{huge},2006-05-10T13:45:08Z\n"
+                            "A,2006-05-11T13:45:08Z\n", encoding="utf-8")
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            events, diag = assert_loads_like_oracle(path, kind, fmt="csv")
+        assert len(events) == 2
+        tallies = diag.tallies
+        assert tallies["bad_csv"] == 1 and tallies["lines_read"] == 3
+        assert tallies["lines_read"] == tallies["events_used"] + tallies["lines_dropped"]
+        assert diag.messages == [
+            f"{path}:3: bad_csv: field larger than field limit ({csv.field_size_limit()})"]
+
+    def test_oversized_header_is_input_error(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("article,ts," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{path}:1: field larger than field limit"):
+            list(load_events(path, EDIT, fmt="csv"))
+
+
+class TestSyntheticCorpus:
+    """The benchmark's corpus is all canonical lines, so its loads stay on the byte path."""
+
+    def test_every_line_is_the_event_json_line_of_its_event(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--articles", "20",
+                        "--edits", "2000", "--comments", "2000"],
+                       check=True, capture_output=True, timeout=120)
+        for kind, name in ((EDIT, "edits.jsonl"), (COMMENT, "comments.jsonl")):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            events = list(load_events(tmp_path / name, kind, diagnostics=Diagnostics()))
+            assert len(lines) == len(events) == 2000
+            assert [event_json_line(e) for e in events] == lines
