@@ -25,6 +25,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 from statistics import median
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -216,32 +217,47 @@ def _detect_all(series_by_article: Series, params: PeakParams) -> list[PeakRun]:
     return runs
 
 
+class _DayTable(NamedTuple):
+    """A table of days: its name in messages, and the name and least value of its number."""
+
+    name: str
+    number: str
+    least: int
+
+
+PEAKS_TABLE = _DayTable("peaks", "length", 1)
+STDIN_TABLE = _DayTable("day-count", "count", 0)
+
+
+def _day_row(where: str, cells: Sequence[str | None], table: _DayTable) -> tuple[str, str, date, int]:
+    """The checked article, kind, day and number of the row of table at where (path:line)."""
+    article, kind, day_text, number_text = cells
+    try:
+        day, number = _parse_day(day_text), ingest.int_field(number_text)
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{where}: malformed {table.name} row: {exc}") from exc
+    if kind not in ingest.KINDS:
+        raise IngestError(f"{where}: kind must be one of {', '.join(ingest.KINDS)}, got {kind!r}")
+    if number < table.least:
+        raise IngestError(f"{where}: {table.number} must be >= {table.least}, got {number}")
+    return article, kind, day, number
+
+
 def _load_peak_runs(path: Path) -> Runs:
     """Read back a peaks.csv table, by kind (ratio profiles are not retained there)."""
     runs: list[PeakRun] = []
+    required = ("article", "kind", "start_day", "length")
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
             header, rows = ingest.csv_rows(handle, str(path))
-            required = {"article", "kind", "start_day", "length"}
-            if header is None or not required.issubset(header):
+            if header is None or not set(required).issubset(header):
                 raise IngestError(f"{path}: expected columns {sorted(required)}")
-            for line_no, row in rows:
-                if isinstance(row, csv.Error):
-                    raise IngestError(f"{path}:{line_no}: {row}")
-                cells = [cell for cell in row.values() if isinstance(cell, str)]
-                if reason := next(filter(None, map(ingest.undecodable, cells)), None):
-                    raise IngestError(f"{path}:{line_no}: {reason}")
-                try:
-                    run = PeakRun(row["article"], row["kind"], _parse_day(row["start_day"]),
-                                  ingest.int_field(row["length"]))
-                except (TypeError, ValueError) as exc:
-                    raise IngestError(f"{path}:{line_no}: malformed peaks row: {exc}") from exc
-                if run.kind not in ingest.KINDS:
-                    raise IngestError(f"{path}:{line_no}: kind must be one of"
-                                      f" {', '.join(ingest.KINDS)}, got {run.kind!r}")
-                if run.length < 1:
-                    raise IngestError(f"{path}:{line_no}: length must be >= 1, got {run.length}")
-                runs.append(run)
+            for line_no, cells, bad in rows:
+                where = f"{path}:{line_no}"
+                if bad:
+                    raise IngestError(f"{where}: {bad[1]}")
+                row = dict(zip_longest(header, cells))
+                runs.append(PeakRun(*_day_row(where, [row[c] for c in required], PEAKS_TABLE)))
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     return {kind: [r for r in runs if r.kind == kind] for kind in (COMMENT, EDIT)}
@@ -749,32 +765,17 @@ def simulate_watch(
 def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
     """The article,kind,day,count rows on stdin, checked as each arrives."""
     if isinstance(sys.stdin, io.TextIOWrapper):
-        # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its number.
+        # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its line.
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    for row_no, row in ingest.numbered_rows(csv.reader(sys.stdin), 1):
-        if isinstance(row, csv.Error):
-            raise IngestError(f"stdin:{row_no}: {row}")
-        if not row or row[0].strip().startswith("#"):
+    for line_no, cells, bad in ingest.numbered_rows(csv.reader(sys.stdin)):
+        if cells and cells[0].strip().startswith("#") or line_no == 1 and cells[:2] == ["article", "kind"]:
             continue
-        if row_no == 1 and row[:2] == ["article", "kind"]:
-            continue
-        if reason := next(filter(None, map(ingest.undecodable, row)), None):
-            raise IngestError(f"stdin:{row_no}: {reason}")
-        if len(row) != 4:
-            raise IngestError(f"stdin:{row_no}: expected article,kind,day,count")
-        article, kind, day_text, count_text = (cell.strip() for cell in row)
-        try:
-            day, count = _parse_day(day_text), ingest.int_field(count_text)
-        except ValueError as exc:
-            raise IngestError(f"stdin:{row_no}: {exc}") from exc
-        if kind not in ingest.KINDS:
-            raise IngestError(
-                f"stdin:{row_no}: kind must be one of {', '.join(ingest.KINDS)},"
-                f" got {kind!r}"
-            )
-        if count < 0:
-            raise IngestError(f"stdin:{row_no}: count must be >= 0, got {count}")
-        yield article, kind, day, count
+        where = f"stdin:{line_no}"
+        if bad:
+            raise IngestError(f"{where}: {bad[1]}")
+        if len(cells) != 4:
+            raise IngestError(f"{where}: expected article,kind,day,count")
+        yield _day_row(where, [cell.strip() for cell in cells], STDIN_TABLE)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

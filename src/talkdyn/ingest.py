@@ -46,7 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import count, islice
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -335,37 +335,38 @@ def _json_line(raw: bytes) -> dict | None:
     return _decode_json(text)
 
 
-def _csv_record(row: dict | csv.Error) -> dict:
-    """A CSV row that parsed and whose every cell decoded as UTF-8."""
-    if isinstance(row, csv.Error):
-        raise _BadRecord("bad_csv", str(row))
-    for value in row.values():
-        for cell in value if isinstance(value, list) else [value]:
-            if isinstance(cell, str) and (reason := undecodable(cell)):
-                raise _BadRecord("bad_utf8", reason)
-    return row
+# A CSV row: the physical line it ends on, its cells ([] when the csv module
+# cannot parse it) and the (tally key, detail) that makes it unusable, or None.
+Row = tuple[int, list[str], tuple[str, str] | None]
 
 
-def csv_rows(handle: io.TextIOBase, source: str) -> tuple[list[str] | None, Iterator]:
-    """A CSV file's header (None when empty) and its numbered_rows from 2, as csv.DictReader
-    reads them; a header the csv module cannot parse raises IngestError."""
-    reader = csv.DictReader(handle)
-    try:
-        return reader.fieldnames, numbered_rows(reader, 2)
-    except csv.Error as exc:
-        raise IngestError(f"{source}:1: {exc}") from None
+def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
+    """Each non-blank row left in a csv.reader, named by the physical line it ends on.
 
-
-def numbered_rows(reader: Iterator, first: int) -> Iterator[tuple[int, object]]:
-    """Each row of a csv reader with its number, from first on; a row the csv module
-    cannot parse (a field over csv.field_size_limit()) comes as its csv.Error."""
-    for row_no in count(first):
+    A row the csv module cannot parse (a field over csv.field_size_limit()) is
+    bad_csv, and one with a cell that is not UTF-8 is bad_utf8.
+    """
+    while True:
         try:
-            yield row_no, next(reader)
+            cells = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield row_no, exc
+            yield reader.line_num, [], ("bad_csv", str(exc))
+            continue
+        if cells:
+            reason = next(filter(None, map(undecodable, cells)), None)
+            yield reader.line_num, cells, reason and ("bad_utf8", reason)
+
+
+def csv_rows(handle: io.TextIOBase, source: str) -> tuple[list[str] | None, Iterator[Row]]:
+    """A CSV file's header (its first row, None when empty) and the numbered_rows after it;
+    a header the csv module cannot parse raises IngestError."""
+    reader = csv.reader(handle)
+    try:
+        return next(reader, None), numbered_rows(reader)
+    except csv.Error as exc:
+        raise IngestError(f"{source}:{reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +606,10 @@ def read_chunks(
     recorded in diagnostics in line order and skipped.  Timestamps outside
     [2001-01-01, now] are unusable; now defaults to the clock, read once when
     loading starts.  Memory stays bounded by the chunk size and the number of
-    distinct articles.  Only an unreadable file or unknown format/kind raises.
+    distinct articles, with one exception: binary readline splits only at
+    '\n', so _line_blocks reads a run of JSONL lines that end in a lone '\r'
+    as one block, and such a file is held whole.  Only an unreadable file,
+    unknown format/kind or an unusable CSV header raises.
     """
     if kind not in KINDS:
         raise IngestError(f"unknown event kind {kind!r}")
@@ -636,7 +640,7 @@ def read_chunks(
             if header is not None and (missing := [c for c in expected if c not in header]):
                 raise IngestError(f"{diag.source}: missing CSV columns {missing}")
             while block := list(islice(rows, _CHUNK_LINES)):
-                yield load.rows(block)
+                yield load.rows(header, block)
 
 
 class _Load:
@@ -657,13 +661,21 @@ class _Load:
         return self._chunk(padded, int(ends[-1]), first + np.arange(ends.size),
                            ok, spans, numbers, slow, _json_line)
 
-    def rows(self, block: list[tuple[int, dict]]) -> Chunk:
+    def rows(self, header: list[str], block: list[Row]) -> Chunk:
         """One block of numbered CSV rows, each checked on its own."""
+
+        def record(row: Row) -> dict:
+            _, cells, bad = row
+            if bad:
+                raise _BadRecord(*bad)
+            # Keyed as csv.DictReader keys it: a header column past the row's end is None.
+            return dict(zip_longest(header, cells))
+
         n = len(block)
         return self._chunk(
-            _PAD, 0, np.array([line_no for line_no, _ in block], dtype=np.int64), np.zeros(n, dtype=bool),
+            _PAD, 0, np.array([row[0] for row in block], dtype=np.int64), np.zeros(n, dtype=bool),
             np.zeros((n, self.fields, 2), dtype=np.int64), np.zeros((n, 2), dtype=np.int64),
-            [(i, row) for i, (_, row) in enumerate(block)], _csv_record,
+            list(enumerate(block)), record,
         )
 
     def _chunk(
@@ -910,23 +922,6 @@ def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[
     return event_columns(events, kind).series()
 
 
-def comment_record(event: CommentEvent) -> dict:
-    """Comment event as a plain dict in canonical field order."""
-    return {
-        "article": event.article_id,
-        "id": event.comment_id,
-        "parent": event.parent_id,
-        "depth": event.depth,
-        "ts": format_timestamp(event.timestamp) if event.timestamp else None,
-        "author": event.author,
-        "ord": event.doc_order,
-    }
-
-
-def edit_record(event: EditEvent) -> dict:
-    return {"article": event.article_id, "ts": format_timestamp(event.timestamp)}
-
-
 def event_json_line(event: EditEvent | CommentEvent) -> str:
     """Canonical one-line JSON for an event: fixed key order, no spaces.
 
@@ -936,9 +931,11 @@ def event_json_line(event: EditEvent | CommentEvent) -> str:
     here must change those shapes too.
     """
     if isinstance(event, CommentEvent):
-        record = comment_record(event)
+        stamp = format_timestamp(event.timestamp) if event.timestamp else None
+        record = {"article": event.article_id, "id": event.comment_id, "parent": event.parent_id,
+                  "depth": event.depth, "ts": stamp, "author": event.author, "ord": event.doc_order}
     else:
-        record = edit_record(event)
+        record = {"article": event.article_id, "ts": format_timestamp(event.timestamp)}
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 

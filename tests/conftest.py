@@ -231,29 +231,30 @@ def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
 
 
 def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
-    """Rows as csv.DictReader reads them; one it cannot parse is dropped as bad_csv."""
+    """Rows as csv.DictReader reads them, each numbered by the physical line it ends on (its
+    csv.reader's line_num: the DictReader's own is stale after a csv.Error); one the csv
+    module cannot parse is dropped as bad_csv."""
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
     reader = csv.DictReader(handle)
     try:
         fieldnames = reader.fieldnames
     except csv.Error as exc:
-        raise IngestError(f"{diagnostics.source}:1: {exc}") from None
+        raise IngestError(f"{diagnostics.source}:{reader.reader.line_num}: {exc}") from None
     if fieldnames is None:
         return
     missing = [c for c in expected if c not in fieldnames]
     if missing:
         raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
-    line_no = 1
     while True:
-        line_no += 1
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             diagnostics.tally("lines_read")
-            diagnostics.record(line_no, "bad_csv", str(exc))
+            diagnostics.record(reader.reader.line_num, "bad_csv", str(exc))
             continue
+        line_no = reader.reader.line_num
         diagnostics.tally("lines_read")
         cells = [cell for value in row.values()
                  for cell in (value if isinstance(value, list) else [value])]

@@ -1160,6 +1160,30 @@ class TestCsvStructureErrors:
         assert run_cli("watch", "--stdin") == 1
         assert capsys.readouterr().err == f"error: stdin:2: {FIELD_LIMIT}\n"
 
+    def test_peaks_names_the_physical_line(self, tmp_path, capsys, caplog):
+        """Blank lines count: the rows after two of them are lines 5 and 6, not records 3 and 4."""
+        edits = tmp_path / "e.csv"
+        edits.write_text(f"article,ts\nA,2006-05-10T13:45:08Z\n\n\n{HUGE_FIELD},2006-05-10T13:45:08Z\n"
+                         "A,garbage\n", encoding="utf-8")
+        assert run_cli("peaks", "--format", "csv", "--edits", str(edits),
+                       "--out", str(tmp_path / "p.csv")) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{edits}:5: bad_csv: {FIELD_LIMIT}",
+                            f"{edits}:6: edit_ts_malformed: ts='garbage'"]
+
+    def test_stats_names_the_physical_line(self, tmp_path, capsys):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text("article,kind,start_day,length,max_ratio\nAlpha,edit,2006-01-05,1,6.0\n\n\n"
+                         f"{HUGE_FIELD},edit,2006-01-10,2,1.5\n", encoding="utf-8")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err == f"error: {peaks}:5: {FIELD_LIMIT}\n"
+
+    def test_watch_stdin_names_the_physical_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO(f"A,edit,2020-01-15,2\n\n\n\n{HUGE_FIELD},edit,2020-01-16,3\n"))
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err == f"error: stdin:5: {FIELD_LIMIT}\n"
+
 
 # Spellings Python 3.11's date.fromisoformat and int() accept, and the input contract does not.
 LOOSE_DAYS = ["20200116", "2020-W03-4"]
@@ -1184,6 +1208,25 @@ class TestOneDayAndCountRule:
         monkeypatch.setattr("sys.stdin", io.StringIO(f"A,edit,2020-01-15,2\nA,edit,{day},{number}\n"))
         assert run_cli("watch", "--stdin") == 1
         assert capsys.readouterr().err.startswith("error: stdin:2: ")
+
+    # Three ways to put a bad row on line 5 after a good one: blank lines, a row whose
+    # quoted article spans two lines, and the bad row's own article spanning lines.
+    @pytest.mark.parametrize("before, article", [
+        ("\n\n", "Alpha"), ('"Al\npha",edit,2020-01-07,1,2.0\n', "Alpha"), ("", '"Al\n\npha"')])
+    def test_peaks_row_named_by_its_last_line(self, tmp_path, capsys, before, article):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text("article,kind,start_day,length,max_ratio\nAlpha,edit,2020-01-05,1,6.0\n"
+                         f"{before}{article},edit,20200116,2,1.5\n", encoding="utf-8")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err.startswith(f"error: {peaks}:5: malformed peaks row: ")
+
+    @pytest.mark.parametrize("before, article", [
+        ("\n\n\n", "A"), ('"A\nB",edit,2020-01-14,2\n\n', "A"), ("", '"A\n\n\nB"')])
+    def test_stdin_row_named_by_its_last_line(self, capsys, monkeypatch, before, article):
+        rows = f"A,edit,2020-01-15,2\n{before}{article},edit,20200116,2\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(rows))
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err.startswith("error: stdin:5: malformed day-count row: ")
 
 
 class TestArticleWithoutKeptEdits:
