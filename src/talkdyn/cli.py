@@ -480,18 +480,21 @@ def _cmd_parse_talk(args: argparse.Namespace) -> int:
     else:
         files = [source]
     diag = Diagnostics(source=str(source))
-    events: list[CommentEvent] = []
     # One clock reading bounds "future" signature dates on every page.
     now = datetime.now(timezone.utc)
-    for path in files:
-        try:
-            events.extend(talkparser.parse_file(path, patterns, diag, now=now))
-        except OSError as exc:
-            raise IngestError(f"cannot read {path}: {exc}") from exc
+
+    def events() -> Iterator[CommentEvent]:
+        """Each page's events, parsed as the writer reaches the page."""
+        for path in files:
+            try:
+                yield from talkparser.parse_file(path, patterns, diag, now=now)
+            except OSError as exc:
+                raise IngestError(f"cannot read {path}: {exc}") from exc
+
     if args.out:
-        ingest.write_events_jsonl(args.out, events)
+        ingest.write_events_jsonl(args.out, events())
     else:
-        for event in events:
+        for event in events():
             print(ingest.event_json_line(event))
     for key, count in diag.rows():
         print(f"# {key}: {count}", file=sys.stderr)
@@ -520,6 +523,8 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if bool(args.report) == bool(args.powerlaw):
         raise ValueError("stats needs exactly one of --report or --powerlaw")
+    if args.powerlaw and args.out:
+        raise ValueError("stats --powerlaw prints its fits and writes no --out")
     _check_minimums(x_min=args.xmin, tolerance=min(args.tolerance))
     runs = _load_peak_runs(Path(args.peaks))
     if args.report == "overlap":
@@ -590,15 +595,14 @@ def run_report(config: RunConfig) -> list[Path]:
     event objects; the comment columns feed the series and the trees alike.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    # One clock reading bounds "future" timestamps in both files and stands
-    # in for as_of when nothing is dated.
+    # One clock reading bounds "future" timestamps in both files.
     now = datetime.now(timezone.utc)
     edits, diag_edits = _load(config.edits_path, EDIT, config.input_format, now)
     comments, diag_comments = _load(config.comments_path, COMMENT, config.input_format, now)
     # Trees first: the forest's sort buffers are freed before the dense series exist.
     trees = discussion.build_forest(comments, diag_comments)
     as_of = config.as_of or max(
-        (ts for ts in (comments.latest(), edits.latest()) if ts is not None), default=now
+        (ts for ts in (comments.latest(), edits.latest()) if ts is not None), default=None
     )
 
     comment_runs = _detect_all(comments.series(), config.params)

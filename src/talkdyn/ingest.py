@@ -343,8 +343,10 @@ Row = tuple[int, list[str], tuple[str, str] | None]
 def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
     """Each non-blank row left in a csv.reader, named by the physical line it ends on.
 
-    A row the csv module cannot parse (a field over csv.field_size_limit()) is
-    bad_csv, and one with a cell that is not UTF-8 is bad_utf8.
+    A blank row (no cells, or one cell blank to str.strip()) is skipped and not
+    counted.  A row the csv module cannot parse (a field over
+    csv.field_size_limit()) is bad_csv, and one with a cell that is not UTF-8
+    is bad_utf8.
     """
     while True:
         try:
@@ -354,7 +356,7 @@ def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
         except csv.Error as exc:
             yield reader.line_num, [], ("bad_csv", str(exc))
             continue
-        if cells:
+        if len(cells) > 1 or cells and cells[0].strip():
             reason = next(filter(None, map(undecodable, cells)), None)
             yield reader.line_num, cells, reason and ("bad_utf8", reason)
 

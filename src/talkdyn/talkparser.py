@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 INDENT_CHARS = ":*#"
 AUTHOR_WINDOW_CHARS = 80
 
-HEADING_RE = re.compile(r"^(={1,6})(.*?)\1\s*$")
+HEADING_RE = re.compile(r"^(={1,6}).*?\1\s*$")
 
 # Neither the name nor the display text may hold a '[' or a newline (both are
 # illegal in user names), so a match attempt stops at the next link or line and
@@ -130,48 +130,29 @@ def load_patterns(path: str | Path) -> list[re.Pattern]:
     return patterns
 
 
-def _indent_depth(line: str) -> int:
-    depth = 0
-    for ch in line:
-        if ch in INDENT_CHARS:
-            depth += 1
-        else:
-            break
-    return depth
-
-
-def _iter_page_items(text: str) -> Iterator[tuple[str, int, str]]:
-    """Yield ("heading", 0, title) and ("block", depth, body) in page order.
+def _iter_page_items(text: str) -> Iterator[tuple[int, str] | None]:
+    """Yield (depth, body) for each block and None for each heading, in page order.
 
     A block is a maximal run of non-blank lines sharing one indent depth;
     blank lines and headings close the current block.  Indent characters are
     stripped from block bodies.
     """
-    depth: int | None = None
+    depth = 0
     lines: list[str] = []
-
-    def close() -> Iterator[tuple[str, int, str]]:
-        nonlocal depth, lines
-        if lines:
-            yield "block", depth, "\n".join(lines)
-        depth = None
-        lines = []
-
     for line in text.split("\n"):
-        heading = HEADING_RE.match(line)
-        if heading is not None:
-            yield from close()
-            yield "heading", 0, heading.group(2).strip()
-            continue
-        if not line.strip():
-            yield from close()
-            continue
-        d = _indent_depth(line)
-        if d != depth:
-            yield from close()
+        heading = HEADING_RE.match(line) is not None
+        # -1 (no depth) closes the open block: headings and blank lines.
+        d = -1 if heading or not line.strip() else len(line) - len(line.lstrip(INDENT_CHARS))
+        if lines and d != depth:
+            yield depth, "\n".join(lines)
+            lines = []
+        if heading:
+            yield None
+        elif d >= 0:
             depth = d
-        lines.append(line[d:])
-    yield from close()
+            lines.append(line[d:])
+    if lines:
+        yield depth, "\n".join(lines)
 
 
 def split_comments(page: RawTalkPage) -> list[tuple[int, str]]:
@@ -181,11 +162,7 @@ def split_comments(page: RawTalkPage) -> list[tuple[int, str]]:
     other text, signed or not, shows up as a block (unindented free text is
     a depth-0 block).
     """
-    return [
-        (depth, body)
-        for kind, depth, body in _iter_page_items(page.text)
-        if kind == "block"
-    ]
+    return [item for item in _iter_page_items(page.text) if item is not None]
 
 
 def _resolve_month(token: str) -> int | None:
@@ -217,14 +194,6 @@ def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
     return ts
 
 
-def _last_user_link(body: str, end: int | None = None) -> re.Match | None:
-    region = body if end is None else body[:end]
-    last = None
-    for m in USER_LINK_RE.finditer(region):
-        last = m
-    return last
-
-
 def _clean_author(raw: str) -> str:
     return raw.replace("_", " ").strip()
 
@@ -236,7 +205,8 @@ def extract_signature(
 
     The LAST parseable signature date in the body wins (quoted earlier
     signatures then stay inside the text), and the author is the last user
-    or user-talk link within AUTHOR_WINDOW_CHARS before that date.  A date
+    or user-talk link ending before that date, if it ends within
+    AUTHOR_WINDOW_CHARS of it.  A date
     with no nearby link yields an authorless match; a user link with no
     parseable date yields a dateless match; a body with neither has no
     signature at all.  A date after now (default: the clock) is no date.
@@ -249,20 +219,26 @@ def extract_signature(
         for m in pattern.finditer(body):
             candidates.append((m.end(), priority, m))
     candidates.sort(key=lambda item: (-item[0], item[1]))
+    # One scan: a link holds no '[' after its opening "[[" and has one possible
+    # extent, so the links of body[:i] are the links here that end by i.
+    links = list(USER_LINK_RE.finditer(body))
     for _, _, match in candidates:
         ts = _candidate_timestamp(match, now)
         if ts is None:
             continue
-        link = _last_user_link(body, match.start())
-        if link is not None and match.start() - link.end() <= AUTHOR_WINDOW_CHARS:
-            return SignatureMatch(
-                author=_clean_author(link.group("name")),
-                timestamp=ts,
-                span=(link.start(), match.end()),
-            )
+        start = match.start()
+        for link in reversed(links):
+            if link.end() <= start:
+                if start - link.end() <= AUTHOR_WINDOW_CHARS:
+                    return SignatureMatch(
+                        author=_clean_author(link.group("name")),
+                        timestamp=ts,
+                        span=(link.start(), match.end()),
+                    )
+                break
         return SignatureMatch(author=None, timestamp=ts, span=match.span())
-    link = _last_user_link(body)
-    if link is not None:
+    if links:
+        link = links[-1]
         return SignatureMatch(
             author=_clean_author(link.group("name")), timestamp=None, span=link.span()
         )
@@ -295,15 +271,15 @@ def to_events(
     events: list[CommentEvent] = []
     stack: list[tuple[int, int, str]] = []  # (raw indent, event depth, comment id)
     pending_unsigned = 0
-    seq = 0
-    for kind, depth, body in _iter_page_items(page.text):
-        if kind == "heading":
+    for item in _iter_page_items(page.text):
+        if item is None:
             diag.tally("headings")
             if pending_unsigned:
                 diag.tally("unsigned_dropped", pending_unsigned)
                 pending_unsigned = 0
             stack.clear()
             continue
+        depth, body = item
         diag.tally("blocks")
         signature = extract_signature(body, patterns, now)
         if signature is None:
@@ -328,7 +304,7 @@ def to_events(
                 diag.tally("orphan_reply")
             parent_id = None
             event_depth = 0
-        comment_id = f"c{seq}"
+        comment_id = f"c{len(events)}"
         events.append(
             CommentEvent(
                 article_id=page.article_id,
@@ -337,11 +313,10 @@ def to_events(
                 depth=event_depth,
                 timestamp=signature.timestamp,
                 author=signature.author,
-                doc_order=seq,
+                doc_order=len(events),
             )
         )
         stack.append((depth, event_depth, comment_id))
-        seq += 1
     if pending_unsigned:
         diag.tally("unsigned_dropped", pending_unsigned)
     return events

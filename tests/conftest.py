@@ -28,6 +28,7 @@ from talkdyn import (
     HIndexCounter,
     NoDatedCommentsError,
     PeakParams,
+    talkparser,
 )
 from talkdyn.ingest import (
     COMMENT,
@@ -233,7 +234,8 @@ def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
 def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
     """Rows as csv.DictReader reads them, each numbered by the physical line it ends on (its
     csv.reader's line_num: the DictReader's own is stale after a csv.Error); one the csv
-    module cannot parse is dropped as bad_csv."""
+    module cannot parse is dropped as bad_csv, and one whose only cell is blank to
+    str.strip() is skipped uncounted, as the DictReader skips a row of no cells."""
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
     reader = csv.DictReader(handle)
     try:
@@ -255,11 +257,12 @@ def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
             diagnostics.record(reader.reader.line_num, "bad_csv", str(exc))
             continue
         line_no = reader.reader.line_num
-        diagnostics.tally("lines_read")
         cells = [cell for value in row.values()
-                 for cell in (value if isinstance(value, list) else [value])]
-        reason = next(filter(None, (_undecodable_oracle(c) for c in cells if isinstance(c, str))),
-                      None)
+                 for cell in (value if isinstance(value, list) else [value]) if cell is not None]
+        if len(cells) == 1 and not cells[0].strip():
+            continue
+        diagnostics.tally("lines_read")
+        reason = next(filter(None, map(_undecodable_oracle, cells)), None)
         if reason:
             diagnostics.record(line_no, "bad_utf8", reason)
             continue
@@ -377,6 +380,39 @@ def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
         day, count = open_days[article]
         closed.append((article, kind, day.toordinal(), count))
     return stream_alerts_oracle(closed, params)
+
+
+# ---------------------------------------------------------------------------
+# Signature oracle: the author link searched again in body[:date start] for
+# each date, as the parser did before it scanned the links once per body.
+
+
+def _last_user_link_oracle(body: str, end: int | None = None):
+    last = None
+    for m in talkparser.USER_LINK_RE.finditer(body if end is None else body[:end]):
+        last = m
+    return last
+
+
+def extract_signature_oracle(body: str, patterns=None, now: datetime | None = None):
+    pats = talkparser.DEFAULT_DATE_PATTERNS if patterns is None else patterns
+    now = datetime.now(timezone.utc) if now is None else now
+    candidates = sorted(((m.end(), priority, m) for priority, pattern in enumerate(pats)
+                         for m in pattern.finditer(body)), key=lambda item: (-item[0], item[1]))
+    for _, _, match in candidates:
+        ts = talkparser._candidate_timestamp(match, now)
+        if ts is None:
+            continue
+        link = _last_user_link_oracle(body, match.start())
+        if link is not None and match.start() - link.end() <= talkparser.AUTHOR_WINDOW_CHARS:
+            return talkparser.SignatureMatch(
+                talkparser._clean_author(link.group("name")), ts, (link.start(), match.end()))
+        return talkparser.SignatureMatch(None, ts, match.span())
+    link = _last_user_link_oracle(body)
+    if link is not None:
+        return talkparser.SignatureMatch(
+            talkparser._clean_author(link.group("name")), None, link.span())
+    return None
 
 
 # ---------------------------------------------------------------------------

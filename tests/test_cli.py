@@ -153,6 +153,7 @@ class TestRunReportEdges:
         summary = dict((row[0], row[1]) for row in read_rows(out / "summary.csv")[1:])
         assert summary["n_edit_events"] == "0"
         assert summary["comment_edit_ratio"] == ""
+        assert summary["as_of"] == ""
 
     def test_json_mirrors_when_requested(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -460,6 +461,56 @@ class TestSubcommandShapes:
         captured = capsys.readouterr()
         for line in captured.err.splitlines():
             assert line.startswith("# ")
+
+    @pytest.fixture
+    def logged_pages(self, tmp_path, monkeypatch):
+        """Three signed pages A, B, C, and the page parses and line writes in call order."""
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        for name in "ABC":
+            (pages / f"{name}.txt").write_text(
+                f"x. [[User:{name}]] 10:00, 5 May 2006 (UTC)\n"
+                ":y. [[User:Z]] 11:00, 5 May 2006 (UTC)\n", encoding="utf-8")
+        calls: list[tuple[str, str]] = []
+        parse, line = talkparser.parse_file, ingest.event_json_line
+
+        def logged_parse(path, *args, **kwargs):
+            calls.append(("parse", Path(path).stem))
+            return parse(path, *args, **kwargs)
+
+        def logged_line(event):
+            calls.append(("line", event.article_id))
+            return line(event)
+
+        monkeypatch.setattr(talkparser, "parse_file", logged_parse)
+        monkeypatch.setattr(ingest, "event_json_line", logged_line)
+        return pages, calls
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_parse_talk_writes_each_page_before_parsing_the_next(
+            self, tmp_path, capsys, logged_pages, to_file):
+        pages, calls = logged_pages
+        out = ["--out", str(tmp_path / "events.jsonl")] if to_file else []
+        assert run_cli("parse-talk", "--in", str(pages), *out) == 0
+        assert calls == [(step, name) for name in "ABC"
+                         for step in ("parse", "line", "line")]
+
+    def test_parse_talk_unreadable_page_keeps_the_pages_before(
+            self, tmp_path, capsys, monkeypatch, logged_pages):
+        pages, _ = logged_pages
+        parse = talkparser.parse_file
+
+        def unreadable_b(path, *args, **kwargs):
+            if Path(path).stem == "B":
+                raise PermissionError(13, "Permission denied")
+            return parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(talkparser, "parse_file", unreadable_b)
+        out = tmp_path / "events.jsonl"
+        assert run_cli("parse-talk", "--in", str(pages), "--out", str(out)) == 1
+        assert f"cannot read {pages / 'B.txt'}" in capsys.readouterr().err
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(row)["article"] for row in rows] == ["A", "A"]
 
     def test_hindex_rows(self, capsys):
         assert run_cli("hindex", "--comments", str(GOLDEN / "comments.jsonl")) == 0
@@ -869,6 +920,14 @@ class TestInputChecks:
             cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path,
                           tolerances=(0, -1))
 
+    def test_powerlaw_with_out_is_config_error(self, tmp_path, capsys):
+        missing, out = str(tmp_path / "missing.csv"), tmp_path / "fits.csv"
+        assert run_cli("stats", "--peaks", missing, "--powerlaw", "length", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "config error: stats --powerlaw prints its fits and writes no --out" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_powerlaw_xmin_checked_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
         assert run_cli("stats", "--peaks", missing, "--powerlaw", "length", "--xmin", "0") == 2
@@ -1212,7 +1271,8 @@ class TestOneDayAndCountRule:
     # Three ways to put a bad row on line 5 after a good one: blank lines, a row whose
     # quoted article spans two lines, and the bad row's own article spanning lines.
     @pytest.mark.parametrize("before, article", [
-        ("\n\n", "Alpha"), ('"Al\npha",edit,2020-01-07,1,2.0\n', "Alpha"), ("", '"Al\n\npha"')])
+        ("\n\n", "Alpha"), ("  \n\t\u3000\n", "Alpha"), ('"Al\npha",edit,2020-01-07,1,2.0\n', "Alpha"),
+        ("", '"Al\n\npha"')])
     def test_peaks_row_named_by_its_last_line(self, tmp_path, capsys, before, article):
         peaks = tmp_path / "p.csv"
         peaks.write_text("article,kind,start_day,length,max_ratio\nAlpha,edit,2020-01-05,1,6.0\n"
@@ -1221,7 +1281,8 @@ class TestOneDayAndCountRule:
         assert capsys.readouterr().err.startswith(f"error: {peaks}:5: malformed peaks row: ")
 
     @pytest.mark.parametrize("before, article", [
-        ("\n\n\n", "A"), ('"A\nB",edit,2020-01-14,2\n\n', "A"), ("", '"A\n\n\nB"')])
+        ("\n\n\n", "A"), ("   \n\n\t\n", "A"), ('"A\nB",edit,2020-01-14,2\n\n', "A"),
+        ("", '"A\n\n\nB"')])
     def test_stdin_row_named_by_its_last_line(self, capsys, monkeypatch, before, article):
         rows = f"A,edit,2020-01-15,2\n{before}{article},edit,20200116,2\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(rows))

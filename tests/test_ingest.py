@@ -698,19 +698,21 @@ class TestLoaderMatchesOracle:
     @pytest.mark.parametrize("chunk", [1, 2, 1 << 14])
     @pytest.mark.parametrize("kind", [COMMENT, EDIT])
     def test_csv_rows_named_by_physical_line(self, tmp_path, kind, chunk):
-        """Blank lines count, and a row whose quoted field spans lines is named by its last line."""
+        """Blank lines (empty or only whitespace) are not read but count toward line numbers,
+        and a row whose quoted field spans lines is named by its last line."""
         path = tmp_path / "e.csv"
         if kind == COMMENT:
-            path.write_text('article,id,parent,depth,ts,author,ord\nA,c0,,0,2006-05-10T13:45:08Z,Al,0\n\n\n'
+            path.write_text('article,id,parent,depth,ts,author,ord\nA,c0,,0,2006-05-10T13:45:08Z,Al,0\n\n   \n'
                             'A,c1,c0,x,,Bob,1\n"Multi\nline",c0,,0,2006-05-11T00:00:00Z,Bob,2\n'
                             '"Multi\nline",c1,c0,-1,,Bob,3\n', encoding="utf-8")
         else:
-            path.write_text('article,ts\nA,2006-05-10T13:45:08Z\n\n\nA,garbage\n'
+            path.write_text('article,ts\nA,2006-05-10T13:45:08Z\n \t\n\nA,garbage\n'
                             '"Multi\nline",2006-05-11T00:00:00Z\n"Multi\nline",bad\n', encoding="utf-8")
         with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
             events, diag = assert_loads_like_oracle(path, kind, fmt="csv")
         assert [e.article_id for e in events] == ["A", "Multi\nline"]
         assert [m.split(":")[1] for m in diag.messages] == ["5", "9"]
+        assert diag.tallies["lines_read"] == 4
         if kind == EDIT:
             assert diag.messages[0] == f"{path}:5: edit_ts_malformed: ts='garbage'"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,9 +22,9 @@ from talkdyn import (
     to_events,
 )
 from talkdyn.ingest import event_json_line, write_events_jsonl
-from talkdyn.talkparser import PatternError, load_patterns, parse_file
+from talkdyn.talkparser import DEFAULT_DATE_PATTERNS, PatternError, load_patterns, parse_file
 
-from conftest import utc
+from conftest import extract_signature_oracle, utc
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "talkpages"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
@@ -165,6 +166,50 @@ class TestHostileBodies:
             assert body.startswith("[[", sig.span[0])
         if sig.timestamp is not None:
             assert utc(2001, 1, 1) <= sig.timestamp <= datetime.now(timezone.utc)
+
+
+# Both default forms, valid or not: hour 25 and minute 61, day 31 of February,
+# unknown months, years before 2001 or after the fixed now below.
+default_dates = st.builds(
+    "{}{} {} {} (UTC)".format,
+    st.sampled_from(["", "10:30, ", "25:61, ", "9:05, "]),
+    st.sampled_from([5, 29, 31]),
+    st.sampled_from(["May", "February", "Sep.", "december", "Foo"]),
+    st.sampled_from([2000, 2006, 2012]),
+)
+numeric_dates = st.builds("{}-{}-{}".format, st.sampled_from([2006, 2012]),
+                          st.sampled_from(["05", "2", "13"]), st.sampled_from(["05", "31"]))
+# A date may sit inside a link's name or display text: that link ends after the date starts.
+user_links = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["[[User:", "[[User talk:", "[[user_talk:", "[[ User_Talk :", "[[User\n:"]),
+    st.one_of(st.text(alphabet="ab _", max_size=4), default_dates, numeric_dates),
+    st.one_of(st.sampled_from(["", "|", "|Ab c", "#", "#top", "|a\nb"]),
+              default_dates.map("|".__add__)),
+    st.sampled_from(["]]", "]]", "]", "", "\n]]"]),
+)
+signature_bodies = st.lists(
+    st.one_of(user_links, default_dates, numeric_dates,
+              st.sampled_from(["[", "]", "[[", "]]", "\n", " ", "-- ", "x" * 81]),
+              st.text(alphabet="ab _:|#-", max_size=5)),
+    max_size=16,
+).map("".join)
+NUMERIC_REGISTRY = [
+    re.compile(r"(?P<year>\d{4})-(?P<month>\d{1,2})-(?P<day>\d{1,2})"),
+    *DEFAULT_DATE_PATTERNS,
+]
+
+
+class TestSignatureMatchesTwoScanOracle:
+    """One link scan per body finds the author the per-date rescan of body[:start] found."""
+
+    @pytest.mark.parametrize("patterns", [None, NUMERIC_REGISTRY], ids=["default", "numeric"])
+    @settings(max_examples=600, deadline=None)
+    @given(body=signature_bodies)
+    def test_same_author_timestamp_and_span(self, patterns, body):
+        now = utc(2010, 6, 1)
+        assert (extract_signature(body, patterns, now)
+                == extract_signature_oracle(body, patterns, now))
 
 
 class TestToEventsDiagnostics:
