@@ -28,14 +28,14 @@ from datetime import date, datetime, timezone
 from itertools import zip_longest
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import discussion, ingest, peakstats, talkparser, timeseries
 from .ingest import COMMENT, EDIT, CommentEvent, Diagnostics, IngestError
 from .talkparser import PatternError
-from .timeseries import OutOfOrderError, PeakParams, PeakRun, StreamState
+from .timeseries import OutOfOrderError, PeakParams, PeakRun
 
 logger = logging.getLogger(__name__)
 
@@ -701,40 +701,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 WATCH_HEADER = ("article", "kind", "day", "count", "ratio", "tier")
 
 
-def _alerts(days: Iterable[tuple[str, str, date, int]], params: PeakParams) -> Iterator[list[object]]:
-    """An alert row for each closed day that peaks on its (article, kind) streaming detector."""
-    states: dict[tuple[str, str], StreamState] = {}
-    for article, kind, day, count in days:
-        state = states.get((article, kind))
-        if state is None:
-            state = states[article, kind] = StreamState(window=params.window_halfwidth)
-        ratio, is_peak, _ = timeseries.stream_step(state, day, count, params)
-        if is_peak:
-            yield [article, kind, day, count, float(ratio), timeseries.alert_tier(ratio, params)]
+def _alerts(
+    scorer: timeseries.TrailingScorer, stream: Callable[[int], tuple[str, str]],
+    codes: np.ndarray, days: np.ndarray, counts: np.ndarray,
+) -> list[list[object]]:
+    """An alert row for each of a batch of closed days that peaks on its stream.
 
-
-def _closed_days(chunks: Iterable[ingest.Chunk], kind: str) -> Iterator[tuple[str, str, date, int]]:
-    """The days of chronological chunks, each closed once a later day of its article arrives.
-
-    A chunk's run of one article's events on one day extends the article's
-    open day, or closes it and opens the next.
+    stream(code) is the (article, kind) of a stream code.
     """
-    open_days: dict[str, tuple[int, int]] = {}
-    for chunk in chunks:
-        for article, ordinal, count in chunk.day_runs():
-            entry = open_days.get(article)
-            if entry is None or ordinal == entry[0]:
-                open_days[article] = (ordinal, count if entry is None else entry[1] + count)
-                continue
-            if ordinal < entry[0]:
-                raise OutOfOrderError(
-                    f"{article}: event on {date.fromordinal(ordinal)} arrived after"
-                    f" {date.fromordinal(entry[0])}; rerun with --sort"
-                )
-            yield article, kind, date.fromordinal(entry[0]), entry[1]
-            open_days[article] = (ordinal, count)
-    for article, (ordinal, count) in sorted(open_days.items()):
-        yield article, kind, date.fromordinal(ordinal), count
+    hits, ratios = scorer.score(codes, days, counts)
+    return [
+        [*stream(code), date.fromordinal(day), count, ratio, timeseries.alert_tier(ratio, scorer.params)]
+        for code, day, count, ratio in zip(
+            codes[hits].tolist(), days[hits].tolist(), counts[hits].tolist(), ratios.tolist())
+    ]
 
 
 def simulate_watch(
@@ -749,21 +729,22 @@ def simulate_watch(
 
     Returns one alert row (article, kind, day, count, ratio, tier) per
     detected peak day.  A day is closed and scored once a later day for the
-    same article arrives, or at end of file.  Without sort=True the events
-    must already be chronological within each article and a step backwards
-    raises OutOfOrderError; sort=True buffers everything and replays each
+    same article arrives, or at end of file; each chunk's closed days are
+    scored as one batch.  Without sort=True the events must already be
+    chronological within each article and a step backwards raises
+    OutOfOrderError; sort=True buffers everything and replays each
     article's days in order, articles by name, trading memory for shuffled
     input.  Undated events are skipped (and tallied in diagnostics).
     """
+    scorer = timeseries.TrailingScorer(params)
     if sort:
         columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics)
-        days: Iterable[tuple[str, str, date, int]] = (
-            (columns.names[code], kind, date.fromordinal(ordinal), count)
-            for code, ordinal, count in zip(*(a.tolist() for a in columns.day_counts()))
-        )
-    else:
-        days = _closed_days(ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics), kind)
-    return list(_alerts(days, params or PeakParams()))
+        return _alerts(scorer, lambda code: (columns.names[code], kind), *columns.day_counts())
+    alerts: list[list[object]] = []
+    chunks = ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics)
+    for names, *closed in ingest.closed_days(chunks):
+        alerts += _alerts(scorer, lambda code: (names[code], kind), *closed)
+    return alerts
 
 
 def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
@@ -782,10 +763,20 @@ def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
         yield _day_row(where, [cell.strip() for cell in cells], STDIN_TABLE)
 
 
+def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
+    """The alert rows of the day counts on stdin, each scored as its row arrives."""
+    scorer = timeseries.TrailingScorer(params)
+    codes: dict[tuple[str, str], int] = {}
+    for article, kind, day, count in _stdin_days():
+        ratio = scorer.step(codes.setdefault((article, kind), len(codes)), day.toordinal(), count)
+        if ratio is not None:
+            yield [article, kind, day, count, ratio, timeseries.alert_tier(ratio, params)]
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.stdin:
-        alerts: Iterable[list[object]] = _alerts(_stdin_days(), params)
+        alerts: Iterable[list[object]] = _stdin_alerts(params)
     else:
         diag = Diagnostics()
         alerts = simulate_watch(

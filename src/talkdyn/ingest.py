@@ -33,7 +33,8 @@ columns: load_events yields event objects, load_columns joins them into
 whole-file Columns without building any (whose day_counts() hold every
 (article, day) count, series() spreads them into the dense input of peak
 detection and comment links feed the reply trees), and the streaming watch
-replays the chunks' (article, day, count) runs; one run kernel counts both.
+replays the chunks' (article, day, count) runs; one run kernel counts both,
+and closed_days turns each chunk's runs into the days they close.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ _CHUNK_LINES = 1 << 11
 
 class IngestError(Exception):
     """Fatal ingestion failure (unreadable file, unknown format)."""
+
+
+class OutOfOrderError(ValueError):
+    """A streamed day arrived at or before the day already consumed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,6 +243,72 @@ def _day_runs(codes: np.ndarray, days: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return codes[starts], days[starts], np.diff(np.append(starts, codes.size))
 
 
+def _close_days(
+    names: list[str], open_days: np.ndarray, open_counts: np.ndarray,
+    codes: np.ndarray, days: np.ndarray, counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(article code, day ordinal, count) of the days one chunk's runs close, in the order they close.
+
+    open_days[code] and open_counts[code] hold each article's open day (0
+    for none) and are advanced in place.  An article's open day goes first,
+    then its runs in file order (a stable sort by code): the runs of one day
+    are summed, and the first run of a later day closes the day before it.
+    A run on an earlier day raises OutOfOrderError, for the first such run
+    in file order.
+    """
+    if codes.size == 0:
+        return codes, days, counts
+    held = np.unique(codes)
+    held = held[open_days[held] > 0]
+    code = np.concatenate((held, codes))
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    day = np.concatenate((open_days[held], days))[order]
+    count = np.concatenate((open_counts[held], counts))[order]
+    at = order - held.size  # each run's place in the chunk; an open day's is negative
+    article_start = np.ones(code.size, dtype=bool)
+    article_start[1:] = code[1:] != code[:-1]
+    backward = np.flatnonzero(~article_start[1:] & (day[1:] < day[:-1])) + 1
+    if backward.size:
+        i = int(backward[np.argmin(at[backward])])
+        raise OutOfOrderError(
+            f"{names[code[i]]}: event on {date.fromordinal(int(day[i]))} arrived after"
+            f" {date.fromordinal(int(day[i - 1]))}; rerun with --sort"
+        )
+    new_day = article_start.copy()
+    new_day[1:] |= day[1:] != day[:-1]
+    heads = np.flatnonzero(new_day)  # the first run (or open day) of each day
+    codes, days, counts = code[heads], day[heads], np.add.reduceat(count, heads)
+    # A day is closed by the first run of the next day, when that day is of the same article.
+    closes = ~article_start[heads[1:]]
+    closed = np.flatnonzero(closes)
+    closed = closed[np.argsort(at[heads[1:][closes]])]
+    still_open = np.append(np.flatnonzero(~closes), heads.size - 1)
+    open_days[codes[still_open]] = days[still_open]
+    open_counts[codes[still_open]] = counts[still_open]
+    return codes[closed], days[closed], counts[closed]
+
+
+def closed_days(chunks: Iterable[Chunk]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray, np.ndarray]]:
+    """The days of chronological chunks as (names, codes, day ordinals, counts), a chunk at a time.
+
+    A day is closed once a later day of its article arrives; each chunk
+    gives the days its runs close, in the order they close them.  The days
+    still open at the end come last, by article name in sorted() order.
+    names is the load's list of article names, which codes index.
+    """
+    names: list[str] = []
+    open_days = open_counts = np.zeros(0, dtype=np.int64)
+    for chunk in chunks:
+        names = chunk.names
+        if open_days.size < len(names):  # at least double, so growth costs O(1) a name
+            grow = np.zeros(max(len(names), 2 * open_days.size) - open_days.size, dtype=np.int64)
+            open_days, open_counts = np.concatenate((open_days, grow)), np.concatenate((open_counts, grow))
+        yield (names, *_close_days(names, open_days, open_counts, *chunk.day_runs()))
+    held = np.array(sorted(np.flatnonzero(open_days).tolist(), key=names.__getitem__), dtype=np.int64)
+    yield names, held, open_days[held], open_counts[held]
+
+
 # ---------------------------------------------------------------------------
 # Record checks: the one place a line is accepted or rejected
 
@@ -362,13 +433,13 @@ def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
 
 
 def csv_rows(handle: io.TextIOBase, source: str) -> tuple[list[str] | None, Iterator[Row]]:
-    """A CSV file's header (its first row, None when empty) and the numbered_rows after it;
-    a header the csv module cannot parse raises IngestError."""
-    reader = csv.reader(handle)
-    try:
-        return next(reader, None), numbered_rows(reader)
-    except csv.Error as exc:
-        raise IngestError(f"{source}:{reader.line_num}: {exc}") from None
+    """A CSV file's header (its first non-blank row, None when there is none) and the
+    numbered_rows after it; a header the csv module cannot parse raises IngestError."""
+    rows = numbered_rows(csv.reader(handle))
+    line_no, header, bad = next(rows, (0, None, None))
+    if bad and bad[0] == "bad_csv":
+        raise IngestError(f"{source}:{line_no}: {bad[1]}")
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +644,10 @@ class Chunk:
     depths: np.ndarray
     orders: np.ndarray
 
-    def day_runs(self) -> list[tuple[str, int, int]]:
-        """Consecutive dated records of one article and day as (article, day ordinal, count)."""
+    def day_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(article code, day ordinal, count) of each run of consecutive dated records of one article and day."""
         dated = self.seconds != UNDATED
-        runs = _day_runs(self.codes[dated], _day_ordinals(self.seconds[dated]))
-        names = self.names
-        return [(names[code], day, count) for code, day, count in zip(*(a.tolist() for a in runs))]
+        return _day_runs(self.codes[dated], _day_ordinals(self.seconds[dated]))
 
     def texts(self, field: int) -> list[bytes | None]:
         """One text field of every record as UTF-8 bytes, None where it is null."""

@@ -11,7 +11,9 @@ follows from a sharp onset decaying over two days.
 The streaming variant looks only backwards (median of the trailing
 window_halfwidth days before the current day), so it can run on live feeds;
 its decisions match a batch pass that uses the same trailing window, not the
-centered one.
+centered one.  stream_step scores one stream a day at a time, and
+TrailingScorer many streams a batch of days at a time, with the same
+decisions.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import ActivitySeries
+from .ingest import ActivitySeries, OutOfOrderError
 
 DEFAULT_PEAK_FACTOR = 5.0
 DEFAULT_MIN_ACTIVITY = 10
@@ -38,10 +40,6 @@ ALERT_TIERS = (4.0, 2.0, 1.0)
 
 # Window values sorted at once by the batch median kernel (8 MB of float64).
 _SORT_CHUNK = 1 << 20
-
-
-class OutOfOrderError(ValueError):
-    """A streamed day arrived at or before the day already consumed."""
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,9 @@ def _window_medians(arr: np.ndarray, lead: int, width: int, rows: np.ndarray) ->
     """Median of arr[t - lead : t - lead + width], clipped to arr, for each t in rows.
 
     One kernel for every window shape: the array is padded with NaN, each
-    day's window is a row of one strided view, rows are sorted (NaN sorts
-    last) and the middle of each row's real values is picked by its true
-    size.  Empty windows give 0.  Rows are gathered and sorted a chunk at a
-    time so a wide window on a long series never holds more than
-    ~_SORT_CHUNK values.
+    day's window is a row of one strided view, and _row_medians picks each
+    row's median.  Rows are gathered and sorted a chunk at a time so a wide
+    window on a long series never holds more than ~_SORT_CHUNK values.
     """
     n = arr.size
     padded = np.concatenate(
@@ -139,17 +135,26 @@ def _window_medians(arr: np.ndarray, lead: int, width: int, rows: np.ndarray) ->
     windows = sliding_window_view(padded, width)
     start = rows - lead
     sizes = np.minimum(start + width, n) - np.maximum(start, 0)
-    lo, hi = (sizes - 1) // 2, sizes // 2
     out = np.empty(rows.size, dtype=np.float64)
     step = max(1, _SORT_CHUNK // width)
     for first in range(0, rows.size, step):
         last = min(first + step, rows.size)
-        ordered = windows[rows[first:last]]
-        ordered.sort(axis=1)
-        k = np.arange(last - first)
-        out[first:last] = (ordered[k, lo[first:last]] + ordered[k, hi[first:last]]) / 2
-    out[sizes == 0] = 0.0
+        out[first:last] = _row_medians(windows[rows[first:last]], sizes[first:last])
     return out
+
+
+def _row_medians(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Median of each row's sizes[i] real values, the row padded with NaN past them; 0 for none.
+
+    The rows are sorted in place (NaN sorts last) and the middle of each
+    row's real values is picked by its size; an even size takes the mean of
+    the two central values.
+    """
+    rows.sort(axis=1)
+    k = np.arange(sizes.size)
+    medians = (rows[k, (sizes - 1) // 2] + rows[k, sizes // 2]) / 2
+    medians[sizes == 0] = 0.0
+    return medians
 
 
 def detect_peaks(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
@@ -300,6 +305,153 @@ def stream_step(
     state.push(count)
     state.current_day = day
     return ratio, is_peak, state
+
+
+class TrailingScorer:
+    """Streaming peak detection for many streams, a batch of closed days at a time.
+
+    A stream is a nonnegative integer code that the caller gives each
+    (article, kind).  Every day is scored as stream_step scores it: against
+    the median of the window_halfwidth days before it, back to its stream's
+    first day, a day not given counting 0.  Per stream the scorer keeps its
+    first day, its last day and a ring of window_halfwidth slots, slot
+    day % window_halfwidth holding the latest day given there and its count:
+    every day within the window of the last day is in the ring, and a slot
+    that holds another day stands for a 0.  So what a call costs does not
+    grow with the number of streams, and the per-stream arrays double when a
+    larger code arrives.  A day with count <= c * n_min is no peak whatever its
+    median, so medians are read only for the other days: each such candidate
+    is one row of a (candidates, window) matrix, its window's counts taken
+    from the ring and from its stream's earlier days in the batch, NaN past
+    its window's size, and the rows go to _row_medians.  step scores one day
+    as a one-day batch would, without the batch's array work, for feeds that
+    give a day at a time.
+    """
+
+    def __init__(self, params: PeakParams | None = None) -> None:
+        self.params = params or PeakParams()
+        # Per stream code: its first and last day (0 before it has one), and its ring.
+        self._first = np.zeros(0, dtype=np.int64)
+        self._last = np.zeros(0, dtype=np.int64)
+        self._ring_days = np.zeros((0, self.params.window_halfwidth), dtype=np.int64)
+        self._ring_counts = np.zeros_like(self._ring_days)
+
+    def score(
+        self, streams: Sequence[int] | np.ndarray, days: Sequence[int] | np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Consume a batch of closed days; return the positions of its peak days and their ratios.
+
+        streams, days (ordinals) and counts are equal-length integer
+        sequences, and each stream's days are scored in the order given.  A
+        day at or before the day before it in its stream raises
+        OutOfOrderError, as stream_step does, and nothing of the batch is
+        consumed.
+        """
+        streams, days, counts = (np.asarray(a, dtype=np.int64) for a in (streams, days, counts))
+        if streams.size == 0:
+            return streams, np.zeros(0)
+        self._reserve(int(streams.max()) + 1)
+        order = np.argsort(streams, kind="stable")
+        stream, day, count = streams[order], days[order], counts[order]
+        head = np.ones(stream.size, dtype=bool)
+        head[1:] = stream[1:] != stream[:-1]
+        before = np.where(head, self._last[stream], np.roll(day, 1))
+        if (late := (day <= before).nonzero()[0]).size:
+            i = late[np.argmin(order[late])]
+            raise OutOfOrderError(f"day {date.fromordinal(int(day[i]))} after"
+                                  f" {date.fromordinal(int(before[i]))} already consumed")
+        heads = head.nonzero()[0]
+        tails = np.append(heads[1:] - 1, stream.size - 1)
+        group = np.cumsum(head) - 1
+        first = self._first[stream]
+        first = np.where(first > 0, first, day[heads][group])
+        hits, ratios = self._peaks(stream, day, count, first, heads[group])
+        # The ring keeps the days within the window of each stream's new last day, one a slot.
+        w = self.params.window_halfwidth
+        kept = day > day[tails][group] - w
+        self._ring_days[stream[kept], day[kept] % w] = day[kept]
+        self._ring_counts[stream[kept], day[kept] % w] = count[kept]
+        self._first[stream[heads]] = first[heads]
+        self._last[stream[tails]] = day[tails]
+        hits = order[hits]
+        by_position = np.argsort(hits)
+        return hits[by_position], ratios[by_position]
+
+    def step(self, stream: int, day: int, count: int) -> float | None:
+        """Consume one closed day of one stream; return its ratio when it peaks, else None.
+
+        The day is scored and refused as by a one-day score call, without
+        that call's array work.
+        """
+        self._reserve(stream + 1)
+        last = int(self._last[stream])
+        if day <= last:
+            raise OutOfOrderError(f"day {date.fromordinal(day)} after {date.fromordinal(last)} already consumed")
+        first = int(self._first[stream]) or day
+        p = self.params
+        ratio = None
+        if count > p.c * p.n_min:
+            sizes = np.array([min(day - first, p.window_halfwidth)])
+            rows = self._ring_rows(np.array([stream]), day - sizes, sizes, max(int(sizes[0]), 1))
+            floor = max(float(_row_medians(rows, sizes)[0]), float(p.n_min))
+            if count > p.c * floor:
+                ratio = count / floor
+        slot = day % p.window_halfwidth
+        self._first[stream], self._last[stream] = first, day
+        self._ring_days[stream, slot], self._ring_counts[stream, slot] = day, count
+        return ratio
+
+    def _reserve(self, streams: int) -> None:
+        """Room for the stream codes below streams: the per-stream arrays at least double."""
+        have = self._first.size
+        if streams <= have:
+            return
+        grow = max(streams, 2 * have) - have
+        self._first = np.append(self._first, np.zeros(grow, dtype=np.int64))
+        self._last = np.append(self._last, np.zeros(grow, dtype=np.int64))
+        ring = np.zeros((grow, self.params.window_halfwidth), dtype=np.int64)
+        self._ring_days = np.concatenate((self._ring_days, ring))
+        self._ring_counts = np.concatenate((self._ring_counts, ring))
+
+    def _ring_rows(self, streams: np.ndarray, starts: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
+        """One float row per stream: the counts its ring holds for days starts .. starts + width - 1,
+        0 for a day it does not hold, NaN from sizes on."""
+        wanted = starts[:, None] + np.arange(width)
+        at = streams[:, None], wanted % self.params.window_halfwidth
+        rows = np.where(self._ring_days[at] == wanted, self._ring_counts[at], 0).astype(np.float64)
+        rows[np.arange(width) >= sizes[:, None]] = np.nan
+        return rows
+
+    def _peaks(
+        self, stream: np.ndarray, day: np.ndarray, count: np.ndarray, first: np.ndarray, head: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The peak positions and ratios of a batch grouped by stream, before it enters the rings.
+
+        first and head hold each position's stream's first day and its
+        stream's first position in the batch.
+        """
+        p = self.params
+        cand = (count > p.c * p.n_min).nonzero()[0]
+        if cand.size == 0:
+            return cand, np.zeros(0)
+        sizes = np.minimum(day[cand] - first[cand], p.window_halfwidth)
+        starts = day[cand] - sizes
+        width = max(int(sizes.max()), 1)
+        medians = np.empty(cand.size)
+        step = max(1, _SORT_CHUNK // width)
+        for a in range(0, cand.size, step):
+            at, start, size = cand[a:a + step], starts[a:a + step], sizes[a:a + step]
+            rows = self._ring_rows(stream[at], start, size, width)
+            # A window's days in the batch are among the width positions before its day.
+            back = at[:, None] - np.arange(1, width + 1)
+            r, k = ((back >= head[at, None]) & (day[np.maximum(back, 0)] >= start[:, None])).nonzero()
+            back = back[r, k]
+            rows[r, day[back] - start[r]] = count[back]
+            medians[a:a + step] = _row_medians(rows, size)
+        floor = np.maximum(medians, float(p.n_min))
+        hit = count[cand] > p.c * floor
+        return cand[hit], count[cand][hit] / floor[hit]
 
 
 def alert_tier(ratio: float, params: PeakParams | None = None) -> int | None:

@@ -231,22 +231,29 @@ def _records_jsonl_oracle(handle, diagnostics: Diagnostics):
         yield line_no, record
 
 
+def _blank_row(cells: list[str]) -> bool:
+    return not cells or len(cells) == 1 and not cells[0].strip()
+
+
 def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
-    """Rows as csv.DictReader reads them, each numbered by the physical line it ends on (its
-    csv.reader's line_num: the DictReader's own is stale after a csv.Error); one the csv
-    module cannot parse is dropped as bad_csv, and one whose only cell is blank to
-    str.strip() is skipped uncounted, as the DictReader skips a row of no cells."""
+    """Rows as csv.DictReader reads them, each numbered by the physical line it ends on (the
+    header's line plus its csv.reader's line_num: the DictReader's own is stale after a
+    csv.Error); one the csv module cannot parse is dropped as bad_csv, and one whose only
+    cell is blank to str.strip() is skipped uncounted, as the DictReader skips a row of no
+    cells.  The header is the first row that is not blank."""
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
-    reader = csv.DictReader(handle)
+    header_rows = csv.reader(handle)
     try:
-        fieldnames = reader.fieldnames
+        fieldnames = next((row for row in header_rows if not _blank_row(row)), None)
     except csv.Error as exc:
-        raise IngestError(f"{diagnostics.source}:{reader.reader.line_num}: {exc}") from None
+        raise IngestError(f"{diagnostics.source}:{header_rows.line_num}: {exc}") from None
     if fieldnames is None:
         return
     missing = [c for c in expected if c not in fieldnames]
     if missing:
         raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
+    reader = csv.DictReader(handle, fieldnames)
+    header_line = header_rows.line_num
     while True:
         try:
             row = next(reader)
@@ -254,12 +261,12 @@ def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
             return
         except csv.Error as exc:
             diagnostics.tally("lines_read")
-            diagnostics.record(reader.reader.line_num, "bad_csv", str(exc))
+            diagnostics.record(header_line + reader.reader.line_num, "bad_csv", str(exc))
             continue
-        line_no = reader.reader.line_num
+        line_no = header_line + reader.reader.line_num
         cells = [cell for value in row.values()
                  for cell in (value if isinstance(value, list) else [value]) if cell is not None]
-        if len(cells) == 1 and not cells[0].strip():
+        if _blank_row(cells):
             continue
         diagnostics.tally("lines_read")
         reason = next(filter(None, map(_undecodable_oracle, cells)), None)

@@ -419,6 +419,19 @@ class TestPeaksAndStatsRoundTrip:
         assert out_rows[0][0] == "tolerance_days"
         assert out_rows[1] == ["0", "1", "1"]
 
+    @pytest.mark.parametrize("before", ["\n", "\r\n \r\n"])
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, capsys, before):
+        peaks = tmp_path / "peaks.csv"
+        assert run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
+                       "--comments", str(GOLDEN / "comments.jsonl"),
+                       "--out", str(peaks), "-c", "5", "--nmin", "2") == 0
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 0
+        want = capsys.readouterr().out
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes(before.encode() + peaks.read_bytes())
+        assert run_cli("stats", "--peaks", str(padded), "--report", "overlap") == 0
+        assert capsys.readouterr().out == want
+
     def test_runs_read_back_have_no_max_ratio(self, tmp_path):
         peaks = tmp_path / "peaks.csv"
         assert run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
@@ -740,6 +753,35 @@ class TestWatchChunkParity:
         assert simulate_watch(shuffled, self.PARAMS, sort=True) == simulate_watch_oracle(
             shuffled, self.PARAMS, sort=True)
 
+    @pytest.mark.parametrize("chunk", [1, 37, 1 << 14])
+    def test_alerts_equal_replay_when_most_days_are_candidates(self, tmp_path, monkeypatch, chunk):
+        # With c near 1 and n_min 1 nearly every day is above c * n_min, so
+        # the scorer reads a window median for most of them.
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        params = PeakParams(c=1.01, n_min=1, window_halfwidth=5)
+        lines = comment_stream(random.Random(3), articles=3, days=60)
+        ordered = tmp_path / "ordered.jsonl"
+        ordered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = simulate_watch_oracle(ordered, params)
+        assert len(want) > 60, "most days should be candidates and many should alert"
+        assert simulate_watch(ordered, params) == want
+        assert simulate_watch(ordered, params, sort=True) == simulate_watch_oracle(
+            ordered, params, sort=True)
+
+    @pytest.mark.parametrize("chunk", [2, 5, 1 << 14])
+    def test_first_backward_run_in_file_order_is_named(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        events = tmp_path / "events.jsonl"
+        # B steps back before A does, though A's article sorts first.
+        write_daily_events(events, [("A", "2020-01-02", 1), ("B", "2020-01-03", 1),
+                                    ("B", "2020-01-01", 1), ("A", "2020-01-01", 1)])
+        with pytest.raises(OutOfOrderError) as want:
+            simulate_watch_oracle(events, PeakParams(), kind="edit")
+        with pytest.raises(OutOfOrderError) as got:
+            simulate_watch(events, kind="edit")
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("B: event on 2020-01-01 arrived after 2020-01-03")
+
     def test_day_run_across_chunk_boundary(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
         events = tmp_path / "events.jsonl"
@@ -830,6 +872,17 @@ class TestWatchCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ",".join(cli.WATCH_HEADER)
         assert out[1] == "X,comment,2021-03-15,101,10.1,2"
+
+    @pytest.mark.parametrize("again", ["2020-01-15", "2020-01-03"])
+    def test_stdin_day_not_after_the_last_exit_1_after_earlier_alerts(self, capsys, monkeypatch, again):
+        lines = [f"A,edit,2020-01-{1 + i:02d},2" for i in range(14)]
+        # Another stream of the same article is not in the way.
+        lines += ["A,edit,2020-01-15,90", "A,comment,2020-01-02,1", f"A,edit,{again},3"]
+        self.feed_stdin(monkeypatch, "\n".join(lines) + "\n")
+        assert run_cli("watch", "--stdin") == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [",".join(cli.WATCH_HEADER), "A,edit,2020-01-15,90,9,1"]
+        assert captured.err == f"error: day {again} after 2020-01-15 already consumed\n"
 
     def test_stdin_comments_and_blank_lines_skipped(self, capsys, monkeypatch):
         self.feed_stdin(monkeypatch, "# warmup\n\nX,edit,2021-03-01,2\n")

@@ -716,6 +716,16 @@ class TestLoaderMatchesOracle:
         if kind == EDIT:
             assert diag.messages[0] == f"{path}:5: edit_ts_malformed: ts='garbage'"
 
+    @pytest.mark.parametrize("before", [b"\n", b"\r\n \r\n", b" \t\n\n"])
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path, before):
+        path = tmp_path / "e.csv"
+        path.write_bytes(before + b"article,ts\nA,2006-05-10T13:45:08Z\nA,bad\n")
+        events, diag = assert_loads_like_oracle(path, EDIT, fmt="csv")
+        assert [e.article_id for e in events] == ["A"]
+        assert diag.tallies["lines_read"] == 2
+        line = before.count(b"\n") + 3
+        assert diag.messages == [f"{path}:{line}: edit_ts_malformed: ts='bad'"]
+
     def test_default_now_keeps_past_and_drops_future(self, tmp_path):
         path = tmp_path / "e.jsonl"
         write_jsonl(path, [{"article": "A", "ts": "2010-01-01T00:00:00Z"},

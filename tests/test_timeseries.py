@@ -31,6 +31,7 @@ from conftest import (
     median_oracle,
     peak_days_oracle,
     runs_from_days,
+    stream_alerts_oracle,
     trailing_median_oracle,
     trailing_peak_days_oracle,
 )
@@ -491,6 +492,112 @@ def counts_at(schedule: list[tuple[int, int]], offset: int) -> int:
         if o == offset:
             return c
     raise KeyError(offset)
+
+
+STREAM_KEYS = [("A", "edit"), ("A", "comment"), ("B", "edit"), ("C", "comment")]
+
+
+@st.composite
+def closed_day_batches(draw):
+    """Params, the closed (article, kind, day ordinal, count) days of up to four streams in one
+    interleaved order, and that order cut into batches at random points."""
+    window = draw(st.integers(min_value=1, max_value=20))
+    params = PeakParams(c=draw(st.floats(min_value=1.01, max_value=6.0)),
+                        n_min=draw(st.integers(min_value=1, max_value=10)), window_halfwidth=window)
+    keys = STREAM_KEYS[:draw(st.integers(min_value=1, max_value=len(STREAM_KEYS)))]
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(keys),
+        # Mostly dense days, so medians rise above n_min; some gaps outrun the window.
+        st.one_of(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3 * window + 2)),
+        st.one_of(st.integers(min_value=0, max_value=30), st.integers(min_value=20, max_value=150)),
+    ), min_size=1, max_size=80))
+    last: dict[tuple[str, str], int] = {}
+    days = []
+    for key, gap, count in steps:
+        last[key] = last.get(key, START_DAY.toordinal()) + gap
+        days.append((*key, last[key], count))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(days)), max_size=8)))
+    batches = [days[a:b] for a, b in zip([0, *cuts], [*cuts, len(days)])]
+    return params, days, batches
+
+
+def scorer_alerts(params: PeakParams, batches, stepped: bool = False) -> list[list[object]]:
+    """The alert rows of a TrailingScorer fed the batches in order, one stream code per key;
+    with stepped, every other batch goes through step a day at a time."""
+    scorer = timeseries.TrailingScorer(params)
+    codes: dict[tuple[str, str], int] = {}
+    rows = []
+    for n, batch in enumerate(batches):
+        streams = [codes.setdefault((article, kind), len(codes)) for article, kind, _, _ in batch]
+        if stepped and n % 2:
+            ratios = [(i, scorer.step(code, day, count))
+                      for i, (code, (*_, day, count)) in enumerate(zip(streams, batch))]
+            hits = [(i, ratio) for i, ratio in ratios if ratio is not None]
+        else:
+            found, ratios = scorer.score(streams, [day for *_, day, _ in batch], [n for *_, n in batch])
+            hits = list(zip(found.tolist(), ratios.tolist()))
+        for i, ratio in hits:
+            article, kind, day, count = batch[i]
+            rows.append([article, kind, date.fromordinal(day), count, ratio, alert_tier(ratio, params)])
+    return rows
+
+
+class TestTrailingScorer:
+    @given(drawn=closed_day_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batches_alert_as_the_definition(self, drawn):
+        params, days, batches = drawn
+        want = stream_alerts_oracle(days, params)
+        assert scorer_alerts(params, batches) == want
+        # step and score share the rings: every other batch a day at a time.
+        assert scorer_alerts(params, batches, stepped=True) == want
+        assert scorer_alerts(params, [[day] for day in days], stepped=True) == want
+
+    def test_candidate_on_a_streams_first_day(self):
+        # Nothing before the first day: the median is 0 and the floor n_min.
+        day = START_DAY.toordinal()
+        assert scorer_alerts(PeakParams(), [[("A", "edit", day, 51), ("B", "edit", day, 50)]]) \
+            == [["A", "edit", START_DAY, 51, 5.1, 1]]
+
+    def test_day_not_after_the_last_raises_as_stream_step_and_consumes_nothing(self):
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=3)
+        day = date(2020, 1, 15)
+        state = StreamState(window=3)
+        stream_step(state, day, 2, params)
+        with pytest.raises(OutOfOrderError) as want:
+            stream_step(state, day, 2, params)
+        scorer = timeseries.TrailingScorer(params)
+        o = day.toordinal()
+        scorer.score([0], [o], [2])
+        with pytest.raises(OutOfOrderError) as repeated:
+            scorer.score([0], [o], [2])
+        assert str(repeated.value) == str(want.value) == "day 2020-01-15 after 2020-01-15 already consumed"
+        # Within a batch, the first day out of order in batch order is named.
+        with pytest.raises(OutOfOrderError) as backward:
+            scorer.score([1, 0, 1, 0], [o + 5, o + 3, o + 4, o + 2], [1] * 4)
+        assert str(backward.value) == "day 2020-01-19 after 2020-01-20 already consumed"
+        with pytest.raises(OutOfOrderError) as stepped:
+            scorer.step(0, o - 1, 2)
+        assert str(stepped.value) == "day 2020-01-14 after 2020-01-15 already consumed"
+        # The refused days left no trace: day 16 sees only day 15.
+        hits, ratios = scorer.score([0], [o + 1], [5])
+        assert hits.tolist() == [0] and ratios.tolist() == [2.5]
+        assert scorer.step(0, o + 2, 13) == 13 / 3.5
+
+    def test_state_is_a_fixed_ring_per_stream(self):
+        # However many days a stream has had, it keeps window_halfwidth slots.
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=4)
+        scorer = timeseries.TrailingScorer(params)
+        day = START_DAY.toordinal()
+        for k in range(0, 300, 30):
+            scorer.score([0, 1, 2] * 30, [day + k + i // 3 for i in range(90)], [1] * 90)
+        scorer.step(40, day, 1)
+        assert scorer._ring_days.shape == scorer._ring_counts.shape == (41, 4)
+        assert sorted(scorer._ring_days[0].tolist()) == list(range(day + 296, day + 300))
+
+    def test_empty_batch(self):
+        hits, ratios = timeseries.TrailingScorer().score([], [], [])
+        assert hits.size == 0 and ratios.size == 0
 
 
 class TestAlertTier:
