@@ -752,15 +752,20 @@ def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
     if isinstance(sys.stdin, io.TextIOWrapper):
         # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its line.
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    first = True  # the first row that is not a comment may be the header
     for line_no, cells, bad in ingest.numbered_rows(csv.reader(sys.stdin)):
-        if cells and cells[0].strip().startswith("#") or line_no == 1 and cells[:2] == ["article", "kind"]:
+        cells = [cell.strip() for cell in cells]
+        if cells and cells[0].startswith("#"):
+            continue
+        header, first = first and cells[:2] == ["article", "kind"], False
+        if header:
             continue
         where = f"stdin:{line_no}"
         if bad:
             raise IngestError(f"{where}: {bad[1]}")
         if len(cells) != 4:
             raise IngestError(f"{where}: expected article,kind,day,count")
-        yield _day_row(where, [cell.strip() for cell in cells], STDIN_TABLE)
+        yield _day_row(where, cells, STDIN_TABLE)
 
 
 def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
@@ -818,7 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True,
                    help="talk-page file or directory of files (article id = file stem)")
     p.add_argument("--out", help="output JSONL path (default stdout)")
-    p.add_argument("--patterns", help="JSON registry of extra signature date patterns")
+    p.add_argument("--patterns",
+                   help="JSON registry of signature date patterns, used instead of the defaults")
     p.set_defaults(handler=_cmd_parse_talk)
 
     p = sub.add_parser("peaks", parents=[fmt, peak], help="detect activity peak runs")

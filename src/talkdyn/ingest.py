@@ -48,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice, zip_longest
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -996,18 +997,25 @@ def build_series(events: Iterable[EditEvent | CommentEvent], kind: str) -> dict[
 def event_json_line(event: EditEvent | CommentEvent) -> str:
     """Canonical one-line JSON for an event: fixed key order, no spaces.
 
-    Serializing the same event always yields the same bytes, so round trips
-    through dump/load are byte-identical.  read_chunks reads lines of this
-    exact shape from their bytes (_EDIT_SHAPE, _COMMENT_SHAPE); a change
-    here must change those shapes too.
+    The line is json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    of the event's record, written without building the record or an
+    encoder: each text is quoted by json.encoder.encode_basestring, as
+    json.dumps quotes it, and a timestamp needs no escaping.  Serializing the
+    same event always yields the same bytes, so round trips through
+    dump/load are byte-identical.  read_chunks reads lines of this exact
+    shape from their bytes (_EDIT_SHAPE, _COMMENT_SHAPE); a change here must
+    change those shapes too.
     """
     if isinstance(event, CommentEvent):
-        stamp = format_timestamp(event.timestamp) if event.timestamp else None
-        record = {"article": event.article_id, "id": event.comment_id, "parent": event.parent_id,
-                  "depth": event.depth, "ts": stamp, "author": event.author, "ord": event.doc_order}
-    else:
-        record = {"article": event.article_id, "ts": format_timestamp(event.timestamp)}
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        stamp = f'"{format_timestamp(event.timestamp)}"' if event.timestamp else "null"
+        return (f'{{"article":{_quote(event.article_id)},"id":{_quote(event.comment_id)},'
+                f'"parent":{_quote_or_null(event.parent_id)},"depth":{event.depth},"ts":{stamp},'
+                f'"author":{_quote_or_null(event.author)},"ord":{event.doc_order}}}')
+    return f'{{"article":{_quote(event.article_id)},"ts":"{format_timestamp(event.timestamp)}"}}'
+
+
+def _quote_or_null(text: str | None) -> str:
+    return "null" if text is None else _quote(text)
 
 
 def write_events_jsonl(path: str | Path, events: Iterable[EditEvent | CommentEvent]) -> int:

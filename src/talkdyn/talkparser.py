@@ -63,12 +63,15 @@ _ALLOWED_GROUPS = {"hour", "minute", "day", "month", "year"}
 
 # Ordered by priority: when two patterns end at the same character the
 # earlier entry wins, so the timestamped form beats its date-only suffix.
+# Each opens with a digit class, not a repeat ("\d\d?" matches as "\d{1,2}"
+# does, two digits tried first), so the compiled pattern gets a charset
+# prefix and the regex engine skips non-digits without trying a match there.
 DEFAULT_DATE_PATTERNS: tuple[re.Pattern, ...] = (
     re.compile(
-        r"(?P<hour>\d{1,2}):(?P<minute>\d{2}), "
-        r"(?P<day>\d{1,2}) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
+        r"(?P<hour>\d\d?):(?P<minute>\d\d), "
+        r"(?P<day>\d\d?) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
     ),
-    re.compile(r"(?P<day>\d{1,2}) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
+    re.compile(r"(?P<day>\d\d?) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
 )
 
 

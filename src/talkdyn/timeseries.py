@@ -390,14 +390,19 @@ class TrailingScorer:
             raise OutOfOrderError(f"day {date.fromordinal(day)} after {date.fromordinal(last)} already consumed")
         first = int(self._first[stream]) or day
         p = self.params
+        w = p.window_halfwidth
         ratio = None
         if count > p.c * p.n_min:
-            sizes = np.array([min(day - first, p.window_halfwidth)])
-            rows = self._ring_rows(np.array([stream]), day - sizes, sizes, max(int(sizes[0]), 1))
-            floor = max(float(_row_medians(rows, sizes)[0]), float(p.n_min))
+            # The one-row median in plain floats: the same sums and halvings as _row_medians.
+            size = min(day - first, w)
+            ring_days, ring_counts = self._ring_days[stream].tolist(), self._ring_counts[stream].tolist()
+            window = sorted(float(ring_counts[d % w]) if ring_days[d % w] == d else 0.0
+                            for d in range(day - size, day))
+            median = (window[(size - 1) // 2] + window[size // 2]) / 2 if size else 0.0
+            floor = max(median, float(p.n_min))
             if count > p.c * floor:
                 ratio = count / floor
-        slot = day % p.window_halfwidth
+        slot = day % w
         self._first[stream], self._last[stream] = first, day
         self._ring_days[stream, slot], self._ring_counts[stream, slot] = day, count
         return ratio

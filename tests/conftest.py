@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 from collections import Counter, defaultdict
 from datetime import date, datetime, timezone
@@ -37,6 +38,7 @@ from talkdyn.ingest import (
     KINDS,
     Diagnostics,
     IngestError,
+    format_timestamp,
 )
 from talkdyn.timeseries import OutOfOrderError
 
@@ -311,6 +313,17 @@ def load_events_oracle(path, kind: str, *, fmt: str = "jsonl",
                 yield event
 
 
+def event_json_line_oracle(event: EditEvent | CommentEvent) -> str:
+    """The canonical line as json.dumps writes the event's record."""
+    if isinstance(event, CommentEvent):
+        stamp = format_timestamp(event.timestamp) if event.timestamp else None
+        record = {"article": event.article_id, "id": event.comment_id, "parent": event.parent_id,
+                  "depth": event.depth, "ts": stamp, "author": event.author, "ord": event.doc_order}
+    else:
+        record = {"article": event.article_id, "ts": format_timestamp(event.timestamp)}
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
 def build_series_oracle(events, kind: str) -> dict[str, ActivitySeries]:
     """Per-article daily series from one Counter of day ordinals per article."""
     import numpy as np
@@ -394,6 +407,16 @@ def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
 # each date, as the parser did before it scanned the links once per body.
 
 
+# The default signature date patterns as first written, with \d{1,2} and \d{2}.
+DATE_PATTERNS_ORACLE = (
+    re.compile(
+        r"(?P<hour>\d{1,2}):(?P<minute>\d{2}), "
+        r"(?P<day>\d{1,2}) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
+    ),
+    re.compile(r"(?P<day>\d{1,2}) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
+)
+
+
 def _last_user_link_oracle(body: str, end: int | None = None):
     last = None
     for m in talkparser.USER_LINK_RE.finditer(body if end is None else body[:end]):
@@ -402,7 +425,7 @@ def _last_user_link_oracle(body: str, end: int | None = None):
 
 
 def extract_signature_oracle(body: str, patterns=None, now: datetime | None = None):
-    pats = talkparser.DEFAULT_DATE_PATTERNS if patterns is None else patterns
+    pats = DATE_PATTERNS_ORACLE if patterns is None else patterns
     now = datetime.now(timezone.utc) if now is None else now
     candidates = sorted(((m.end(), priority, m) for priority, pattern in enumerate(pats)
                          for m in pattern.finditer(body)), key=lambda item: (-item[0], item[1]))

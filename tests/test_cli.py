@@ -889,6 +889,23 @@ class TestWatchCommand:
         assert run_cli("watch", "--stdin") == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    @pytest.mark.parametrize("before,header", [("\n", "article,kind,day,count"),
+                                               ("\r\n \r\n", "article,kind,day,count"),
+                                               ("# feed\n\n", "article,kind,day,count"),
+                                               ("", "article, kind, day, count")])
+    def test_stdin_header_after_blank_and_comment_lines(self, capsys, monkeypatch, before, header):
+        # Cells are stripped, the header's as a day row's.
+        self.feed_stdin(monkeypatch, f"{before}{header}\nA,edit,2020-01-15,90\n")
+        assert run_cli("watch", "--stdin") == 0
+        assert capsys.readouterr().out.splitlines() == [",".join(cli.WATCH_HEADER),
+                                                        "A,edit,2020-01-15,90,9,1"]
+
+    def test_stdin_header_after_a_day_row_is_a_day_row(self, capsys, monkeypatch):
+        self.feed_stdin(monkeypatch, "A,edit,2020-01-15,2\narticle,kind,day,count\n")
+        assert run_cli("watch", "--stdin") == 1
+        assert "stdin:2: malformed day-count row: expected a YYYY-MM-DD day, got 'day'" \
+            in capsys.readouterr().err
+
     def test_stdin_malformed_row_exit_1(self, capsys, monkeypatch):
         self.feed_stdin(monkeypatch, "X,edit,2021-03-01\n")
         assert run_cli("watch", "--stdin") == 1

@@ -36,7 +36,13 @@ from talkdyn.ingest import (
     write_events_jsonl,
 )
 
-from conftest import build_series_oracle, load_events_oracle, parse_timestamp_oracle, utc
+from conftest import (
+    build_series_oracle,
+    event_json_line_oracle,
+    load_events_oracle,
+    parse_timestamp_oracle,
+    utc,
+)
 
 
 class TestParseTimestamp:
@@ -272,6 +278,14 @@ class TestBuildSeries:
         assert fwd.counts.tolist() == rev.counts.tolist()
 
 
+# Texts with what JSON must escape or may pass through: quotes, backslashes,
+# control characters, non-ASCII text and lone surrogates.
+json_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028\ud800\udfff'),
+                               st.characters(exclude_categories=())))
+json_counts = st.integers(min_value=0, max_value=10**20)
+json_stamps = st.datetimes(datetime(2001, 1, 1), datetime(2030, 12, 31), timezones=st.just(timezone.utc))
+
+
 class TestCanonicalSerialization:
     def test_comment_line_shape(self):
         event = CommentEvent("A", "c0", None, 0, utc(2006, 5, 10, 13, 45, 8), "Alice", 0)
@@ -284,6 +298,15 @@ class TestCanonicalSerialization:
         assert event_json_line(EditEvent("A", utc(2006, 5, 10))) == (
             '{"article":"A","ts":"2006-05-10T00:00:00Z"}'
         )
+
+    @given(event=st.one_of(
+        st.builds(CommentEvent, json_texts, json_texts, st.none() | json_texts, json_counts,
+                  st.none() | json_stamps, st.none() | json_texts, json_counts),
+        st.builds(EditEvent, json_texts, json_stamps),
+    ))
+    @settings(max_examples=500)
+    def test_line_is_json_dumps_of_the_record(self, event):
+        assert event_json_line(event) == event_json_line_oracle(event)
 
     def test_write_load_write_is_identity(self, tmp_path):
         events = [

@@ -24,7 +24,7 @@ from talkdyn import (
 from talkdyn.ingest import event_json_line, write_events_jsonl
 from talkdyn.talkparser import DEFAULT_DATE_PATTERNS, PatternError, load_patterns, parse_file
 
-from conftest import extract_signature_oracle, utc
+from conftest import DATE_PATTERNS_ORACLE, extract_signature_oracle, utc
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "talkpages"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
@@ -212,6 +212,39 @@ class TestSignatureMatchesTwoScanOracle:
                 == extract_signature_oracle(body, patterns, now))
 
 
+def digit_runs(*lengths: int) -> st.SearchStrategy[str]:
+    """Runs of ASCII digits, each as long as one of lengths (a length listed twice, twice as often)."""
+    return st.sampled_from(lengths).flatmap(lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n))
+
+
+# Text made of the default patterns' own pieces: both date forms with digit
+# runs of the right length or not, and digits, separators, months and "(UTC)"
+# on their own.
+short_runs, minute_runs, year_runs = digit_runs(1, 2, 3), digit_runs(2, 2, 1, 3), digit_runs(4, 4, 3, 5)
+month_tokens = st.sampled_from(["May", "Sep.", "december", "Foo", "x.", ""])
+date_pieces = st.lists(
+    st.one_of(
+        st.builds("{}:{}, {} {} {} (UTC)".format, short_runs, minute_runs, short_runs, month_tokens,
+                  year_runs),
+        st.builds("{} {} {} (UTC)".format, short_runs, month_tokens, year_runs),
+        digit_runs(0, 1, 2, 3, 4, 5),
+        st.sampled_from([":", ", ", " ", ",", ".", " (UTC)", "(UTC)", "May", "x"]),
+    ),
+    max_size=8,
+).map("".join)
+
+
+class TestDefaultPatternsMatchAsFirstWritten:
+    r"""\d\d? and \d\d find what \d{1,2} and \d{2} found: the same spans and groups."""
+
+    @settings(max_examples=1000)
+    @given(text=st.one_of(date_pieces, signature_bodies))
+    def test_same_finditer(self, text):
+        for pattern, oracle in zip(DEFAULT_DATE_PATTERNS, DATE_PATTERNS_ORACLE, strict=True):
+            assert ([(m.span(), m.groupdict()) for m in pattern.finditer(text)]
+                    == [(m.span(), m.groupdict()) for m in oracle.finditer(text)])
+
+
 class TestToEventsDiagnostics:
     def test_tallies_cover_all_repairs(self):
         text = (
@@ -269,6 +302,19 @@ class TestPatternRegistry:
         patterns = load_patterns(registry)
         sig = extract_signature("[[User:A]] 2006-05-05", patterns)
         assert sig.timestamp == utc(2006, 5, 5)
+
+    def test_registry_replaces_the_defaults(self, tmp_path):
+        # README's registry of the default patterns, added to a custom one, brings them back.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        defaults = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        body = "[[User:Al]] 10:30, 5 May 2006 (UTC)"
+        registry = tmp_path / "patterns.json"
+        registry.write_text(json.dumps([self.good_entry()]))
+        assert extract_signature(body, load_patterns(registry)).timestamp is None
+        registry.write_text(json.dumps([self.good_entry(), *defaults]))
+        patterns = load_patterns(registry)
+        assert [p.pattern for p in patterns[1:]] == [p.pattern for p in DEFAULT_DATE_PATTERNS]
+        assert extract_signature(body, patterns).timestamp == utc(2006, 5, 5, 10, 30)
 
     def test_missing_required_group(self, tmp_path):
         registry = tmp_path / "patterns.json"
