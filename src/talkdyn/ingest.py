@@ -16,7 +16,9 @@ Input is bytes.  A line ends at '\n', '\r\n' or a lone '\r', and each line
 is decoded as UTF-8 on its own: one that does not decode is dropped as
 bad_utf8 and the load goes on.
 
-One loader, read_chunks, reads a bounded block of lines at a time.  A JSONL
+One loader, read_chunks, reads a bounded block of lines at a time: about
+256 KiB of whole JSONL lines a block, memory bounded by the block plus the
+longest line, or a fixed number of CSV rows.  A JSONL
 line in the exact shape event_json_line writes (fixed key order, no spaces,
 non-empty strings without quote, backslash or control byte, unsigned
 integers of at most 18 digits) is read from its bytes: the block's quote,
@@ -74,8 +76,10 @@ _INT_TEXT = re.compile(r"-?[0-9]+").fullmatch
 
 _MAX_MESSAGES = 50
 
-# Lines read and checked as one block, whose array operations then cost
-# little per line; a block of typical comment lines holds ~230 KB.
+# JSONL bytes read and checked as one block of whole lines (~1,700 typical
+# comment lines), whose array operations then cost little per line; a CSV
+# block is _CHUNK_LINES rows.
+_CHUNK_BYTES = 1 << 18
 _CHUNK_LINES = 1 << 11
 
 
@@ -412,23 +416,42 @@ def _json_line(raw: bytes) -> dict | None:
 Row = tuple[int, list[str], tuple[str, str] | None]
 
 
+# The csv module stops at a field over its limit and then resumes inside the
+# field, so a record is read whole under this limit and the real one applied
+# to the record afterwards.
+_WHOLE_RECORD = (1 << 31) - 1
+
+
+def _next_record(reader: Iterator[list[str]]) -> list[str] | None:
+    """The next record of a csv.reader, read whole however long its fields are; None at the end."""
+    limit = csv.field_size_limit(_WHOLE_RECORD)
+    try:
+        return next(reader, None)
+    finally:
+        csv.field_size_limit(limit)
+
+
 def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
     """Each non-blank row left in a csv.reader, named by the physical line it ends on.
 
     A blank row (no cells, or one cell blank to str.strip()) is skipped and not
-    counted.  A row the csv module cannot parse (a field over
-    csv.field_size_limit()) is bad_csv, and one with a cell that is not UTF-8
-    is bad_utf8.
+    counted.  A row the csv module cannot parse, or one with a field over
+    csv.field_size_limit() (a quoted field that spans lines included: the
+    record is read whole first), is bad_csv, and one with a cell that is not
+    UTF-8 is bad_utf8.
     """
+    limit = csv.field_size_limit()
     while True:
         try:
-            cells = next(reader)
-        except StopIteration:
-            return
+            cells = _next_record(reader)
         except csv.Error as exc:
             yield reader.line_num, [], ("bad_csv", str(exc))
             continue
-        if len(cells) > 1 or cells and cells[0].strip():
+        if cells is None:
+            return
+        if any(len(cell) > limit for cell in cells):
+            yield reader.line_num, [], ("bad_csv", f"field larger than field limit ({limit})")
+        elif len(cells) > 1 or cells and cells[0].strip():
             reason = next(filter(None, map(undecodable, cells)), None)
             yield reader.line_num, cells, reason and ("bad_utf8", reason)
 
@@ -494,22 +517,36 @@ _LOW_BYTES = np.array([_words(b"\xff" * k + _PAD)[0] for k in range(9)])
 
 
 def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]]:
-    """The file's bytes, a block of _CHUNK_LINES lines at a time, with each line's end offset.
+    """The file's bytes, about _CHUNK_BYTES of whole lines at a time, with each line's end offset.
 
     Each block is followed by _PAD.  A line ends after '\\n', '\\r\\n' or a
-    lone '\\r', as text mode with newline="" splits it; reading splits at
-    '\\n' only, so a block holds one more line for every lone '\\r' in it.
+    lone '\\r', as text mode with newline="" splits it, or at the end of the
+    file.  A block is cut after its last line end and the rest is carried to
+    the next read; a read that holds no line end reads on, so a block holds
+    at most _CHUNK_BYTES plus one line.
     """
-    while lines := list(islice(handle, _CHUNK_LINES)):
-        ends = np.cumsum(np.fromiter(map(len, lines), dtype=np.int64, count=len(lines)))
-        lines.append(_PAD)
-        data = b"".join(lines)
-        del lines
-        if b"\r" in data and data.count(b"\r") > data.count(b"\r\n"):
-            body = np.frombuffer(data, dtype=np.uint8)
-            returns = np.flatnonzero(body == ord("\r"))
-            ends = np.union1d(ends, returns[body[returns + 1] != ord("\n")] + 1)
-        yield data, ends
+    tail = b""
+    while True:
+        piece = handle.read(_CHUNK_BYTES)
+        data = tail + piece
+        if not data:
+            return
+        body = np.frombuffer(data, dtype=np.uint8)
+        at_end = body == ord("\n")
+        if b"\r" in data:
+            # A '\r' ends a line unless a '\n' follows it; one that ends a
+            # read waits for the next read, unless the file ends there.
+            at_end[:-1] |= (body[:-1] == ord("\r")) & (body[1:] != ord("\n"))
+            at_end[-1] |= body[-1] == ord("\r") and not piece
+        ends = np.flatnonzero(at_end) + 1
+        if not piece and (not ends.size or ends[-1] != len(data)):
+            ends = np.append(ends, len(data))
+        if not ends.size:
+            tail = data
+            continue
+        cut = int(ends[-1])
+        yield b"".join((memoryview(data)[:cut], _PAD)), ends
+        tail = data[cut:]
 
 
 def _canonical(
@@ -677,11 +714,10 @@ def read_chunks(
     Each line is decoded and checked on its own; every unusable line is
     recorded in diagnostics in line order and skipped.  Timestamps outside
     [2001-01-01, now] are unusable; now defaults to the clock, read once when
-    loading starts.  Memory stays bounded by the chunk size and the number of
-    distinct articles, with one exception: binary readline splits only at
-    '\n', so _line_blocks reads a run of JSONL lines that end in a lone '\r'
-    as one block, and such a file is held whole.  Only an unreadable file,
-    unknown format/kind or an unusable CSV header raises.
+    loading starts.  Memory stays bounded by the chunk size (for JSONL,
+    _CHUNK_BYTES plus the longest line) and the number of distinct articles.
+    Only an unreadable file, unknown format/kind or an unusable CSV header
+    raises.
     """
     if kind not in KINDS:
         raise IngestError(f"unknown event kind {kind!r}")

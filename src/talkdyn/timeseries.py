@@ -38,8 +38,9 @@ DEFAULT_WINDOW_HALFWIDTH = 14
 # Alert tiers for the streaming detector: ratio >= tier * c, strongest first.
 ALERT_TIERS = (4.0, 2.0, 1.0)
 
-# Window values sorted at once by the batch median kernel (8 MB of float64).
-_SORT_CHUNK = 1 << 20
+# Window values gathered and sorted at once by the median kernels (1 MB of
+# float64), so the watch scorer's (rows, window) temporaries stay small too.
+_SORT_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,10 @@ def _blank_row(cells: list[str]) -> bool:
 def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
     """Rows as csv.DictReader reads them, each numbered by the physical line it ends on (the
     header's line plus its csv.reader's line_num: the DictReader's own is stale after a
-    csv.Error); one the csv module cannot parse is dropped as bad_csv, and one whose only
-    cell is blank to str.strip() is skipped uncounted, as the DictReader skips a row of no
-    cells.  The header is the first row that is not blank."""
+    csv.Error); one the csv module cannot parse, or one with a field over the csv module's
+    limit once the whole record is read, is dropped as bad_csv, and one whose only cell is
+    blank to str.strip() is skipped uncounted, as the DictReader skips a row of no cells.
+    The header is the first row that is not blank."""
     expected = COMMENT_FIELDS if kind == COMMENT else EDIT_FIELDS
     header_rows = csv.reader(handle)
     try:
@@ -256,7 +257,9 @@ def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
         raise IngestError(f"{diagnostics.source}: missing CSV columns {missing}")
     reader = csv.DictReader(handle, fieldnames)
     header_line = header_rows.line_num
+    limit = csv.field_size_limit()
     while True:
+        csv.field_size_limit(sys.maxsize)
         try:
             row = next(reader)
         except StopIteration:
@@ -265,12 +268,18 @@ def _records_csv_oracle(handle, diagnostics: Diagnostics, kind: str):
             diagnostics.tally("lines_read")
             diagnostics.record(header_line + reader.reader.line_num, "bad_csv", str(exc))
             continue
+        finally:
+            csv.field_size_limit(limit)
         line_no = header_line + reader.reader.line_num
         cells = [cell for value in row.values()
                  for cell in (value if isinstance(value, list) else [value]) if cell is not None]
-        if _blank_row(cells):
+        too_long = max(map(len, cells), default=0) > limit
+        if _blank_row(cells) and not too_long:
             continue
         diagnostics.tally("lines_read")
+        if too_long:
+            diagnostics.record(line_no, "bad_csv", f"field larger than field limit ({limit})")
+            continue
         reason = next(filter(None, map(_undecodable_oracle, cells)), None)
         if reason:
             diagnostics.record(line_no, "bad_utf8", reason)

@@ -738,7 +738,7 @@ class TestWatchChunkParity:
     @pytest.mark.parametrize("chunk", [1, 4, 37, 1 << 14])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_alerts_equal_event_at_a_time_replay(self, tmp_path, monkeypatch, chunk, seed):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         lines = comment_stream(random.Random(seed), articles=3, days=60)
         ordered = tmp_path / "ordered.jsonl"
         ordered.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -757,7 +757,7 @@ class TestWatchChunkParity:
     def test_alerts_equal_replay_when_most_days_are_candidates(self, tmp_path, monkeypatch, chunk):
         # With c near 1 and n_min 1 nearly every day is above c * n_min, so
         # the scorer reads a window median for most of them.
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         params = PeakParams(c=1.01, n_min=1, window_halfwidth=5)
         lines = comment_stream(random.Random(3), articles=3, days=60)
         ordered = tmp_path / "ordered.jsonl"
@@ -770,7 +770,7 @@ class TestWatchChunkParity:
 
     @pytest.mark.parametrize("chunk", [2, 5, 1 << 14])
     def test_first_backward_run_in_file_order_is_named(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         events = tmp_path / "events.jsonl"
         # B steps back before A does, though A's article sorts first.
         write_daily_events(events, [("A", "2020-01-02", 1), ("B", "2020-01-03", 1),
@@ -783,9 +783,9 @@ class TestWatchChunkParity:
         assert str(got.value).startswith("B: event on 2020-01-01 arrived after 2020-01-03")
 
     def test_day_run_across_chunk_boundary(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
         events = tmp_path / "events.jsonl"
-        # 90 events on 2020-01-15 span 23 chunks; they must count as one day.
+        # 90 events on 2020-01-15 span over 60 blocks; they must count as one day.
         write_daily_events(events, days_of("2020-01", [2] * 14 + [90, 3]))
         alerts = simulate_watch(events, kind="edit")
         assert [(str(a[2]), a[3]) for a in alerts] == [("2020-01-15", 90)]
@@ -793,7 +793,7 @@ class TestWatchChunkParity:
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
     def test_out_of_order_message_unchanged(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
         events = tmp_path / "events.jsonl"
         rows = days_of("2020-01", [2] * 14 + [90])
         rows[2], rows[6] = rows[6], rows[2]
@@ -805,7 +805,7 @@ class TestWatchChunkParity:
         assert str(got.value) == str(want.value)
 
     def test_loader_memory_does_not_grow_with_file_length(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", 256)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1 << 15)
         lines = comment_stream(random.Random(5), articles=4, days=150)
         short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
         short.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -820,7 +820,7 @@ class TestWatchChunkParity:
             finally:
                 tracemalloc.stop()
 
-        assert len(lines) > 4 * 256
+        assert short.stat().st_size > 4 * (1 << 15)
         short_peak, long_peak = peak(short), peak(long)
         assert long_peak < short_peak * 1.1 + 16_384, (short_peak, long_peak)
 
@@ -1264,7 +1264,8 @@ class TestCsvStructureErrors:
     """A CSV field over the csv module's limit names its row instead of ending in a traceback."""
 
     def test_peaks_drops_the_event_row(self, tmp_path, capsys, caplog):
-        rows = [f"{r['article']},{r['ts']}" for r in map(json.loads, open(GOLDEN / "edits.jsonl"))]
+        lines = (GOLDEN / "edits.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [f"{r['article']},{r['ts']}" for r in map(json.loads, lines)]
         clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
         clean.write_text("\n".join(["article,ts", *rows]) + "\n", encoding="utf-8")
         dirty.write_text("\n".join(["article,ts", rows[0], f"{HUGE_FIELD},{rows[0]}", *rows[1:]]) + "\n",

@@ -464,13 +464,13 @@ def comment_files(draw) -> list[str]:
 class TestColumnForest:
     """One column load feeds series, trees and traces exactly as the event oracles do."""
 
-    @given(lines=comment_files(), chunk=st.integers(1, 5))
+    @given(lines=comment_files(), chunk=st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
     def test_matches_event_oracles(self, tmp_path_factory, lines, chunk):
         path = tmp_path_factory.mktemp("forest") / "c.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         got_diag, want_diag = Diagnostics(), Diagnostics()
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             comments = ingest.load_columns(path, COMMENT, diagnostics=got_diag, now=FOREST_NOW)
         trees = build_forest(comments, got_diag)
         traces = cli._traces(trees, got_diag)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import subprocess
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talkdyn import (
@@ -507,35 +508,35 @@ class TestTimestampContract:
 
 class TestLoaderMatchesOracle:
     @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
     def test_comments_property(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, COMMENT)
 
     @given(lines=st.lists(st.one_of(edit_lines(), junk_lines), max_size=40),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
     def test_edits_property(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, EDIT)
 
     @given(lines=st.lists(near_canonical_comment_lines(), max_size=30),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
     def test_near_canonical_comments_property(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, COMMENT)
 
     @given(lines=st.lists(near_canonical_edit_lines(), max_size=30),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_near_canonical_edits_property(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, EDIT)
 
     def test_escaped_and_raw_names_are_one_article(self, tmp_path):
@@ -670,8 +671,8 @@ class TestLoaderMatchesOracle:
             "not json", json.dumps(comment_rec(article="")),
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for chunk in (1, 2, 3, 100):
-            with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        for chunk in (1, 2, 64, 1 << 18):
+            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
                 events, diag = assert_loads_like_oracle(path, COMMENT)
             assert [m.split(":")[1] for m in diag.messages] == ["3", "5", "6", "8", "9"]
             assert diag.tallies["not_an_object"] == 1
@@ -695,7 +696,7 @@ class TestLoaderMatchesOracle:
                          else {"article": "A", "ts": f"bad{i}"} if i % 3 == 1
                          else {"article": i})
         write_jsonl(path, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", 7):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 64):
             _, diag = assert_loads_like_oracle(path, EDIT)
         assert len(diag.messages) == 50 and diag.tallies["lines_dropped"] == 80
 
@@ -850,7 +851,7 @@ linked_comment_events = st.builds(
 def load_on_byte_path(path, kind, chunk):
     """load_events' events and diagnostics, asserting that no line took the per-line path."""
     diag = Diagnostics()
-    with mock.patch.object(ingest, "_CHUNK_LINES", chunk), \
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
             mock.patch.object(ingest, "_decode_json", wraps=ingest._decode_json) as per_line:
         events = list(load_events(path, kind, diagnostics=diag, now=utc(2100, 1, 1)))
     assert per_line.call_count == 0
@@ -862,7 +863,7 @@ class TestCanonicalPattern:
 
     @given(events=st.lists(linked_comment_events, min_size=1, max_size=12),
            ending=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans(),
-           chunk=st.integers(1, 4))
+           chunk=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_every_written_comment_line_matches(self, tmp_path_factory, events, ending, last, chunk):
         path = tmp_path_factory.mktemp("canonical") / "c.jsonl"
@@ -874,7 +875,7 @@ class TestCanonicalPattern:
 
     @given(events=st.lists(edit_events, min_size=1, max_size=12),
            ending=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans(),
-           chunk=st.integers(1, 4))
+           chunk=st.integers(1, 64))
     @settings(max_examples=150, deadline=None)
     def test_every_written_edit_line_matches(self, tmp_path_factory, events, ending, last, chunk):
         path = tmp_path_factory.mktemp("canonical") / "e.jsonl"
@@ -884,12 +885,12 @@ class TestCanonicalPattern:
         assert got == events
         assert diag.tallies["lines_read"] == len(events) and not diag.messages
 
-    @given(events=st.lists(comment_events, max_size=10), chunk=st.integers(1, 4))
+    @given(events=st.lists(comment_events, max_size=10), chunk=st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_written_comments_load_like_oracle(self, tmp_path_factory, events, chunk):
         path = tmp_path_factory.mktemp("canonical") / "c.jsonl"
         write_events_jsonl(path, events)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, COMMENT, now=utc(2100, 1, 1))
 
 
@@ -937,20 +938,20 @@ def mutated_files(draw, kind):
 class TestByteLevelMutations:
     """Near-canonical bytes load exactly like the per-line oracle, whatever the chunk size."""
 
-    @given(body=mutated_files(COMMENT), chunk=st.integers(1, 8))
+    @given(body=mutated_files(COMMENT), chunk=st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
     def test_comments(self, tmp_path_factory, body, chunk):
         path = tmp_path_factory.mktemp("bytes") / "c.jsonl"
         path.write_bytes(body)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, COMMENT)
 
-    @given(body=mutated_files(EDIT), chunk=st.integers(1, 8))
+    @given(body=mutated_files(EDIT), chunk=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_edits(self, tmp_path_factory, body, chunk):
         path = tmp_path_factory.mktemp("bytes") / "e.jsonl"
         path.write_bytes(body)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             assert_loads_like_oracle(path, EDIT)
 
     @pytest.mark.parametrize("chunk", [1, 2, 100])
@@ -959,7 +960,7 @@ class TestByteLevelMutations:
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"\n".join([good, good.replace(b'"c0"', b'"c\xe6\x97"'), b" \xa0 ", good])
                          + b"\n")
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             events, diag = assert_loads_like_oracle(path, COMMENT)
         assert len(events) == 2
         assert diag.tallies["lines_read"] == 4 and diag.tallies["bad_utf8"] == 2
@@ -986,13 +987,64 @@ class TestByteLevelMutations:
         assert diag.messages[0].startswith(f"{path}:3: bad_utf8: 'utf-8' codec can't decode byte 0xff")
 
 
+def block_lines(data: bytes, chunk: int) -> tuple[list[bytes], list[int]]:
+    """The lines _line_blocks cuts data into at a chunk of bytes a read, and each block's size."""
+    lines, sizes = [], []
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        for padded, ends in ingest._line_blocks(io.BytesIO(data)):
+            size = len(padded) - len(ingest._PAD)
+            assert padded[size:] == ingest._PAD and ends[-1] == size
+            starts = [0, *ends[:-1].tolist()]
+            lines += [padded[lo:hi] for lo, hi in zip(starts, ends.tolist())]
+            sizes.append(size)
+    return lines, sizes
+
+
+line_bodies = st.binary(max_size=80).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
+
+
+class TestLineBlocks:
+    """JSONL is read a block of bytes at a time and cut after the block's last whole line."""
+
+    @given(lines=st.lists(st.tuples(line_bodies, st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                          max_size=20),
+           last=line_bodies, chunk=st.integers(1, 64))
+    @example(lines=[(b"ab", b"\r\n"), (b"c", b"\n")], last=b"", chunk=3)  # '\r\n' across two reads
+    @example(lines=[(b"x" * 200, b"\r"), (b"y", b"\r")], last=b"z", chunk=7)  # a line longer than a read
+    @settings(max_examples=500, deadline=None)
+    def test_lines_are_splitlines(self, lines, last, chunk):
+        data = b"".join(body + ending for body, ending in lines) + last
+        want = data.splitlines(keepends=True)
+        got, sizes = block_lines(data, chunk)
+        assert got == want
+        assert max(sizes, default=0) <= chunk + max(map(len, want), default=0)
+
+    def test_lone_return_file_is_read_in_bounded_blocks(self, tmp_path):
+        line = '{"article":"A","ts":"2006-05-10T13:45:08Z"}'
+        chunk = 1 << 10
+        data = (line + "\r").encode() * 1000
+        lines, sizes = block_lines(data, chunk)
+        assert len(lines) == 1000 and len(sizes) > 40
+        assert max(sizes) <= chunk + len(line) + 1
+        returns, feeds = tmp_path / "r.jsonl", tmp_path / "n.jsonl"
+        returns.write_bytes(data)
+        feeds.write_bytes(data.replace(b"\r", b"\n"))
+        loads = []
+        for path in (returns, feeds):
+            diag = Diagnostics()
+            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+                events = list(load_events(path, EDIT, diagnostics=diag, now=utc(2100, 1, 1)))
+            loads.append((events, diag.tallies))
+        assert loads[0] == loads[1] and len(loads[0][0]) == 1000
+
+
 class TestSeriesKernel:
     @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_load_series_equals_counter_oracle(self, tmp_path_factory, lines, chunk):
         path = write_lines(tmp_path_factory, lines)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             columns = ingest.load_columns(path, COMMENT, diagnostics=Diagnostics(),
                                           now=ORACLE_NOW)
         series, latest = columns.series(), columns.latest()
@@ -1005,12 +1057,12 @@ class TestSeriesKernel:
 
     @given(edits=st.lists(st.one_of(edit_lines(), junk_lines), max_size=40),
            comments=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
-           chunk=st.integers(1, 8))
+           chunk=st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_daily_totals_equal_counter_oracle(self, tmp_path_factory, edits, comments, chunk):
         sources = [(write_lines(tmp_path_factory, edits), EDIT),
                    (write_lines(tmp_path_factory, comments), COMMENT)]
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             columns = [ingest.load_columns(path, kind, diagnostics=Diagnostics(), now=ORACLE_NOW)
                        for path, kind in sources]
         want = [Counter(e.timestamp.date() for e in load_events_oracle(path, kind, now=ORACLE_NOW)
@@ -1059,6 +1111,24 @@ class TestCsvStructureErrors:
         assert tallies["lines_read"] == tallies["events_used"] + tallies["lines_dropped"]
         assert diag.messages == [
             f"{path}:3: bad_csv: field larger than field limit ({csv.field_size_limit()})"]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_field_spanning_lines_is_one_record(self, tmp_path, extra):
+        """A quoted field over the limit is dropped whole, named by the line it ends on;
+        one at the limit is kept."""
+        limit = csv.field_size_limit()
+        rest = "\nsecond line of the field\nthird"
+        field = "x" * (limit + extra - len(rest)) + rest
+        path = tmp_path / "e.csv"
+        path.write_text(f'article,ts\n"{field}",2006-05-10T13:45:08Z\nB,2006-05-10T13:45:08Z\n',
+                        encoding="utf-8")
+        events, diag = assert_loads_like_oracle(path, EDIT, fmt="csv")
+        names = ["B"] if extra else [field, "B"]
+        assert [e.article_id for e in events] == names
+        assert diag.tallies["lines_read"] == 2 and diag.tallies["events_used"] == len(names)
+        assert diag.messages == ([f"{path}:4: bad_csv: field larger than field limit ({limit})"]
+                                 if extra else [])
+        assert csv.field_size_limit() == limit
 
     def test_oversized_header_is_input_error(self, tmp_path):
         path = tmp_path / "e.csv"
