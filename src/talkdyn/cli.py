@@ -753,7 +753,7 @@ def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
         # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its line.
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     first = True  # the first row that is not a comment may be the header
-    for line_no, cells, bad in ingest.numbered_rows(csv.reader(sys.stdin)):
+    for line_no, cells, bad in ingest.numbered_rows(sys.stdin):
         cells = [cell.strip() for cell in cells]
         if cells and cells[0].startswith("#"):
             continue

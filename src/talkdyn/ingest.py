@@ -431,17 +431,35 @@ def _next_record(reader: Iterator[list[str]]) -> list[str] | None:
         csv.field_size_limit(limit)
 
 
-def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
-    """Each non-blank row left in a csv.reader, named by the physical line it ends on.
+# Python 3.10's csv module refuses a line holding a NUL and then resumes inside
+# the record, where later versions read NUL as data.  The reader is fed each
+# NUL as a high surrogate instead, which text decoded with surrogateescape never
+# holds, and the record's cells get their NULs back.
+_NUL, _NUL_STAND_IN = "\0", "\ud800"
+
+
+def numbered_rows(lines: Iterable[str]) -> Iterator[Row]:
+    """Each non-blank CSV row of lines, named by the physical line it ends on.
 
     A blank row (no cells, or one cell blank to str.strip()) is skipped and not
     counted.  A row the csv module cannot parse, or one with a field over
     csv.field_size_limit() (a quoted field that spans lines included: the
     record is read whole first), is bad_csv, and one with a cell that is not
-    UTF-8 is bad_utf8.
+    UTF-8 is bad_utf8.  A NUL is data, on every Python.
     """
+    nul = False  # whether a line of the record being read held a NUL
+
+    def fed() -> Iterator[str]:
+        nonlocal nul
+        for line in lines:
+            if _NUL in line:
+                nul, line = True, line.replace(_NUL, _NUL_STAND_IN)
+            yield line
+
+    reader = csv.reader(fed())
     limit = csv.field_size_limit()
     while True:
+        nul = False
         try:
             cells = _next_record(reader)
         except csv.Error as exc:
@@ -449,6 +467,8 @@ def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
             continue
         if cells is None:
             return
+        if nul:
+            cells = [cell.replace(_NUL_STAND_IN, _NUL) for cell in cells]
         if any(len(cell) > limit for cell in cells):
             yield reader.line_num, [], ("bad_csv", f"field larger than field limit ({limit})")
         elif len(cells) > 1 or cells and cells[0].strip():
@@ -459,7 +479,7 @@ def numbered_rows(reader: Iterator[list[str]]) -> Iterator[Row]:
 def csv_rows(handle: io.TextIOBase, source: str) -> tuple[list[str] | None, Iterator[Row]]:
     """A CSV file's header (its first non-blank row, None when there is none) and the
     numbered_rows after it; a header the csv module cannot parse raises IngestError."""
-    rows = numbered_rows(csv.reader(handle))
+    rows = numbered_rows(handle)
     line_no, header, bad = next(rows, (0, None, None))
     if bad and bad[0] == "bad_csv":
         raise IngestError(f"{source}:{line_no}: {bad[1]}")

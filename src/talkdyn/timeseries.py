@@ -19,7 +19,6 @@ decisions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -222,12 +221,10 @@ class StreamState:
     """Trailing window of daily counts for one (article, kind) stream.
 
     The window is read-only from outside: buffer is a snapshot, and push is
-    the only way in.  Next to it the same values are kept sorted, so each
-    step updates the window median in O(window) list moves instead of sorting
-    it (the running median of Haerdle & Steiger, Appl. Stat. 1995).
+    the only way in.
     """
 
-    __slots__ = ("window", "current_day", "_days", "_sorted")
+    __slots__ = ("window", "current_day", "_days")
 
     def __init__(
         self,
@@ -240,7 +237,6 @@ class StreamState:
         self.window = window
         self.current_day = current_day
         self._days: deque = deque(buffer, maxlen=window)
-        self._sorted = sorted(self._days)
 
     def __repr__(self) -> str:
         return (f"StreamState(window={self.window}, buffer={self.buffer},"
@@ -253,34 +249,27 @@ class StreamState:
 
     def push(self, count: int) -> None:
         """Append one day's count, evicting the oldest once the window is full."""
-        days = self._days
-        if len(days) == self.window:
-            del self._sorted[bisect_left(self._sorted, days[0])]
-        days.append(count)
-        insort(self._sorted, count)
+        self._days.append(count)
 
     def push_zeros(self, n: int) -> None:
-        """Append n zero-count days, as n calls of push(0) would.
-
-        Once n reaches the window, every day in it is a zero: the window is
-        reset in one step instead.
-        """
-        if n >= self.window:
-            self._days.extend(repeat(0, self.window))
-            self._sorted = [0] * self.window
-            return
-        for _ in range(n):
-            self.push(0)
+        """Append n zero-count days, as n calls of push(0) would."""
+        self._days.extend(repeat(0, min(n, self.window)))
 
     def median(self) -> float:
         """Median of the buffered days; 0 for an empty buffer."""
-        values = self._sorted
-        if not values:
-            return 0.0
-        mid = len(values) // 2
-        if len(values) % 2:
-            return float(values[mid])
-        return (values[mid - 1] + values[mid]) / 2
+        return _median(self._days)
+
+
+def _median(values: Iterable[float]) -> float:
+    """Median of values, 0 for none: the sum and halving _row_medians takes on one row."""
+    ordered = sorted(values)
+    size = len(ordered)
+    return (float(ordered[(size - 1) // 2]) + float(ordered[size // 2])) / 2 if size else 0.0
+
+
+def _out_of_order(day: date, last: date) -> OutOfOrderError:
+    """The error for a day at or before the last day its stream consumed."""
+    return OutOfOrderError(f"day {day} after {last} already consumed")
 
 
 def stream_step(
@@ -298,7 +287,7 @@ def stream_step(
     if state.current_day is not None:
         gap = (day - state.current_day).days
         if gap <= 0:
-            raise OutOfOrderError(f"day {day} after {state.current_day} already consumed")
+            raise _out_of_order(day, state.current_day)
         state.push_zeros(gap - 1)
     floor = max(state.median(), float(p.n_min))
     ratio = count / floor
@@ -360,8 +349,7 @@ class TrailingScorer:
         before = np.where(head, self._last[stream], np.roll(day, 1))
         if (late := (day <= before).nonzero()[0]).size:
             i = late[np.argmin(order[late])]
-            raise OutOfOrderError(f"day {date.fromordinal(int(day[i]))} after"
-                                  f" {date.fromordinal(int(before[i]))} already consumed")
+            raise _out_of_order(date.fromordinal(int(day[i])), date.fromordinal(int(before[i])))
         heads = head.nonzero()[0]
         tails = np.append(heads[1:] - 1, stream.size - 1)
         group = np.cumsum(head) - 1
@@ -388,18 +376,15 @@ class TrailingScorer:
         self._reserve(stream + 1)
         last = int(self._last[stream])
         if day <= last:
-            raise OutOfOrderError(f"day {date.fromordinal(day)} after {date.fromordinal(last)} already consumed")
+            raise _out_of_order(date.fromordinal(day), date.fromordinal(last))
         first = int(self._first[stream]) or day
         p = self.params
         w = p.window_halfwidth
         ratio = None
         if count > p.c * p.n_min:
-            # The one-row median in plain floats: the same sums and halvings as _row_medians.
-            size = min(day - first, w)
             ring_days, ring_counts = self._ring_days[stream].tolist(), self._ring_counts[stream].tolist()
-            window = sorted(float(ring_counts[d % w]) if ring_days[d % w] == d else 0.0
-                            for d in range(day - size, day))
-            median = (window[(size - 1) // 2] + window[size // 2]) / 2 if size else 0.0
+            median = _median(ring_counts[d % w] if ring_days[d % w] == d else 0
+                             for d in range(day - min(day - first, w), day))
             floor = max(median, float(p.n_min))
             if count > p.c * floor:
                 ratio = count / floor

@@ -1315,6 +1315,47 @@ class TestCsvStructureErrors:
         assert capsys.readouterr().err == f"error: stdin:5: {FIELD_LIMIT}\n"
 
 
+class TestCsvNul:
+    """A NUL in a CSV field is data on every Python, so the row it is in is read whole."""
+
+    def test_stats_peaks(self, tmp_path, capsys):
+        table = ("article,kind,start_day,length,max_ratio\n{a},edit,2006-01-05,1,6.0\n"
+                 "{a},comment,2006-01-05,2,6.0\n{b},edit,2007-01-05,1,6.0\n")
+        clean, nul = tmp_path / "clean.csv", tmp_path / "nul.csv"
+        clean.write_text(table.format(a="Alpha", b="Beta"), encoding="utf-8")
+        nul.write_text(table.format(a="Al\0pha", b='"Be\0\nta"'), encoding="utf-8")
+        for report in ("overlap", "distributions"):
+            outs = []
+            for path in (clean, nul):
+                assert run_cli("stats", "--peaks", str(path), "--report", report) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+
+    def test_stats_peaks_names_the_row(self, tmp_path, capsys):
+        peaks = tmp_path / "p.csv"
+        peaks.write_text('article,kind,start_day,length,max_ratio\n"Be\0\nta",edit,2006-01-05,1\0,6.0\n',
+                         encoding="utf-8")
+        assert run_cli("stats", "--peaks", str(peaks), "--report", "overlap") == 1
+        assert capsys.readouterr().err == (f"error: {peaks}:3: malformed peaks row: expected an integer"
+                                           " of ASCII digits below 2**63, got '1\\x00'\n")
+
+    def test_watch_stdin(self, capsys, monkeypatch):
+        days = "".join(f"X,comment,2021-03-{1 + i:02d},2\n" for i in range(14)) + "X,comment,2021-03-15,101\n"
+        outs = []
+        for quiet in ("Beta", '"Be\0\nta"'):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{quiet},comment,2021-03-01,2\n{days}"))
+            assert run_cli("watch", "--stdin") == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[1:] == ["X,comment,2021-03-15,101,10.1,2"]
+
+    def test_watch_stdin_names_the_row(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('"Be\0\nta",comment,2021-03-01,2\nX,comment,2021-03-01,2\0\n'))
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err == ("error: stdin:3: malformed day-count row: expected an integer"
+                                           " of ASCII digits below 2**63, got '2\\x00'\n")
+
+
 # Spellings Python 3.11's date.fromisoformat and int() accept, and the input contract does not.
 LOOSE_DAYS = ["20200116", "2020-W03-4"]
 LOOSE_COUNTS = ["1_0", "+1", "١٠"]

@@ -1137,6 +1137,45 @@ class TestCsvStructureErrors:
             list(load_events(path, EDIT, fmt="csv"))
 
 
+class TestCsvNul:
+    """A NUL in a CSV field is data on every Python: Python 3.10's csv module refuses it and
+    then resumes inside the record, so the reader is never shown one."""
+
+    def load(self, path, kind):
+        diag = Diagnostics()
+        return list(load_events(path, kind, fmt="csv", diagnostics=diag, now=utc(2100, 1, 1))), diag
+
+    def test_edit_csv(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text('article,ts\nA,2006-01-01T00:00:00Z\n"B\0\nstill B",2006-01-02T00:00:00Z\n'
+                        "C\0,2006-01-03T00:00:00Z\n\0\nD,2006-01-04T00:00:00Z\0\n", encoding="utf-8")
+        events, diag = self.load(path, EDIT)
+        assert [(e.article_id, e.timestamp.day) for e in events] == [("A", 1), ("B\0\nstill B", 2), ("C\0", 3)]
+        assert diag.tallies["lines_read"] == 5 and diag.tallies["events_used"] == 3
+        # A line of one NUL is not blank: it is a row with no ts.
+        assert diag.messages == [f"{path}:6: edit_ts_malformed: ts=None",
+                                 f"{path}:7: edit_ts_malformed: ts='2006-01-04T00:00:00Z\\x00'"]
+
+    def test_comment_csv(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("article,id,parent,depth,ts,author,ord\n"
+                        "A,c\0,,0,2006-05-10T13:45:08Z,Al\0ice,0\n"
+                        '"A",c1,c\0,1,,"Bob\0\n",1\n', encoding="utf-8")
+        events, diag = self.load(path, COMMENT)
+        assert [(e.comment_id, e.parent_id, e.author) for e in events] \
+            == [("c\0", None, "Al\0ice"), ("c1", "c\0", "Bob\0\n")]
+        assert diag.tallies["lines_read"] == 2 and diag.messages == []
+
+    def test_the_csv_module_never_sees_a_nul(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.csv"
+        path.write_text('article,ts\n"B\0\nstill B",2006-01-02T00:00:00Z\n', encoding="utf-8")
+        reader, seen = csv.reader, []
+        monkeypatch.setattr(csv, "reader", lambda lines: reader(seen.append(line) or line for line in lines))
+        events, _ = self.load(path, EDIT)
+        assert [e.article_id for e in events] == ["B\0\nstill B"]
+        assert len(seen) == 3 and not any("\0" in line for line in seen)
+
+
 class TestSyntheticCorpus:
     """The benchmark's corpus is all canonical lines, so its loads stay on the byte path."""
 

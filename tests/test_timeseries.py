@@ -316,6 +316,30 @@ class TestInterPeakIntervals:
         assert inter_peak_intervals(runs) == [19]
 
 
+@st.composite
+def gappy_streams(draw):
+    """Params with a window of up to 400 days, and one stream's fed (day offset, count) days:
+    stretches of consecutive days, each after a gap of up to twice the window."""
+    window = draw(st.integers(min_value=1, max_value=400))
+    params = PeakParams(c=draw(st.sampled_from([1.5, 2.0, 5.0])), n_min=draw(st.sampled_from([1, 10])),
+                        window_halfwidth=window)
+    stretches = draw(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=2 * window + 2),  # days since the last day fed
+        st.integers(min_value=1, max_value=window + 20),  # the stretch's length
+        st.integers(min_value=0, max_value=2**32 - 1),  # seeds the stretch's counts
+    ), min_size=1, max_size=3))
+    days: list[tuple[int, int]] = []
+    offset = -stretches[0][0]
+    for gap, length, seed in stretches:
+        rng = random.Random(seed)
+        level = rng.randrange(40)
+        offset += gap
+        for offset in range(offset, offset + length):
+            spike = rng.randrange(50, 400) if rng.random() < 0.05 else 0
+            days.append((offset, rng.randrange(2 * level + 1) + spike))
+    return params, days
+
+
 class TestStreamStep:
     def test_spike_after_quiet_fortnight(self):
         state = StreamState(window=14)
@@ -369,7 +393,7 @@ class TestStreamStep:
            tail=counts_lists)
     def test_prefilled_buffer_equals_fed_days(self, prefix, tail):
         # A state built from a buffer must step exactly like one that was
-        # fed those days: the sorted window is rebuilt from the buffer.
+        # fed those days.
         params = PeakParams(c=2.0, n_min=1, window_halfwidth=5)
         day0 = date(2006, 1, 1)
         fed = StreamState(window=5)
@@ -385,8 +409,7 @@ class TestStreamStep:
                 == stream_step(fed, day, count, params)[:2]
 
     def test_window_is_read_only_from_outside(self):
-        # Appending to the exposed window used to desync it from the sorted
-        # copy, and the next full-window step raised IndexError.
+        # The exposed window is a snapshot: changing it cannot change the state.
         state = StreamState(window=3)
         with pytest.raises(AttributeError):
             state.buffer.extend([100, 100, 100])
@@ -427,6 +450,27 @@ class TestStreamStep:
         assert [((r.start_day - series.start_day).days, r.length) for r in runs] \
             == runs_from_days(batch)
 
+    @given(drawn=gappy_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_wide_windows_with_gaps_equal_trailing_batch(self, drawn):
+        # The gaps are zero days of the batch series; the stream is fed only its other days.
+        params, days = drawn
+        counts = [0] * (days[-1][0] + 1)
+        for offset, count in days:
+            counts[offset] = count
+        series = make_series(counts)
+        state = StreamState(window=params.window_halfwidth)
+        ratios, peaks = [], []
+        for offset, count in days:
+            ratio, is_peak, _ = stream_step(state, series.day(offset), count, params)
+            ratios.append(ratio)
+            if is_peak:
+                peaks.append(offset)
+        medians = trailing_median(series, params.window_halfwidth).tolist()
+        assert ratios == [count / max(medians[offset], params.n_min) for offset, count in days]
+        assert peaks == [run.start_day.toordinal() - series.start_day.toordinal() + k
+                         for run in detect_peaks_trailing(series, params) for k in range(run.length)]
+
     @given(counts=counts_lists, window=halfwidths, gap=st.integers(min_value=2, max_value=40))
     @settings(max_examples=100)
     def test_sparse_feed_equals_dense_feed(self, counts, window, gap):
@@ -459,8 +503,8 @@ class TestStreamStep:
            window=halfwidths, params=params_st)
     @settings(max_examples=200)
     def test_gap_fill_equals_zero_pushes(self, steps, window, params):
-        # Filling a gap by one reset when it covers the window equals one
-        # push(0) per missing day, in ratios, flags and the buffer.
+        # Filling a gap, capped at the window, equals one push(0) per
+        # missing day, in ratios, flags and the buffer.
         state = StreamState(window=window)
         looped = StreamState(window=window)
         day = date(2006, 1, 1)
