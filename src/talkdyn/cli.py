@@ -747,8 +747,9 @@ def simulate_watch(
     return alerts
 
 
-def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
-    """The article,kind,day,count rows on stdin, checked as each arrives."""
+def _stdin_days() -> Iterator[tuple[str, str, str, date, int]]:
+    """The article,kind,day,count rows on stdin, checked as each arrives, each after
+    where it is (stdin:<line>)."""
     if isinstance(sys.stdin, io.TextIOWrapper):
         # Read bytes that are not UTF-8 as lone surrogates, so a bad row names its line.
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
@@ -765,15 +766,18 @@ def _stdin_days() -> Iterator[tuple[str, str, date, int]]:
             raise IngestError(f"{where}: {bad[1]}")
         if len(cells) != 4:
             raise IngestError(f"{where}: expected article,kind,day,count")
-        yield _day_row(where, cells, STDIN_TABLE)
+        yield where, *_day_row(where, cells, STDIN_TABLE)
 
 
 def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
     """The alert rows of the day counts on stdin, each scored as its row arrives."""
     scorer = timeseries.TrailingScorer(params)
     codes: dict[tuple[str, str], int] = {}
-    for article, kind, day, count in _stdin_days():
-        ratio = scorer.step(codes.setdefault((article, kind), len(codes)), day.toordinal(), count)
+    for where, article, kind, day, count in _stdin_days():
+        try:
+            ratio = scorer.step(codes.setdefault((article, kind), len(codes)), day.toordinal(), count)
+        except OutOfOrderError as exc:
+            raise OutOfOrderError(f"{where}: {article},{kind}: {exc}") from exc
         if ratio is not None:
             yield [article, kind, day, count, ratio, timeseries.alert_tier(ratio, params)]
 

@@ -339,6 +339,17 @@ def undecodable(text: str) -> str | None:
     return None
 
 
+def _encodable(**texts: str | None) -> None:
+    """Raise bad_utf8, naming the field, for a text that holds a surrogate code
+    point (from a JSON escape such as \\ud800), which no UTF-8 table can hold."""
+    for field, text in texts.items():
+        if text is not None and not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise _BadRecord("bad_utf8", f"{field}: {exc}") from None
+
+
 def _coerce_optional(value: object) -> str | None:
     # CSV has no null; empty string plays that role in both formats.
     if value is None or value == "":
@@ -377,6 +388,7 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
     if (depth == 0) != (parent is None):
         raise _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
     author = _coerce_optional(record.get("author"))
+    _encodable(article=article, id=comment_id, parent=parent, author=author)
     return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
 
 
@@ -398,6 +410,7 @@ def _check_edit(record: dict) -> tuple[str, object, None]:
     article = record.get("article")
     if not isinstance(article, str) or not article:
         raise _BadRecord("bad_article", f"article={article!r}")
+    _encodable(article=article)
     return article, record.get("ts"), None
 
 
@@ -431,13 +444,6 @@ def _next_record(reader: Iterator[list[str]]) -> list[str] | None:
         csv.field_size_limit(limit)
 
 
-# Python 3.10's csv module refuses a line holding a NUL and then resumes inside
-# the record, where later versions read NUL as data.  The reader is fed each
-# NUL as a high surrogate instead, which text decoded with surrogateescape never
-# holds, and the record's cells get their NULs back.
-_NUL, _NUL_STAND_IN = "\0", "\ud800"
-
-
 def numbered_rows(lines: Iterable[str]) -> Iterator[Row]:
     """Each non-blank CSV row of lines, named by the physical line it ends on.
 
@@ -445,21 +451,11 @@ def numbered_rows(lines: Iterable[str]) -> Iterator[Row]:
     counted.  A row the csv module cannot parse, or one with a field over
     csv.field_size_limit() (a quoted field that spans lines included: the
     record is read whole first), is bad_csv, and one with a cell that is not
-    UTF-8 is bad_utf8.  A NUL is data, on every Python.
+    UTF-8 is bad_utf8.  A NUL is data.
     """
-    nul = False  # whether a line of the record being read held a NUL
-
-    def fed() -> Iterator[str]:
-        nonlocal nul
-        for line in lines:
-            if _NUL in line:
-                nul, line = True, line.replace(_NUL, _NUL_STAND_IN)
-            yield line
-
-    reader = csv.reader(fed())
+    reader = csv.reader(lines)
     limit = csv.field_size_limit()
     while True:
-        nul = False
         try:
             cells = _next_record(reader)
         except csv.Error as exc:
@@ -467,8 +463,6 @@ def numbered_rows(lines: Iterable[str]) -> Iterator[Row]:
             continue
         if cells is None:
             return
-        if nul:
-            cells = [cell.replace(_NUL_STAND_IN, _NUL) for cell in cells]
         if any(len(cell) > limit for cell in cells):
             yield reader.line_num, [], ("bad_csv", f"field larger than field limit ({limit})")
         elif len(cells) > 1 or cells and cells[0].strip():

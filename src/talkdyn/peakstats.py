@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .timeseries import PeakRun
+from .timeseries import PeakRun, inter_peak_intervals
 
 logger = logging.getLogger(__name__)
 
@@ -119,14 +121,6 @@ class Histogram:
         }
 
 
-def _peak_day_ordinals(runs: Iterable[PeakRun]) -> dict[str, list[int]]:
-    days: dict[str, list[int]] = defaultdict(list)
-    for run in runs:
-        start = run.start_day.toordinal()
-        days[run.article_id].extend(range(start, start + run.length))
-    return days
-
-
 def overlap(
     comment_runs: Iterable[PeakRun],
     edit_runs: Iterable[PeakRun],
@@ -142,21 +136,26 @@ def overlap(
     """
     if tolerance_days < 0:
         raise ValueError(f"tolerance_days must be >= 0, got {tolerance_days}")
-    edit_days = {
-        article: np.array(sorted(days), dtype=np.int64)
-        for article, days in _peak_day_ordinals(edit_runs).items()
-    }
+    spans: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for run in edit_runs:
+        start = run.start_day.toordinal()
+        spans[run.article_id].append((start, start + run.length - 1))
+    # Per article, the edit runs' starts in order and the furthest day any run so far reaches.
+    reach = {}
+    for article, pairs in spans.items():
+        pairs.sort()
+        reach[article] = ([a for a, _ in pairs], list(accumulate((b for _, b in pairs), max)))
     n_runs = 0
     articles: set[str] = set()
     for run in comment_runs:
-        targets = edit_days.get(run.article_id)
-        if targets is None or targets.size == 0:
+        if run.article_id not in reach:
             continue
+        starts, furthest = reach[run.article_id]
         lo = run.start_day.toordinal() - tolerance_days
         hi = run.start_day.toordinal() + run.length - 1 + tolerance_days
-        # Any edit peak day in [lo, hi] is within tolerance of some run day.
-        pos = int(np.searchsorted(targets, lo, side="left"))
-        if pos < targets.size and targets[pos] <= hi:
+        # Some edit run meets [lo, hi] when one starting by hi reaches lo.
+        last = bisect_right(starts, hi) - 1
+        if last >= 0 and furthest[last] >= lo:
             n_runs += 1
             articles.add(run.article_id)
     return OverlapReport(tolerance_days, n_runs, len(articles))
@@ -168,16 +167,13 @@ def anniversaries(runs: Iterable[PeakRun]) -> dict[str, int]:
     Zero counts are included so the caller can see which articles were
     checked and found nothing.
     """
-    starts: dict[str, list[int]] = defaultdict(list)
+    by_article: dict[str, list[PeakRun]] = defaultdict(list)
     for run in runs:
-        starts[run.article_id].append(run.start_day.toordinal())
-    out: dict[str, int] = {}
-    for article, ordinals in starts.items():
-        ordinals.sort()
-        out[article] = sum(
-            1 for a, b in zip(ordinals, ordinals[1:]) if b - a in ANNIVERSARY_GAPS
-        )
-    return out
+        by_article[run.article_id].append(run)
+    return {
+        article: sum(gap in ANNIVERSARY_GAPS for gap in inter_peak_intervals(article_runs))
+        for article, article_runs in by_article.items()
+    }
 
 
 def fit_power_law(samples: Sequence[int], x_min: int = 1) -> PowerLawFit:

@@ -334,12 +334,16 @@ def parse_file(
 ) -> list[CommentEvent]:
     """Parse one talk-page file; the article id is the file's stem.
 
-    A page that is not UTF-8 yields no events: it is tallied as
-    pages_bad_utf8, logged and skipped.
+    A page whose file name or text is not UTF-8 yields no events: it is
+    tallied as pages_bad_utf8, logged and skipped.
     """
     p = Path(path)
-    text = p.read_text(encoding="utf-8", errors="surrogateescape")
-    if reason := undecodable(text):
+    if reason := undecodable(p.name):
+        reason = f"file name: {reason}"
+    else:
+        text = p.read_text(encoding="utf-8", errors="surrogateescape")
+        reason = undecodable(text)
+    if reason:
         if diagnostics is not None:
             diagnostics.tally("pages_bad_utf8")
         logger.warning("%s: bad_utf8: %s; page skipped", p, reason)

@@ -145,6 +145,20 @@ def _coerce_optional_oracle(value: object) -> str | None:
     return None
 
 
+def _surrogate_oracle(line_no: int, diagnostics: Diagnostics, **texts: str | None) -> bool:
+    """Whether a text holds a surrogate code point, which UTF-8 cannot encode; such a
+    record is dropped as bad_utf8, named by the first such field."""
+    for field, text in texts.items():
+        if text is not None and any("\ud800" <= char <= "\udfff" for char in text):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                diagnostics.record(line_no, "bad_utf8", f"{field}: {exc}")
+                return True
+            raise AssertionError(f"{text!r} encodes")
+    return False
+
+
 def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
                     now: datetime) -> CommentEvent | None:
     article = record.get("article")
@@ -177,6 +191,9 @@ def _comment_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
         diagnostics.record(line_no, "depth_parent_mismatch", f"depth={depth} parent={parent!r}")
         return None
     author = _coerce_optional_oracle(record.get("author"))
+    if _surrogate_oracle(line_no, diagnostics, article=article, id=comment_id, parent=parent,
+                         author=author):
+        return None
     raw_ts = _coerce_optional_oracle(record.get("ts"))
     timestamp = None
     if raw_ts is None:
@@ -195,6 +212,8 @@ def _edit_oracle(record: dict, line_no: int, diagnostics: Diagnostics,
     article = record.get("article")
     if not isinstance(article, str) or not article:
         diagnostics.record(line_no, "bad_article", f"article={article!r}")
+        return None
+    if _surrogate_oracle(line_no, diagnostics, article=article):
         return None
     timestamp = parse_timestamp_oracle(record.get("ts"), now)
     if timestamp is None:
@@ -424,6 +443,34 @@ DATE_PATTERNS_ORACLE = (
     ),
     re.compile(r"(?P<day>\d{1,2}) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
 )
+
+
+def overlap_oracle(comment_runs, edit_runs, tolerance_days: int) -> tuple[int, int]:
+    """(overlapping comment runs, articles with one): every day of every comment run
+    against every edit peak day of its article."""
+    edit_days: dict[str, set[int]] = defaultdict(set)
+    for run in edit_runs:
+        start = run.start_day.toordinal()
+        edit_days[run.article_id].update(range(start, start + run.length))
+    hits = [
+        run for run in comment_runs
+        if any(abs(day - edit_day) <= tolerance_days
+               for day in range(run.start_day.toordinal(), run.start_day.toordinal() + run.length)
+               for edit_day in edit_days[run.article_id])
+    ]
+    return len(hits), len({run.article_id for run in hits})
+
+
+def anniversaries_oracle(runs) -> dict[str, int]:
+    """Per article, the gaps of 364-366 days between consecutive sorted run starts."""
+    starts: dict[str, list[int]] = defaultdict(list)
+    for run in runs:
+        starts[run.article_id].append(run.start_day.toordinal())
+    out = {}
+    for article, days in starts.items():
+        days.sort()
+        out[article] = sum(1 for a, b in zip(days, days[1:]) if 364 <= b - a <= 366)
+    return out
 
 
 def _last_user_link_oracle(body: str, end: int | None = None):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import logging
+import os
 import random
 import re
 import shlex
@@ -882,7 +883,17 @@ class TestWatchCommand:
         assert run_cli("watch", "--stdin") == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [",".join(cli.WATCH_HEADER), "A,edit,2020-01-15,90,9,1"]
-        assert captured.err == f"error: day {again} after 2020-01-15 already consumed\n"
+        assert captured.err == f"error: stdin:17: A,edit: day {again} after 2020-01-15 already consumed\n"
+
+    def test_stdin_out_of_order_row_names_its_line(self, capsys, monkeypatch):
+        feed = "article,kind,day,count\nA,edit,2006-01-03,5\nB,edit,2006-01-01,1\nA,edit,2006-01-02,7\n"
+        message = "stdin:4: A,edit: day 2006-01-02 after 2006-01-03 already consumed"
+        self.feed_stdin(monkeypatch, feed)
+        with pytest.raises(OutOfOrderError, match=f"^{message}$"):
+            list(cli._stdin_alerts(PeakParams()))
+        self.feed_stdin(monkeypatch, feed)
+        assert run_cli("watch", "--stdin") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_stdin_comments_and_blank_lines_skipped(self, capsys, monkeypatch):
         self.feed_stdin(monkeypatch, "# warmup\n\nX,edit,2021-03-01,2\n")
@@ -1247,6 +1258,57 @@ class TestUndecodableBytes:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert [m for m in warnings if m.startswith(f"{pages / 'bad.txt'}: bad_utf8: ")], warnings
 
+    def test_report_drops_a_lone_surrogate_escape(self, tmp_path, capsys, caplog):
+        # json.loads turns the escape into a code point that no UTF-8 table can hold.
+        line = b'{"article":"B\\ud800","ts":"2006-01-02T00:00:00Z"}\n'
+        dirty = with_undecodable_line(GOLDEN / "edits.jsonl", tmp_path / "edits.jsonl", 4, line)
+        clean_out, dirty_out = tmp_path / "clean", tmp_path / "dirty"
+        assert run_cli(*report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", clean_out)) == 0
+        caplog.clear()
+        assert run_cli(*report_args(dirty, GOLDEN / "comments.jsonl", dirty_out)) == 0
+        capsys.readouterr()
+        assert sorted(p.stem for p in dirty_out.glob("*.csv")) == sorted(REPORT_TABLES)
+        for name in REPORT_TABLES:
+            if name not in ("diagnostics", "summary"):
+                assert (dirty_out / f"{name}.csv").read_bytes() == (clean_out / f"{name}.csv").read_bytes()
+        tallies = {(source, key): int(n)
+                   for source, key, n in read_rows(dirty_out / "diagnostics.csv")[1:]}
+        assert tallies[("edits", "bad_utf8")] == 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert (f"{dirty}:4: bad_utf8: article: 'utf-8' codec can't encode character '\\ud800'"
+                " in position 1: surrogates not allowed") in warnings
+
+    def test_peaks_and_watch_drop_a_bursting_surrogate_article(self, tmp_path, capsys):
+        burst = [2] * 14 + [90]
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        write_daily_events(clean, days_of("2020-01", burst))
+        write_daily_events(dirty, days_of("2020-01", burst)
+                           + [("B\ud800", day, n) for _, day, n in days_of("2020-01", burst)])
+        outs = []
+        for path in (clean, dirty):
+            peaks, alerts = tmp_path / f"{path.stem}_peaks.csv", tmp_path / f"{path.stem}_alerts.csv"
+            assert run_cli("peaks", "--edits", str(path), "--out", str(peaks), "-c", "5", "--nmin", "2") == 0
+            assert run_cli("watch", "--events", str(path), "--kind", "edit", "--out", str(alerts)) == 0
+            assert run_cli("watch", "--events", str(path), "--kind", "edit") == 0
+            outs.append((peaks.read_bytes(), alerts.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0][2].splitlines()[1:] == ["W,edit,2020-01-15,90,9,1"]
+
+    def test_parse_talk_skips_a_page_whose_name_is_not_utf8(self, tmp_path, capsys, caplog):
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        (pages / "simple_chain.txt").write_bytes((TALKPAGES / "simple_chain.txt").read_bytes())
+        bad = pages / os.fsdecode(b"caf\xe9.txt")
+        bad.write_bytes((TALKPAGES / "depth_jump.txt").read_bytes())
+        out = tmp_path / "events.jsonl"
+        assert run_cli("parse-talk", "--in", str(pages), "--out", str(out)) == 0
+        assert "# pages_bad_utf8: 1" in capsys.readouterr().err.splitlines()
+        assert out.read_bytes() == (TALKPAGES / "simple_chain.expected.jsonl").read_bytes()
+        assert run_cli("parse-talk", "--in", str(pages)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [m for m in warnings if m.startswith(f"{bad}: bad_utf8: file name: ")], warnings
+
     def test_watch_stdin_names_the_row(self, capsys, monkeypatch):
         rows = b"A,edit,2020-01-15,2\n# \xfe comment\nA\xff,edit,2020-01-16,3\n"
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(rows), encoding="ascii"))
@@ -1348,6 +1410,18 @@ class TestCsvNul:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert outs[0].splitlines()[1:] == ["X,comment,2021-03-15,101,10.1,2"]
+
+    def test_article_name_through_the_tables_and_back(self, tmp_path, capsys):
+        edits = tmp_path / "edits.jsonl"
+        write_daily_events(edits, [("Al\0pha", f"2006-01-{day:02d}", 20 if day == 20 else 1)
+                                   for day in range(1, 21)])
+        out = tmp_path / "report"
+        assert run_cli(*report_args(edits, GOLDEN / "comments.jsonl", out)) == 0
+        assert ["Al\0pha", "edit", "2006-01-20", "1", "10"] in read_rows(out / "peaks.csv")
+        assert "Al\0pha" in [row[0] for row in read_rows(out / "articles.csv")]
+        capsys.readouterr()
+        assert run_cli("stats", "--peaks", str(out / "peaks.csv"), "--report", "anniversary") == 0
+        assert "edit,Al\0pha,0" in capsys.readouterr().out.splitlines()
 
     def test_watch_stdin_names_the_row(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('"Be\0\nta",comment,2021-03-01,2\nX,comment,2021-03-01,2\0\n'))

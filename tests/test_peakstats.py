@@ -29,6 +29,8 @@ from talkdyn.peakstats import (
 )
 from talkdyn.timeseries import PeakRun
 
+from conftest import anniversaries_oracle, overlap_oracle
+
 
 def run(article: str, start: date, length: int = 1, kind: str = "edit") -> PeakRun:
     return PeakRun(article, kind, start, length)
@@ -70,6 +72,12 @@ class TestOverlap:
         report = overlap(comment_runs, edit_runs, 1)
         assert report.n_overlapping_comment_peaks == 1
 
+    def test_a_long_edit_run_reaches_past_a_later_short_one(self):
+        # Hand-written runs may overlap: 5-1..5-6 still covers 5-5 after 5-2 has ended.
+        edit_runs = [run("A", date(2006, 5, 1), length=6), run("A", date(2006, 5, 2))]
+        comment_runs = [run("A", date(2006, 5, 5), kind="comment")]
+        assert overlap(comment_runs, edit_runs, 0).n_overlapping_comment_peaks == 1
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             overlap([], [], -1)
@@ -90,7 +98,33 @@ class TestOverlap:
         assert counts == sorted(counts)
 
 
+@st.composite
+def peak_runs(draw, kind: str, starts=st.integers(0, 60)) -> list[PeakRun]:
+    """Up to 8 runs over three articles, overlapping ones included."""
+    base = date(2006, 1, 1).toordinal()
+    return [run(draw(st.sampled_from("ABC")), date.fromordinal(base + draw(starts)),
+                draw(st.integers(1, 6)), kind)
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+class TestOverlapMatchesOracle:
+    # Starts within 20 days make runs of one article overlap often, as in a hand-written peaks.csv.
+    @given(comment_runs=peak_runs("comment", st.integers(0, 20)),
+           edit_runs=peak_runs("edit", st.integers(0, 20)), tolerance=st.integers(0, 5))
+    @settings(max_examples=400)
+    def test_per_day_oracle(self, comment_runs, edit_runs, tolerance):
+        report = overlap(comment_runs, edit_runs, tolerance)
+        assert (report.n_overlapping_comment_peaks, report.n_articles_with_overlap) \
+            == overlap_oracle(comment_runs, edit_runs, tolerance)
+
+
 class TestAnniversaries:
+    @given(runs=peak_runs("edit", st.builds(lambda year, drift: 2 + 365 * year + drift,
+                                            st.integers(0, 3), st.integers(-2, 2))))
+    @settings(max_examples=200)
+    def test_sorted_starts_oracle(self, runs):
+        assert anniversaries(runs) == anniversaries_oracle(runs)
+
     def test_year_gaps_count(self):
         runs = [
             run("A", date(2006, 5, 10)),
