@@ -28,7 +28,7 @@ from datetime import date, datetime, timezone
 from itertools import zip_longest
 from pathlib import Path
 from statistics import median
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -702,16 +702,13 @@ WATCH_HEADER = ("article", "kind", "day", "count", "ratio", "tier")
 
 
 def _alerts(
-    scorer: timeseries.TrailingScorer, stream: Callable[[int], tuple[str, str]],
+    scorer: timeseries.TrailingScorer, names: list[str], kind: str,
     codes: np.ndarray, days: np.ndarray, counts: np.ndarray,
 ) -> list[list[object]]:
-    """An alert row for each of a batch of closed days that peaks on its stream.
-
-    stream(code) is the (article, kind) of a stream code.
-    """
+    """An alert row for each of a batch of closed days that peaks on its stream, (names[code], kind)."""
     hits, ratios = scorer.score(codes, days, counts)
     return [
-        [*stream(code), date.fromordinal(day), count, ratio, timeseries.alert_tier(ratio, scorer.params)]
+        [names[code], kind, date.fromordinal(day), count, ratio, timeseries.alert_tier(ratio, scorer.params)]
         for code, day, count, ratio in zip(
             codes[hits].tolist(), days[hits].tolist(), counts[hits].tolist(), ratios.tolist())
     ]
@@ -739,11 +736,11 @@ def simulate_watch(
     scorer = timeseries.TrailingScorer(params)
     if sort:
         columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics)
-        return _alerts(scorer, lambda code: (columns.names[code], kind), *columns.day_counts())
+        return _alerts(scorer, columns.names, kind, *columns.day_counts())
     alerts: list[list[object]] = []
     chunks = ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics)
     for names, *closed in ingest.closed_days(chunks):
-        alerts += _alerts(scorer, lambda code: (names[code], kind), *closed)
+        alerts += _alerts(scorer, names, kind, *closed)
     return alerts
 
 
@@ -822,6 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
     peak.add_argument("--window", type=int,
                       default=timeseries.DEFAULT_WINDOW_HALFWIDTH,
                       help="median window halfwidth in days")
+    comments = argparse.ArgumentParser(add_help=False)
+    comments.add_argument("--comments", required=True)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("parse-talk", help="parse talk-page wikitext into comment events")
     p.add_argument("--in", dest="in_path", required=True,
@@ -837,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_peaks)
 
-    p = sub.add_parser("stats", help="statistics over a peaks table")
+    p = sub.add_parser("stats", parents=[table], help="statistics over a peaks table")
     p.add_argument("--peaks", required=True, help="peaks CSV from the peaks subcommand")
     p.add_argument("--report", choices=("overlap", "anniversary", "distributions"))
     p.add_argument("--powerlaw", choices=tuple(POWERLAW_SAMPLES),
@@ -846,34 +847,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=int, default=1, help="smallest sample used in the fit")
     p.add_argument("--tolerance", type=int, nargs="+", default=list(DEFAULT_TOLERANCES),
                    help="day tolerances for overlap")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("hindex", parents=[fmt], help="discussion h-index per article")
-    p.add_argument("--comments", required=True)
-    p.add_argument("--out", help="output CSV path (default stdout)")
+    p = sub.add_parser("hindex", parents=[fmt, comments, table], help="discussion h-index per article")
     p.set_defaults(handler=_cmd_hindex)
 
-    p = sub.add_parser("deltah", parents=[fmt], help="discussion growth speed per article")
-    p.add_argument("--comments", required=True)
+    p = sub.add_parser("deltah", parents=[fmt, comments, table], help="discussion growth speed per article")
     p.add_argument("--min-comments", type=int, default=discussion.DEFAULT_MIN_COMMENTS,
                    help="only rank discussions with strictly more comments than this")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(handler=_cmd_deltah)
 
-    p = sub.add_parser("maturity", parents=[fmt], help="has each discussion stopped growing?")
-    p.add_argument("--comments", required=True)
+    p = sub.add_parser("maturity", parents=[fmt, comments, table],
+                       help="has each discussion stopped growing?")
     p.add_argument("--as-of", help="judgement time (YYYY-MM-DD or full timestamp); "
                                    "default: latest comment timestamp")
     p.add_argument("-k", "--threshold-multiple", type=float,
                    default=discussion.DEFAULT_MATURITY_MULTIPLE,
                    help="idle time required, in multiples of the discussion's own pace")
-    p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(handler=_cmd_maturity)
 
-    p = sub.add_parser("report", parents=[fmt, peak], help="run every analysis into a directory")
+    p = sub.add_parser("report", parents=[fmt, peak, comments], help="run every analysis into a directory")
     p.add_argument("--edits", required=True)
-    p.add_argument("--comments", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--output-format", choices=("csv", "json"), default="csv",
                    help="csv only, or csv plus json mirrors")

@@ -370,8 +370,8 @@ def _decode_json(line: str) -> dict:
     return record
 
 
-def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
-    """(article, timestamp text or None, (id, parent, depth, author, ord)) of a comment."""
+def _check_comment(record: dict) -> tuple[tuple[str | None, ...], tuple[int, int]]:
+    """The texts (article, ts, id, parent, author) and counts (depth, ord) of a comment."""
     article = record.get("article")
     comment_id = record.get("id")
     if not isinstance(article, str) or not article:
@@ -389,7 +389,7 @@ def _check_comment(record: dict) -> tuple[str, str | None, tuple]:
         raise _BadRecord("depth_parent_mismatch", f"depth={depth} parent={parent!r}")
     author = _coerce_optional(record.get("author"))
     _encodable(article=article, id=comment_id, parent=parent, author=author)
-    return article, _coerce_optional(record.get("ts")), (comment_id, parent, depth, author, doc_order)
+    return (article, _coerce_optional(record.get("ts")), comment_id, parent, author), (depth, doc_order)
 
 
 def int_field(value: object) -> int:
@@ -405,13 +405,15 @@ def int_field(value: object) -> int:
     return int(value)
 
 
-def _check_edit(record: dict) -> tuple[str, object, None]:
-    """(article, raw timestamp value, None) of an edit; the timestamp is checked per chunk."""
-    article = record.get("article")
+def _check_edit(record: dict) -> tuple[tuple[str, str], tuple[int, int]]:
+    """The texts (article, ts) and counts (0, 0) of an edit; the timestamp text is read per chunk."""
+    article, stamp = record.get("article"), record.get("ts")
     if not isinstance(article, str) or not article:
         raise _BadRecord("bad_article", f"article={article!r}")
     _encodable(article=article)
-    return article, record.get("ts"), None
+    if not isinstance(stamp, str):
+        raise _BadRecord("edit_ts_malformed", f"ts={stamp!r}")
+    return (article, stamp), (0, 0)
 
 
 def _json_line(raw: bytes) -> dict | None:
@@ -528,6 +530,9 @@ _SHAPE_KEYS = {part: _word_keys(part) for part in _COMMENT_SHAPE + _EDIT_SHAPE
 _NULL_KEY = _word_keys(b"null")[0]
 # _LOW_BYTES[k] keeps the first k bytes of a word.
 _LOW_BYTES = np.array([_words(b"\xff" * k + _PAD)[0] for k in range(9)])
+# Neighbouring article names are compared this many words at a time across a
+# block; a pair still equal after them is compared whole, on its own.
+_NAME_WORDS = 4
 
 
 def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]]:
@@ -537,30 +542,33 @@ def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]
     lone '\\r', as text mode with newline="" splits it, or at the end of the
     file.  A block is cut after its last line end and the rest is carried to
     the next read; a read that holds no line end reads on, so a block holds
-    at most _CHUNK_BYTES plus one line.
+    at most _CHUNK_BYTES plus one line.  Each byte is scanned for line ends
+    once, and the reads that make up a block are joined once.
     """
-    tail = b""
+    pieces: list[bytes] = []  # what was read since the last cut, size bytes
+    size = 0
     while True:
         piece = handle.read(_CHUNK_BYTES)
-        data = tail + piece
-        if not data:
+        if not piece:
+            if size:
+                yield b"".join((*pieces, _PAD)), np.array([size])
             return
-        body = np.frombuffer(data, dtype=np.uint8)
+        body = np.frombuffer(piece, dtype=np.uint8)
         at_end = body == ord("\n")
-        if b"\r" in data:
+        if b"\r" in piece:
             # A '\r' ends a line unless a '\n' follows it; one that ends a
             # read waits for the next read, unless the file ends there.
             at_end[:-1] |= (body[:-1] == ord("\r")) & (body[1:] != ord("\n"))
-            at_end[-1] |= body[-1] == ord("\r") and not piece
-        ends = np.flatnonzero(at_end) + 1
-        if not piece and (not ends.size or ends[-1] != len(data)):
-            ends = np.append(ends, len(data))
+        ends = np.flatnonzero(at_end) + (size + 1)
+        if pieces and pieces[-1].endswith(b"\r") and body[0] != ord("\n"):
+            ends = np.concatenate(([size], ends))
         if not ends.size:
-            tail = data
+            pieces.append(piece)
+            size += len(piece)
             continue
-        cut = int(ends[-1])
-        yield b"".join((memoryview(data)[:cut], _PAD)), ends
-        tail = data[cut:]
+        cut = int(ends[-1]) - size
+        yield b"".join((*pieces, memoryview(piece)[:cut], _PAD)), ends
+        pieces, size = [piece[cut:]], len(piece) - cut
 
 
 def _canonical(
@@ -684,8 +692,9 @@ class Chunk:
     without a usable timestamp; every edit kept is dated.  text holds every
     record's texts as UTF-8 bytes, and spans their (records, fields, 2)
     (start, end) offsets in it, by ARTICLE, TS and, for a comment, ID,
-    PARENT and AUTHOR (NO_SPAN for None); a comment load also fills depths
-    and ords.  So day_runs builds no per-record object; comments() does.
+    PARENT and AUTHOR (NO_SPAN for None); counts holds each record's
+    (records, 2) counts by DEPTH, ORD (zero for an edit).  So day_runs
+    builds no per-record object.
     """
 
     names: list[str]
@@ -693,8 +702,7 @@ class Chunk:
     seconds: np.ndarray
     text: bytes
     spans: np.ndarray
-    depths: np.ndarray
-    orders: np.ndarray
+    counts: np.ndarray
 
     def day_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(article code, day ordinal, count) of each run of consecutive dated records of one article and day."""
@@ -705,14 +713,6 @@ class Chunk:
         """One text field of every record as UTF-8 bytes, None where it is null."""
         text = self.text
         return [None if lo == NO_SPAN else text[lo:hi] for lo, hi in self.spans[:, field].tolist()]
-
-    def comments(self) -> list[tuple]:
-        """(id, parent, depth, author, ord) of every record of a comment load."""
-        ids, parents, authors = (
-            [None if raw is None else raw.decode("utf-8", "surrogatepass") for raw in self.texts(field)]
-            for field in (ID, PARENT, AUTHOR)
-        )
-        return list(zip(ids, parents, self.depths.tolist(), authors, self.orders.tolist()))
 
 
 def read_chunks(
@@ -778,10 +778,10 @@ class _Load:
     def lines(self, padded: bytes, ends: np.ndarray, first: int) -> Chunk:
         """One block of JSONL lines: canonical ones read from their bytes, the rest one at a time."""
         starts = np.concatenate(([0], ends[:-1]))
-        ok, spans, numbers = _canonical(padded, starts, ends, self.kind)
+        ok, spans, counts = _canonical(padded, starts, ends, self.kind)
         slow = [(i, padded[starts[i]:ends[i]]) for i in np.flatnonzero(~ok).tolist()]
         return self._chunk(padded, int(ends[-1]), first + np.arange(ends.size),
-                           ok, spans, numbers, slow, _json_line)
+                           ok, spans, counts, slow, _json_line)
 
     def rows(self, header: list[str], block: list[Row]) -> Chunk:
         """One block of numbered CSV rows, each checked on its own."""
@@ -802,7 +802,7 @@ class _Load:
 
     def _chunk(
         self, padded: bytes, size: int, line_nos: np.ndarray, ok: np.ndarray, spans: np.ndarray,
-        numbers: np.ndarray, slow: list[tuple[int, object]], read: Callable[[object], dict | None],
+        counts: np.ndarray, slow: list[tuple[int, object]], read: Callable[[object], dict | None],
     ) -> Chunk:
         """Check slow's lines one at a time, join them to the byte path's and record the failures.
 
@@ -812,36 +812,29 @@ class _Load:
         """
         failures: list[tuple[int, str, str]] = []
         blank = 0
-        kept, rows, counts = [], [], []
+        kept, rows, numbers = [], [], []
         for i, raw in slow:
             try:
                 record = read(raw)
                 if record is None:
                     blank += 1
                     continue
-                article, stamp, extra = self.check(record)
-                if self.kind == EDIT and not isinstance(stamp, str):
-                    raise _BadRecord("edit_ts_malformed", f"ts={stamp!r}")
+                texts, pair = self.check(record)
             except _BadRecord as bad:
                 failures.append((int(line_nos[i]), *bad.args))
                 continue
             kept.append(i)
-            if extra is None:
-                rows.append((article, stamp))
-            else:
-                comment_id, parent, depth, author, doc_order = extra
-                rows.append((article, stamp, comment_id, parent, author))
-                counts.append((depth, doc_order))
+            rows.append(texts)
+            numbers.append(pair)
         text = padded
         if kept:
             extra_text, spans[kept] = _pack(rows, self.fields, size)
             text = padded[:size] + extra_text + _PAD
             ok[kept] = True
-            if counts:
-                numbers[kept] = counts
+            counts[kept] = numbers
         if not ok.all():
             keep = np.flatnonzero(ok)
-            spans, numbers, line_nos = spans[keep], numbers[keep], line_nos[keep]
+            spans, counts, line_nos = spans[keep], counts[keep], line_nos[keep]
         lo, hi = spans[:, TS].T
         chars = _words(text)[np.maximum(lo, 0)[:, None] + _WORD_AT].view(np.uint8)[:, :_SHAPE_WIDTH]
         seconds = _epoch_seconds(chars, hi - lo, self.now)
@@ -854,33 +847,36 @@ class _Load:
                     for line_no, a, b in zip(line_nos[undated].tolist(), lo[undated].tolist(),
                                              hi[undated].tolist())
                 )
-                seconds, spans = seconds[~undated], spans[~undated]
-            depths = orders = np.empty(0, dtype=np.int64)
+                seconds, spans, counts = seconds[~undated], spans[~undated], counts[~undated]
         else:
             self.diag.tally("comments_undated", int(np.count_nonzero(undated)))
             self.diag.tally("comment_ts_malformed", int(np.count_nonzero(undated & (lo != NO_SPAN))))
-            depths, orders = numbers.T
         # Only a kept record gives its article a code.
         codes = self._codes(text, spans[:, ARTICLE])
         self.diag.tally("lines_read", line_nos.size + len(slow) - len(kept) - blank)
         for failure in sorted(failures):
             self.diag.record(*failure)
         self.diag.tally("events_used", int(seconds.size))
-        return Chunk(self.names, codes, seconds, text, spans, depths, orders)
+        return Chunk(self.names, codes, seconds, text, spans, counts)
 
     def _codes(self, text: bytes, spans: np.ndarray) -> np.ndarray:
         """The article code of every record; a run of equal names is decoded once."""
         lo, hi = spans.T
         widths = hi - lo
+        # A record continues a run when its name has the previous one's width and bytes.
         new = np.ones(lo.size, dtype=bool)
-        # A record continues a run when its name has the previous one's width and bytes,
-        # compared a word at a time.
         new[1:] = widths[1:] != widths[:-1]
+        same = np.flatnonzero(~new)  # the records whose name is so far equal to the previous one
         words = _words(text)
-        for at in range(0, int(widths.max(initial=0)), 8):
-            word = words[np.minimum(lo + at, words.size - 1)]
-            mask = _LOW_BYTES[np.minimum(np.maximum(widths[1:] - at, 0), 8)]
-            new[1:] |= (word[1:] ^ word[:-1]) & mask != 0
+        at = 0
+        while same.size and at < 8 * _NAME_WORDS:
+            same = same[widths[same] > at]
+            mask = _LOW_BYTES[np.minimum(widths[same] - at, 8)]
+            differ = (words[lo[same] + at] ^ words[lo[same - 1] + at]) & mask != 0
+            new[same[differ]] = True
+            same, at = same[~differ], at + 8
+        for i in same[widths[same] > at].tolist():
+            new[i] = text[lo[i] + at:hi[i]] != text[lo[i - 1] + at:hi[i - 1]]
         runs = np.flatnonzero(new)
         codes = []
         for a, b in zip(lo[runs].tolist(), hi[runs].tolist()):
@@ -915,8 +911,12 @@ def load_events(
             for s in chunk.seconds.tolist()
         ]
         if kind == COMMENT:
-            for code, ts, (comment_id, parent, depth, author, doc_order) in zip(
-                chunk.codes.tolist(), stamps, chunk.comments()
+            ids, parents, authors = (
+                [None if raw is None else raw.decode("utf-8", "surrogatepass") for raw in chunk.texts(field)]
+                for field in (ID, PARENT, AUTHOR)
+            )
+            for code, ts, comment_id, parent, (depth, doc_order), author in zip(
+                chunk.codes.tolist(), stamps, ids, parents, chunk.counts.tolist(), authors
             ):
                 yield CommentEvent(names[code], comment_id, parent, depth, ts, author, doc_order)
         else:
@@ -1008,7 +1008,7 @@ def load_columns(
                 [[texts.setdefault(text, len(texts)) for text in chunk.texts(f)] for f in (ID, PARENT)],
                 dtype=np.int64,
             ).reshape(2, -1))
-            numbers.append(np.stack((chunk.depths, chunk.orders)))
+            numbers.append(chunk.counts.T)
     empty = np.empty((2, 0), dtype=np.int64)
     ids, parents = np.concatenate([empty, *links], axis=1)
     depths, orders = np.concatenate([empty, *numbers], axis=1)

@@ -1059,6 +1059,69 @@ class TestLineBlocks:
         assert loads[0] == loads[1] and len(loads[0][0]) == 1000
 
 
+class _Counted:
+    """An array that counts how often it is indexed."""
+
+    def __init__(self, array):
+        self.array, self.calls = array, 0
+
+    def __getitem__(self, index):
+        self.calls += 1
+        return self.array[index]
+
+
+_PREFIX = "abcdefgh" * 6
+# Names of equal width that differ in one byte of the first, a middle or the last word.
+LONG_NAMES = [_PREFIX[:k] for k in (8, 31, 32, 33, 48)] + [
+    _PREFIX[:k] + "X" + _PREFIX[k + 1:] for k in (2, 15, 26, 31, 40, 47)] + ["é" * 20, "é" * 19 + "ee"]
+
+
+class TestReadersBoundedByBytes:
+    """A long article name or a long line costs time linear in its bytes."""
+
+    @given(names=st.lists(st.tuples(st.sampled_from(LONG_NAMES), st.booleans()), max_size=30),
+           chunk=st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_long_names_load_like_oracle(self, tmp_path_factory, names, chunk):
+        # ensure_ascii spells 'é' as an escape, which only the per-line check reads.
+        lines = [json.dumps({"article": name, "ts": "2010-01-01T00:00:00Z"},
+                            ensure_ascii=escaped, separators=(",", ":"))
+                 for name, escaped in names]
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            assert_loads_like_oracle(path, EDIT)
+
+    def test_long_name_is_compared_in_few_word_rounds(self, tmp_path):
+        long = "N" * (1 << 16)
+        names = [long, long, long[:-1] + "M"] + [f"A{i}" for i in range(100)]
+        path = tmp_path / "e.jsonl"
+        path.write_text("".join(f'{{"article":"{name}","ts":"2010-01-01T00:00:00Z"}}\n'
+                                for name in names))
+        assert path.stat().st_size < ingest._CHUNK_BYTES  # one block
+        rounds = _Counted(ingest._LOW_BYTES)
+        with mock.patch.object(ingest, "_LOW_BYTES", rounds):
+            columns = ingest.load_columns(path, EDIT, now=ORACLE_NOW)
+        assert [columns.names[code] for code in columns.articles.tolist()] == names
+        # A few word rounds a block, not one for each of the name's 8,192 words.
+        assert rounds.calls <= 8
+
+    def test_long_line_is_scanned_once(self):
+        chunk = 1 << 10
+        # A '\r' at the end of a read, then one line of 256 reads, and short lines.
+        data = b"x" * (chunk - 1) + b"\r" + b"y" * (256 * chunk) + b"\r\n" + b"z\n" * 100
+        scanned = []
+        frombuffer = np.frombuffer
+
+        def counting(buffer, *args, **kwargs):
+            scanned.append(len(buffer))
+            return frombuffer(buffer, *args, **kwargs)
+
+        with mock.patch.object(np, "frombuffer", counting):
+            lines, _ = block_lines(data, chunk)
+        assert lines == data.splitlines(keepends=True)
+        assert len(data) <= sum(scanned) <= 2 * len(data)
+
+
 class TestSeriesKernel:
     @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
            chunk=st.integers(1, 64))
