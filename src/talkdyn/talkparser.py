@@ -74,6 +74,15 @@ DEFAULT_DATE_PATTERNS: tuple[re.Pattern, ...] = (
     re.compile(r"(?P<day>\d\d?) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
 )
 
+# Both default patterns in one scan: lead is the hour when minute matched and the
+# day when it did not.  Its first group is a digit group, as above, so the
+# charset prefix stays.  A match with a time also holds the date-only match that
+# ends where it ends (from the day group on), which extract_signature tries next.
+_DEFAULT_DATE_RE = re.compile(
+    r"(?P<lead>\d\d?)(?::(?P<minute>\d\d), (?P<day>\d\d?))? "
+    r"(?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
+)
+
 
 class PatternError(ValueError):
     """A date-pattern registry entry is unusable."""
@@ -170,35 +179,58 @@ def split_comments(page: RawTalkPage) -> list[tuple[int, str]]:
 
 def _resolve_month(token: str) -> int | None:
     token = token.strip().rstrip(".").lower()
-    if token.isdigit():
+    if token.isdecimal():
         month = int(token)
         return month if 1 <= month <= 12 else None
     return MONTHS.get(token)
 
 
-def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
-    parts = match.groupdict()
-    month = _resolve_month(parts["month"])
-    if month is None:
+def _timestamp(
+    year: str, month: str, day: str, hour: str | int, minute: str | int, now: datetime
+) -> datetime | None:
+    """The UTC time these date parts name, or None for no date: an unknown month, an
+    impossible day or time, or a time before EARLIEST_TIMESTAMP or after now."""
+    month_no = _resolve_month(month)
+    if month_no is None:
         return None
     try:
-        ts = datetime(
-            int(parts["year"]),
-            month,
-            int(parts["day"]),
-            int(parts.get("hour") or 0),
-            int(parts.get("minute") or 0),
-            tzinfo=timezone.utc,
-        )
+        ts = datetime(int(year), month_no, int(day), int(hour), int(minute), tzinfo=timezone.utc)
     except ValueError:
         return None
-    if ts < EARLIEST_TIMESTAMP or ts > now:
+    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
+
+
+def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
+    parts = match.groupdict()
+    year, month, day = parts["year"], parts["month"], parts["day"]
+    if year is None or month is None or day is None:  # an optional group left out
         return None
-    return ts
+    return _timestamp(year, month, day, parts.get("hour") or 0, parts.get("minute") or 0, now)
 
 
 def _clean_author(raw: str) -> str:
     return raw.replace("_", " ").strip()
+
+
+def _last_link(body: str, end: int) -> re.Match | None:
+    """The last user link of body[:end].
+
+    A link holds no '[' after its opening "[[" and has one possible extent, so
+    the links of body[:end] are the links of body that end by end.
+    """
+    link = None
+    for link in USER_LINK_RE.finditer(body, 0, end):
+        pass
+    return link
+
+
+def _dated(body: str, ts: datetime, start: int, end: int) -> SignatureMatch:
+    """The signature whose date is body[start:end]: its author is the last user link
+    ending by start, if it ends within AUTHOR_WINDOW_CHARS of it."""
+    link = _last_link(body, start)
+    if link is not None and start - link.end() <= AUTHOR_WINDOW_CHARS:
+        return SignatureMatch(_clean_author(link.group("name")), ts, (link.start(), end))
+    return SignatureMatch(None, ts, (start, end))
 
 
 def extract_signature(
@@ -214,38 +246,37 @@ def extract_signature(
     parseable date yields a dateless match; a body with neither has no
     signature at all.  A date after now (default: the clock) is no date.
     """
-    pats = DEFAULT_DATE_PATTERNS if patterns is None else patterns
     if now is None:
         now = datetime.now(timezone.utc)
-    candidates: list[tuple[int, int, re.Match]] = []
-    for priority, pattern in enumerate(pats):
-        for m in pattern.finditer(body):
-            candidates.append((m.end(), priority, m))
-    candidates.sort(key=lambda item: (-item[0], item[1]))
-    # One scan: a link holds no '[' after its opening "[[" and has one possible
-    # extent, so the links of body[:i] are the links here that end by i.
-    links = list(USER_LINK_RE.finditer(body))
-    for _, _, match in candidates:
-        ts = _candidate_timestamp(match, now)
-        if ts is None:
-            continue
-        start = match.start()
-        for link in reversed(links):
-            if link.end() <= start:
-                if start - link.end() <= AUTHOR_WINDOW_CHARS:
-                    return SignatureMatch(
-                        author=_clean_author(link.group("name")),
-                        timestamp=ts,
-                        span=(link.start(), match.end()),
-                    )
-                break
-        return SignatureMatch(author=None, timestamp=ts, span=match.span())
-    if links:
-        link = links[-1]
-        return SignatureMatch(
-            author=_clean_author(link.group("name")), timestamp=None, span=link.span()
+    if patterns is None:
+        # Latest end first; at one end the timed reading, then the date alone.
+        for m in reversed(list(_DEFAULT_DATE_RE.finditer(body))):
+            lead, minute, day, month, year = m.groups()
+            if minute is None:
+                day, start = lead, m.start()
+            else:
+                ts = _timestamp(year, month, day, lead, minute, now)
+                if ts is not None:
+                    return _dated(body, ts, m.start(), m.end())
+                start = m.start("day")
+            ts = _timestamp(year, month, day, 0, 0, now)
+            if ts is not None:
+                return _dated(body, ts, start, m.end())
+    else:
+        # Latest end first; at one end the earlier registry entry first.
+        candidates = sorted(
+            ((m.end(), priority, m) for priority, pattern in enumerate(patterns)
+             for m in pattern.finditer(body)),
+            key=lambda item: (-item[0], item[1]),
         )
-    return None
+        for _, _, match in candidates:
+            ts = _candidate_timestamp(match, now)
+            if ts is not None:
+                return _dated(body, ts, *match.span())
+    link = _last_link(body, len(body))
+    if link is None:
+        return None
+    return SignatureMatch(_clean_author(link.group("name")), None, link.span())
 
 
 def to_events(
@@ -268,43 +299,38 @@ def to_events(
     dropped when a heading or the page end cuts them off.  Signature dates
     after now (default: one clock reading for the page) are no dates.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics(source=page.article_id)
     if now is None:
         now = datetime.now(timezone.utc)
     events: list[CommentEvent] = []
     stack: list[tuple[int, int, str]] = []  # (raw indent, event depth, comment id)
     pending_unsigned = 0
+    # Tallies are counted here and added to diagnostics once per page.
+    headings = blocks = merged = dropped = undated = unattributed = jumps = orphans = 0
     for item in _iter_page_items(page.text):
         if item is None:
-            diag.tally("headings")
-            if pending_unsigned:
-                diag.tally("unsigned_dropped", pending_unsigned)
-                pending_unsigned = 0
+            headings += 1
+            dropped += pending_unsigned
+            pending_unsigned = 0
             stack.clear()
             continue
         depth, body = item
-        diag.tally("blocks")
+        blocks += 1
         signature = extract_signature(body, patterns, now)
         if signature is None:
             pending_unsigned += 1
             continue
-        if pending_unsigned:
-            diag.tally("unsigned_merged", pending_unsigned)
-            pending_unsigned = 0
-        if signature.timestamp is None:
-            diag.tally("comments_undated")
-        if signature.author is None:
-            diag.tally("comments_unattributed")
+        merged += pending_unsigned
+        pending_unsigned = 0
+        undated += signature.timestamp is None
+        unattributed += signature.author is None
         while stack and stack[-1][0] >= depth:
             stack.pop()
         if stack:
             parent_raw, parent_depth, parent_id = stack[-1]
-            if parent_raw != depth - 1:
-                diag.tally("depth_jump")
+            jumps += parent_raw != depth - 1
             event_depth = parent_depth + 1
         else:
-            if depth > 0:
-                diag.tally("orphan_reply")
+            orphans += depth > 0
             parent_id = None
             event_depth = 0
         comment_id = f"c{len(events)}"
@@ -320,8 +346,14 @@ def to_events(
             )
         )
         stack.append((depth, event_depth, comment_id))
-    if pending_unsigned:
-        diag.tally("unsigned_dropped", pending_unsigned)
+    if diagnostics is not None:
+        for key, n in (
+            ("headings", headings), ("blocks", blocks), ("unsigned_merged", merged),
+            ("unsigned_dropped", dropped + pending_unsigned), ("comments_undated", undated),
+            ("comments_unattributed", unattributed), ("depth_jump", jumps),
+            ("orphan_reply", orphans),
+        ):
+            diagnostics.tally(key, n)
     return events
 
 

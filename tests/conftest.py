@@ -431,8 +431,9 @@ def simulate_watch_oracle(events_path, params: PeakParams, kind: str = COMMENT,
 
 
 # ---------------------------------------------------------------------------
-# Signature oracle: the author link searched again in body[:date start] for
-# each date, as the parser did before it scanned the links once per body.
+# Signature oracle: every match of every pattern a candidate, tried latest end
+# first, and the author link searched again in body[:date start] for each
+# date, as the parser did before it scanned the links once per body.
 
 
 # The default signature date patterns as first written, with \d{1,2} and \d{2}.
@@ -473,6 +474,33 @@ def anniversaries_oracle(runs) -> dict[str, int]:
     return out
 
 
+def _resolve_month_oracle(token: str) -> int | None:
+    token = token.strip().rstrip(".").lower()
+    if token.isdecimal():
+        month = int(token)
+        return month if 1 <= month <= 12 else None
+    return talkparser.MONTHS.get(token)
+
+
+def _candidate_timestamp_oracle(match: re.Match, now: datetime) -> datetime | None:
+    parts = match.groupdict()
+    if None in (parts["year"], parts["month"], parts["day"]):
+        return None
+    month = _resolve_month_oracle(parts["month"])
+    if month is None:
+        return None
+    try:
+        ts = datetime(int(parts["year"]), month, int(parts["day"]), int(parts.get("hour") or 0),
+                      int(parts.get("minute") or 0), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return ts if _EARLIEST <= ts <= now else None
+
+
+def _clean_author_oracle(raw: str) -> str:
+    return raw.replace("_", " ").strip()
+
+
 def _last_user_link_oracle(body: str, end: int | None = None):
     last = None
     for m in talkparser.USER_LINK_RE.finditer(body if end is None else body[:end]):
@@ -486,19 +514,69 @@ def extract_signature_oracle(body: str, patterns=None, now: datetime | None = No
     candidates = sorted(((m.end(), priority, m) for priority, pattern in enumerate(pats)
                          for m in pattern.finditer(body)), key=lambda item: (-item[0], item[1]))
     for _, _, match in candidates:
-        ts = talkparser._candidate_timestamp(match, now)
+        ts = _candidate_timestamp_oracle(match, now)
         if ts is None:
             continue
         link = _last_user_link_oracle(body, match.start())
         if link is not None and match.start() - link.end() <= talkparser.AUTHOR_WINDOW_CHARS:
             return talkparser.SignatureMatch(
-                talkparser._clean_author(link.group("name")), ts, (link.start(), match.end()))
+                _clean_author_oracle(link.group("name")), ts, (link.start(), match.end()))
         return talkparser.SignatureMatch(None, ts, match.span())
     link = _last_user_link_oracle(body)
     if link is not None:
         return talkparser.SignatureMatch(
-            talkparser._clean_author(link.group("name")), None, link.span())
+            _clean_author_oracle(link.group("name")), None, link.span())
     return None
+
+
+def to_events_oracle(page, patterns=None, diagnostics: Diagnostics | None = None, *,
+                     now: datetime | None = None) -> list[CommentEvent]:
+    """A page's events as the parser built them with one tally per block and a stack
+    of open comments, its signatures read by extract_signature_oracle."""
+    diag = diagnostics if diagnostics is not None else Diagnostics(source=page.article_id)
+    now = datetime.now(timezone.utc) if now is None else now
+    events: list[CommentEvent] = []
+    stack: list[tuple[int, int, str]] = []  # (raw indent, event depth, comment id)
+    pending_unsigned = 0
+    for item in talkparser._iter_page_items(page.text):
+        if item is None:
+            diag.tally("headings")
+            diag.tally("unsigned_dropped", pending_unsigned)
+            pending_unsigned = 0
+            stack.clear()
+            continue
+        depth, body = item
+        diag.tally("blocks")
+        signature = extract_signature_oracle(body, patterns, now)
+        if signature is None:
+            pending_unsigned += 1
+            continue
+        diag.tally("unsigned_merged", pending_unsigned)
+        pending_unsigned = 0
+        if signature.timestamp is None:
+            diag.tally("comments_undated")
+        if signature.author is None:
+            diag.tally("comments_unattributed")
+        while stack and stack[-1][0] >= depth:
+            stack.pop()
+        if stack:
+            parent_raw, parent_depth, parent_id = stack[-1]
+            if parent_raw != depth - 1:
+                diag.tally("depth_jump")
+            event_depth = parent_depth + 1
+        else:
+            if depth > 0:
+                diag.tally("orphan_reply")
+            parent_id = None
+            event_depth = 0
+        comment_id = f"c{len(events)}"
+        events.append(CommentEvent(
+            article_id=page.article_id, comment_id=comment_id, parent_id=parent_id,
+            depth=event_depth, timestamp=signature.timestamp, author=signature.author,
+            doc_order=len(events)))
+        stack.append((depth, event_depth, comment_id))
+    diag.tally("unsigned_dropped", pending_unsigned)
+    return events
 
 
 # ---------------------------------------------------------------------------

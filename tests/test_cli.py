@@ -526,6 +526,51 @@ class TestSubcommandShapes:
         rows = out.read_text(encoding="utf-8").splitlines()
         assert [json.loads(row)["article"] for row in rows] == ["A", "A"]
 
+    def test_month_group_of_a_superscript_digit_is_no_date(self, tmp_path, capsys):
+        # "²" passes str.isdigit() but int() rejects it.
+        registry = tmp_path / "patterns.json"
+        registry.write_text(json.dumps(
+            [{"name": "slashed", "regex": r"(?P<day>\d+)/(?P<month>\S+)/(?P<year>\d{4})"}]))
+        page = tmp_path / "P.txt"
+        page.write_text("hello [[User:A]] 5/\u00b2/2006\n", encoding="utf-8")
+        assert run_cli("parse-talk", "--in", str(page), "--patterns", str(registry)) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(row["author"], row["ts"]) for row in rows] == [("A", None)]
+
+    @pytest.mark.parametrize("pages", ["fixtures", "fallbacks"])
+    def test_parse_talk_with_readme_registry_writes_the_default_bytes(
+            self, tmp_path, capsys, pages):
+        # One scan of both default patterns against README's registry of them.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        registry = tmp_path / "patterns.json"
+        registry.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        source = tmp_path / "pages"
+        source.mkdir()
+        if pages == "fixtures":
+            for page in sorted(TALKPAGES.glob("*.txt")):
+                (source / page.name).write_bytes(page.read_bytes())
+        else:
+            (source / "F.txt").write_text(
+                "== Times ==\n"
+                "Impossible time. [[User:A]] 25:61, 5 May 2006 (UTC)\n"
+                ":Future. [[User:B]] 10:30, 5 May 2999 (UTC)\n"
+                "::Both. [[User:C]] 25:61, 6 May 2006 (UTC) or 10:00, 7 May 2999 (UTC)\n"
+                "25:61, 8 May 2006 (UTC)\n", encoding="utf-8")
+        default, registered = tmp_path / "default.jsonl", tmp_path / "registered.jsonl"
+        assert run_cli("parse-talk", "--in", str(source), "--out", str(default)) == 0
+        assert run_cli("parse-talk", "--in", str(source), "--out", str(registered),
+                       "--patterns", str(registry)) == 0
+        assert default.read_bytes() == registered.read_bytes()
+        if pages == "fixtures":
+            assert default.read_bytes() == b"".join(
+                page.with_suffix(".expected.jsonl").read_bytes()
+                for page in sorted(TALKPAGES.glob("*.txt")))
+        else:
+            rows = [json.loads(line) for line in default.read_text(encoding="utf-8").splitlines()]
+            assert [(row["author"], row["ts"]) for row in rows] == [
+                ("A", "2006-05-05T00:00:00Z"), ("B", None), ("C", "2006-05-06T00:00:00Z"),
+                (None, "2006-05-08T00:00:00Z")]
+
     def test_hindex_rows(self, capsys):
         assert run_cli("hindex", "--comments", str(GOLDEN / "comments.jsonl")) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from talkdyn import (
@@ -22,9 +22,11 @@ from talkdyn import (
     to_events,
 )
 from talkdyn.ingest import event_json_line, write_events_jsonl
-from talkdyn.talkparser import DEFAULT_DATE_PATTERNS, PatternError, load_patterns, parse_file
+from talkdyn.talkparser import (
+    DEFAULT_DATE_PATTERNS, INDENT_CHARS, PatternError, load_patterns, parse_file,
+)
 
-from conftest import DATE_PATTERNS_ORACLE, extract_signature_oracle, utc
+from conftest import DATE_PATTERNS_ORACLE, extract_signature_oracle, to_events_oracle, utc
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "talkpages"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
@@ -198,6 +200,14 @@ NUMERIC_REGISTRY = [
     re.compile(r"(?P<year>\d{4})-(?P<month>\d{1,2})-(?P<day>\d{1,2})"),
     *DEFAULT_DATE_PATTERNS,
 ]
+# A clock on the days default_dates names, so that a date can fall on now's own day.
+signature_nows = st.builds(
+    lambda day, hour, minute: utc(*day, hour, minute),
+    st.sampled_from([(2006, 5, 5), (2006, 5, 29), (2006, 5, 31), (2006, 9, 5), (2012, 2, 29),
+                     (2012, 12, 31)]),
+    st.sampled_from([0, 9, 10, 23]),
+    st.sampled_from([0, 5, 30, 59]),
+)
 
 
 class TestSignatureMatchesTwoScanOracle:
@@ -210,6 +220,21 @@ class TestSignatureMatchesTwoScanOracle:
         now = utc(2010, 6, 1)
         assert (extract_signature(body, patterns, now)
                 == extract_signature_oracle(body, patterns, now))
+
+    # The timed reading is after now and the date alone is not: the date alone wins.
+    @example(body="[[User:A]] 10:30, 5 May 2006 (UTC)", now=utc(2006, 5, 5, 10))
+    @settings(max_examples=600, deadline=None)
+    @given(body=signature_bodies, now=signature_nows)
+    def test_same_on_the_days_of_the_dates(self, body, now):
+        assert extract_signature(body, None, now) == extract_signature_oracle(body, None, now)
+
+    @pytest.mark.parametrize("link, start", [("[[User:A]] ", 0), ("", 7)])
+    def test_timed_reading_after_now_falls_back_to_the_date(self, link, start):
+        body = f"{link}10:30, 5 May 2006 (UTC)"
+        sig = extract_signature(body, now=utc(2006, 5, 5, 10))
+        assert sig.timestamp == utc(2006, 5, 5)
+        assert sig.author == ("A" if link else None)
+        assert sig.span == (start, len(body))
 
 
 def digit_runs(*lengths: int) -> st.SearchStrategy[str]:
@@ -289,6 +314,35 @@ class TestToEventsDiagnostics:
         assert [e.doc_order for e in events] == [0, 1]
 
 
+# Pages of headings, blank lines, unsigned lines and signature bodies, each
+# line indented by a run of ':*#' that may jump several levels.
+indents = st.text(alphabet=INDENT_CHARS, max_size=4)
+talk_pages = st.lists(
+    st.one_of(
+        st.builds("{}== {} =={}".format, st.sampled_from(["", "="]), st.text(alphabet="ab ", max_size=3),
+                  st.sampled_from(["", "  "])),
+        st.sampled_from(["", " "]),
+        st.builds("{}{}".format, indents, st.text(alphabet="ab -", min_size=1, max_size=6)),
+        st.builds("{}{}".format, indents, signature_bodies),
+    ),
+    max_size=14,
+).map("\n".join)
+
+
+class TestToEventsMatchesOracle:
+    """Tallies counted once per page give the events and tallies of one tally per block."""
+
+    @pytest.mark.parametrize("patterns", [None, NUMERIC_REGISTRY], ids=["default", "numeric"])
+    @settings(max_examples=400, deadline=None)
+    @given(text=talk_pages, now=signature_nows)
+    def test_same_events_and_tallies(self, patterns, text, now):
+        page = RawTalkPage("A", text)
+        diag, oracle_diag = Diagnostics(), Diagnostics()
+        assert (to_events(page, patterns, diag, now=now)
+                == to_events_oracle(page, patterns, oracle_diag, now=now))
+        assert diag.tallies == oracle_diag.tallies
+
+
 class TestPatternRegistry:
     def good_entry(self):
         return {
@@ -315,6 +369,11 @@ class TestPatternRegistry:
         patterns = load_patterns(registry)
         assert [p.pattern for p in patterns[1:]] == [p.pattern for p in DEFAULT_DATE_PATTERNS]
         assert extract_signature(body, patterns).timestamp == utc(2006, 5, 5, 10, 30)
+
+    def test_required_group_left_out_of_a_match_is_no_date(self):
+        patterns = [re.compile(r"(?P<year>\d{4})-(?P<month>\d\d)(?:-(?P<day>\d\d))?")]
+        sig = extract_signature("[[User:A]] 2006-05", patterns)
+        assert (sig.author, sig.timestamp) == ("A", None)
 
     def test_missing_required_group(self, tmp_path):
         registry = tmp_path / "patterns.json"
