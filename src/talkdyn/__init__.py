@@ -46,6 +46,7 @@ from .timeseries import (
     PeakParams,
     PeakRun,
     StreamState,
+    detect_day_counts,
     detect_peaks,
     detect_peaks_trailing,
     inter_peak_intervals,

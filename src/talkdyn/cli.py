@@ -35,7 +35,7 @@ import numpy as np
 from . import discussion, ingest, peakstats, talkparser, timeseries
 from .ingest import COMMENT, EDIT, CommentEvent, Diagnostics, IngestError
 from .talkparser import PatternError
-from .timeseries import OutOfOrderError, PeakParams, PeakRun
+from .timeseries import DayCounts, OutOfOrderError, PeakParams, PeakRun
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,6 @@ SPEED_HEADER = [
     "duration_days", "final_h", "n_comments",
 ]
 
-Series = dict[str, ingest.ActivitySeries]
 Trees = dict[str, discussion.DiscussionTree]
 Traces = dict[str, discussion.HTrace]
 Runs = dict[str, list[PeakRun]]  # COMMENT, then EDIT -> that kind's peak runs
@@ -208,13 +207,6 @@ def _load(
     columns = ingest.load_columns(path, kind, fmt=fmt, diagnostics=diag, now=now)
     _log_load(diag)
     return columns, diag
-
-
-def _detect_all(series_by_article: Series, params: PeakParams) -> list[PeakRun]:
-    runs: list[PeakRun] = []
-    for article in sorted(series_by_article):
-        runs.extend(timeseries.detect_peaks(series_by_article[article], params))
-    return runs
 
 
 class _DayTable(NamedTuple):
@@ -415,9 +407,9 @@ def _articles_table(
     return Table("articles", header, rows)
 
 
-def _daily_total_rows(edits: ingest.Columns, comments: ingest.Columns) -> list[list[object]]:
-    """Corpus-wide (day, edits, comments) for every day with any activity."""
-    day_counts = [columns.day_counts()[1:] for columns in (edits, comments)]
+def _daily_total_rows(edits: DayCounts, comments: DayCounts) -> list[list[object]]:
+    """Corpus-wide (day, edits, comments) for every day with any activity, from each load's day_counts()."""
+    day_counts = [kind_counts[1:] for kind_counts in (edits, comments)]
     active = np.unique(np.concatenate([days for days, _ in day_counts]))
     totals = [np.bincount(np.searchsorted(active, days), counts, active.size).astype(np.int64).tolist()
               for days, counts in day_counts]
@@ -515,7 +507,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
     runs = {}
     for path, kind in sources:
         columns, _ = _load(path, kind, args.format, now)
-        runs[kind] = _detect_all(columns.series(), params)
+        runs[kind] = timeseries.detect_day_counts(columns.names, kind, columns.day_counts(), params)
     _emit(_peaks_table(runs), args.out)
     return 0
 
@@ -592,21 +584,23 @@ def run_report(config: RunConfig) -> list[Path]:
     """Run every analysis over one corpus and write all tables to out_dir.
 
     Returns the written paths.  Each file is loaded once into columns, never
-    event objects; the comment columns feed the series and the trees alike.
+    event objects; the comment columns feed the day counts and the trees alike.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     # One clock reading bounds "future" timestamps in both files.
     now = datetime.now(timezone.utc)
     edits, diag_edits = _load(config.edits_path, EDIT, config.input_format, now)
     comments, diag_comments = _load(config.comments_path, COMMENT, config.input_format, now)
-    # Trees first: the forest's sort buffers are freed before the dense series exist.
+    # Trees first: the forest's sort buffers are freed before the day counts exist.
     trees = discussion.build_forest(comments, diag_comments)
     as_of = config.as_of or max(
         (ts for ts in (comments.latest(), edits.latest()) if ts is not None), default=None
     )
 
-    comment_runs = _detect_all(comments.series(), config.params)
-    edit_runs = _detect_all(edits.series(), config.params)
+    # One day_counts() per load feeds its peak runs and the daily totals.
+    edit_days, comment_days = edits.day_counts(), comments.day_counts()
+    comment_runs = timeseries.detect_day_counts(comments.names, COMMENT, comment_days, config.params)
+    edit_runs = timeseries.detect_day_counts(edits.names, EDIT, edit_days, config.params)
     runs = {COMMENT: comment_runs, EDIT: edit_runs}
     samples = _sample_sets(runs)
     traces = _traces(trees, diag_comments)
@@ -622,7 +616,7 @@ def run_report(config: RunConfig) -> list[Path]:
     tables = [
         _peaks_table(runs),
         Table("daily_totals", ["day", "edits", "comments"],
-              _daily_total_rows(edits, comments)),
+              _daily_total_rows(edit_days, comment_days)),
         _overlap_table(runs, config.tolerances),
         _anniversaries_table(runs),
         _distributions_table(runs, samples),

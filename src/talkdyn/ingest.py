@@ -1,4 +1,4 @@
-"""Event ingestion: edit and comment records in, dense per-day activity series out.
+"""Event ingestion: edit and comment records in, per-day activity counts out.
 
 Input records arrive as JSON Lines (one object per line) or CSV with identical
 column names.  Edit records carry {article, ts}; comment records carry
@@ -33,10 +33,11 @@ vectorised pass over a (rows, 25) byte matrix, and every run of equal
 article names is decoded once.  Everything else is built on the chunk
 columns: load_events yields event objects, load_columns joins them into
 whole-file Columns without building any (whose day_counts() hold every
-(article, day) count, series() spreads them into the dense input of peak
-detection and comment links feed the reply trees), and the streaming watch
-replays the chunks' (article, day, count) runs; one run kernel counts both,
-and closed_days turns each chunk's runs into the days they close.
+(article, day) count, which peak detection reads, series() spreads them into
+dense per-article series, and comment links feed the reply trees), and the
+streaming watch replays the chunks' (article, day, count) runs; one run
+kernel counts both, and closed_days turns each chunk's runs into the days
+they close.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | Non
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """'YYYY-MM-DDTHH:MM:SSZ' of ts's own fields, as strftime writes them for years 1000-9999."""
+    return ts.isoformat()[:19] + "Z"
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,20 @@ DEFAULT_DATE_PATTERNS: tuple[re.Pattern, ...] = (
     re.compile(r"(?P<day>\d\d?) (?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"),
 )
 
-# Both default patterns in one scan: lead is the hour when minute matched and the
-# day when it did not.  Its first group is a digit group, as above, so the
+# Both default patterns in one pattern: lead is the hour when minute matched and
+# the day when it did not.  Its first group is a digit group, as above, so the
 # charset prefix stays.  A match with a time also holds the date-only match that
 # ends where it ends (from the day group on), which extract_signature tries next.
 _DEFAULT_DATE_RE = re.compile(
     r"(?P<lead>\d\d?)(?::(?P<minute>\d\d), (?P<day>\d\d?))? "
     r"(?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
 )
+# A match holds no ')' but the one closing its " (UTC)", so every match that
+# ends at one " (UTC)" starts after the ')' before it, and all of them read the
+# same month and year.  A month _resolve_month accepts is at most 10 characters
+# ("september."), so a match that can give a date starts at most this many
+# characters before its " (UTC)": "hh:mm, dd " and " yyyy" around the month.
+_DATE_REACH = 25
 
 
 class PatternError(ValueError):
@@ -249,8 +255,12 @@ def extract_signature(
     if now is None:
         now = datetime.now(timezone.utc)
     if patterns is None:
-        # Latest end first; at one end the timed reading, then the date alone.
-        for m in reversed(list(_DEFAULT_DATE_RE.finditer(body))):
+        # Latest " (UTC)" first; at one end the timed reading, then the date alone.
+        end = len(body)
+        while (end := body.rfind(" (UTC)", 0, end)) >= 0:
+            m = _DEFAULT_DATE_RE.search(body, max(end - _DATE_REACH, body.rfind(")", 0, end) + 1), end + 6)
+            if m is None:
+                continue
             lead, minute, day, month, year = m.groups()
             if minute is None:
                 day, start = lead, m.start()

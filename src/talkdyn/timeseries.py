@@ -6,7 +6,9 @@ window of window_halfwidth days on each side of t (t included).  The floor
 n_min keeps quiet stretches from promoting trivial flutter: a median near
 zero would otherwise flag any day with a handful of events.  Consecutive
 peak days form one run; a run of length 2 is the twin-peak shape that
-follows from a sharp onset decaying over two days.
+follows from a sharp onset decaying over two days.  detect_day_counts finds
+the runs of many articles at once from their (article, day, count) rows, a
+day without a row counting 0; detect_peaks is its one-article case.
 
 The streaming variant looks only backwards (median of the trailing
 window_halfwidth days before the current day), so it can run on live feeds;
@@ -26,7 +28,6 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import ActivitySeries, OutOfOrderError
 
@@ -40,6 +41,9 @@ ALERT_TIERS = (4.0, 2.0, 1.0)
 # Window values gathered and sorted at once by the median kernels (1 MB of
 # float64), so the watch scorer's (rows, window) temporaries stay small too.
 _SORT_CHUNK = 1 << 17
+
+# (article code, day ordinal, count) rows, sorted by article and then day.
+DayCounts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -98,101 +102,10 @@ def sliding_median(
     """
     if halfwidth < 1:
         raise ValueError(f"halfwidth must be >= 1, got {halfwidth}")
-    if isinstance(counts, ActivitySeries):
-        counts = counts.counts
-    arr = np.asarray(counts, dtype=np.float64)
+    arr = _dense(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("counts must be a nonempty 1-d sequence")
-    return _window_medians(arr, *_centred(arr.size, halfwidth), np.arange(arr.size))
-
-
-def _centred(n: int, halfwidth: int) -> tuple[int, int]:
-    """(lead, width) of the centred window on n days."""
-    # A halfwidth beyond the series length sees the same (whole) series.
-    halfwidth = min(halfwidth, n)
-    return halfwidth, 2 * halfwidth + 1
-
-
-def _trailing(n: int, window: int) -> tuple[int, int]:
-    """(lead, width) of the trailing window on n days."""
-    # No day sees more than the days before it, so a longer window is moot.
-    window = min(window, max(n, 1))
-    return window, window
-
-
-def _window_medians(arr: np.ndarray, lead: int, width: int, rows: np.ndarray) -> np.ndarray:
-    """Median of arr[t - lead : t - lead + width], clipped to arr, for each t in rows.
-
-    One kernel for every window shape: the array is padded with NaN, each
-    day's window is a row of one strided view, and _row_medians picks each
-    row's median.  Rows are gathered and sorted a chunk at a time so a wide
-    window on a long series never holds more than ~_SORT_CHUNK values.
-    """
-    n = arr.size
-    padded = np.concatenate(
-        (np.full(lead, np.nan), arr, np.full(max(0, width - 1 - lead), np.nan))
-    )
-    windows = sliding_window_view(padded, width)
-    start = rows - lead
-    sizes = np.minimum(start + width, n) - np.maximum(start, 0)
-    out = np.empty(rows.size, dtype=np.float64)
-    step = max(1, _SORT_CHUNK // width)
-    for first in range(0, rows.size, step):
-        last = min(first + step, rows.size)
-        out[first:last] = _row_medians(windows[rows[first:last]], sizes[first:last])
-    return out
-
-
-def _row_medians(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Median of each row's sizes[i] real values, the row padded with NaN past them; 0 for none.
-
-    The rows are sorted in place (NaN sorts last) and the middle of each
-    row's real values is picked by its size; an even size takes the mean of
-    the two central values.
-    """
-    rows.sort(axis=1)
-    k = np.arange(sizes.size)
-    medians = (rows[k, (sizes - 1) // 2] + rows[k, sizes // 2]) / 2
-    medians[sizes == 0] = 0.0
-    return medians
-
-
-def detect_peaks(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
-    """Find all peak runs in one daily series, in chronological order."""
-    p = params or PeakParams()
-    return _detect(series, p, *_centred(len(series.counts), p.window_halfwidth))
-
-
-def _detect(series: ActivitySeries, p: PeakParams, lead: int, width: int) -> list[PeakRun]:
-    """Peak runs of series against the medians of the (lead, width) window.
-
-    PeakParams holds c > 1 and n_min >= 1, so a day with n(t) <= c * n_min is
-    no peak whatever its median: medians are read on the other days only,
-    with the same kernel, so every float matches the whole-series medians.
-    """
-    counts = np.asarray(series.counts, dtype=np.float64)
-    n_min = float(p.n_min)
-    candidates = np.flatnonzero(counts > p.c * n_min)
-    if candidates.size == 0:
-        return []
-    floor = np.maximum(_window_medians(counts, lead, width, candidates), n_min)
-    hits = counts[candidates] > p.c * floor
-    idx = candidates[hits]
-    if idx.size == 0:
-        return []
-    ratios = (counts[idx] / floor[hits]).tolist()
-    # Split the sorted peak-day indices wherever consecutive days break.
-    breaks = (np.flatnonzero(np.diff(idx) > 1) + 1).tolist()
-    return [
-        PeakRun(
-            article_id=series.article_id,
-            kind=series.kind,
-            start_day=series.day(int(idx[a])),
-            length=b - a,
-            day_ratios=tuple(ratios[a:b]),
-        )
-        for a, b in zip([0, *breaks], [*breaks, idx.size])
-    ]
+    return _dense_medians(arr, halfwidth, 2 * halfwidth + 1)
 
 
 def trailing_median(
@@ -201,10 +114,128 @@ def trailing_median(
     """Median of the window days strictly before each day (0 when none exist)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    return _dense_medians(_dense(counts), window, window)
+
+
+def _dense(counts: ActivitySeries | Sequence[int] | np.ndarray) -> np.ndarray:
     if isinstance(counts, ActivitySeries):
         counts = counts.counts
-    arr = np.asarray(counts, dtype=np.float64)
-    return _window_medians(arr, *_trailing(arr.size, window), np.arange(arr.size))
+    return np.asarray(counts, dtype=np.float64)
+
+
+def _dense_medians(arr: np.ndarray, lead: int, width: int) -> np.ndarray:
+    """The (lead, width) window median of every day of a dense series, clipped to the series."""
+    days = np.arange(arr.size)
+    return _window_medians((np.zeros_like(days), days, arr), days, lead, width)
+
+
+def _window_medians(day_counts: DayCounts, at: np.ndarray, lead: int, width: int) -> np.ndarray:
+    """Median of each row i in at over days[i] - lead .. days[i] - lead + width - 1,
+    clipped to its article's first and last row; a day without a row counts 0.
+
+    The rows are sorted by article and day, one a day, so keyed by article
+    and day they ascend and a window's rows are one slice of them, found by
+    two binary searches.  Each slice is read by position into a matrix row,
+    NaN past it, and _row_medians counts the window's days without a row as
+    zeros; about _SORT_CHUNK values are read and sorted at a time, so a wide
+    window over many rows stays small.
+    """
+    codes, days, counts = day_counts
+    head = np.diff(codes, prepend=-1) != 0
+    heads = np.flatnonzero(head)
+    group = np.cumsum(head) - 1  # each row's article, counted in row order
+    keys = group * (int(days.max(initial=0)) + 1) + days
+    first, last = days[heads], np.append(days[heads[1:] - 1], days[-1:])
+    article, day = group[at], days[at]
+    starts = np.maximum(day - lead, first[article])
+    ends = np.minimum(day - lead + width - 1, last[article])
+    sizes = ends - starts + 1
+    lo = np.searchsorted(keys, keys[at] - day + starts)
+    found = np.searchsorted(keys, keys[at] - day + ends, side="right") - lo
+    out = np.empty(at.size, dtype=np.float64)
+    step = max(1, _SORT_CHUNK // max(int(sizes.max(initial=0)), 1))
+    for a in range(0, at.size, step):
+        b = a + step
+        taken = np.arange(max(int(found[a:b].max()), 1))
+        near = lo[a:b, None] + taken
+        np.minimum(near, days.size - 1, out=near)
+        rows = counts[near].astype(np.float64, copy=False)
+        rows[taken >= found[a:b, None]] = np.nan
+        out[a:b] = _row_medians(rows, sizes[a:b], sizes[a:b] - found[a:b])
+    return out
+
+
+def _row_medians(rows: np.ndarray, sizes: np.ndarray, zeros: np.ndarray | int = 0) -> np.ndarray:
+    """Median of each row's sizes[i] values, 0 for none: zeros[i] zeros, then the row's
+    real values (none negative where zeros[i] > 0), the row padded with NaN past them.
+
+    The rows are sorted in place (NaN sorts last) and the middle of each
+    row's values is picked by its size; an even size takes the mean of the
+    two central values.
+    """
+    rows.sort(axis=1)
+    k = np.arange(sizes.size)
+
+    def nth(n: np.ndarray) -> np.ndarray:
+        n = n - zeros
+        return np.where(n < 0, 0.0, rows[k, np.maximum(n, 0)])
+
+    medians = (nth((sizes - 1) // 2) + nth(sizes // 2)) / 2
+    medians[sizes == 0] = 0.0
+    return medians
+
+
+def detect_day_counts(
+    names: Sequence[str], kind: str, day_counts: DayCounts, params: PeakParams | None = None,
+    *, trailing: bool = False,
+) -> list[PeakRun]:
+    """Peak runs of every article of (article code, day ordinal, count) rows, in row order.
+
+    day_counts is sorted by article, then day, one row a day, as
+    Columns.day_counts() gives it; codes index names.  Each day's window,
+    centred or (trailing) the window_halfwidth days before it, is clipped to
+    its article's first and last row, and a day without a row counts 0.
+    PeakParams holds c > 1 and n_min >= 1, so a row with count <= c * n_min
+    is no peak whatever its median: medians are read for the other rows
+    only.
+    """
+    p = params or PeakParams()
+    codes, days, counts = day_counts
+    candidates = np.flatnonzero(counts > p.c * p.n_min)
+    if candidates.size == 0:
+        return []
+    h = p.window_halfwidth
+    floor = np.maximum(_window_medians(day_counts, candidates, h, h if trailing else 2 * h + 1),
+                       float(p.n_min))
+    hits = counts[candidates] > p.c * floor
+    at = candidates[hits]
+    if at.size == 0:
+        return []
+    ratios = (counts[at] / floor[hits]).tolist()
+    code, day = codes[at], days[at]
+    # A run breaks where the article changes or a day is skipped.
+    breaks = (np.flatnonzero((np.diff(day) != 1) | (np.diff(code) != 0)) + 1).tolist()
+    code, day = code.tolist(), day.tolist()
+    return [
+        PeakRun(names[code[a]], kind, date.fromordinal(day[a]), b - a, tuple(ratios[a:b]))
+        for a, b in zip([0, *breaks], [*breaks, at.size])
+    ]
+
+
+def _one_article(series: ActivitySeries) -> tuple[list[str], str, DayCounts]:
+    """detect_day_counts' first arguments for one dense series: rows for its
+    nonzero days and for its first and last day, so that they span it."""
+    counts = np.asarray(series.counts)
+    kept = counts != 0
+    kept[:1] = kept[-1:] = True
+    at = np.flatnonzero(kept)
+    days = series.start_day.toordinal() + at
+    return [series.article_id], series.kind, (np.zeros_like(at), days, counts[at])
+
+
+def detect_peaks(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
+    """Find all peak runs in one daily series, in chronological order."""
+    return detect_day_counts(*_one_article(series), params)
 
 
 def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = None) -> list[PeakRun]:
@@ -213,8 +244,7 @@ def detect_peaks_trailing(series: ActivitySeries, params: PeakParams | None = No
     This is the reference the stream is checked against; it differs from
     detect_peaks in that day t never sees its own or later days.
     """
-    p = params or PeakParams()
-    return _detect(series, p, *_trailing(len(series.counts), p.window_halfwidth))
+    return detect_day_counts(*_one_article(series), params, trailing=True)
 
 
 class StreamState:

@@ -38,7 +38,6 @@ from talkdyn.ingest import (
     KINDS,
     Diagnostics,
     IngestError,
-    format_timestamp,
 )
 from talkdyn.timeseries import OutOfOrderError
 
@@ -341,14 +340,18 @@ def load_events_oracle(path, kind: str, *, fmt: str = "jsonl",
                 yield event
 
 
+def format_timestamp_oracle(ts: datetime) -> str:
+    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def event_json_line_oracle(event: EditEvent | CommentEvent) -> str:
     """The canonical line as json.dumps writes the event's record."""
     if isinstance(event, CommentEvent):
-        stamp = format_timestamp(event.timestamp) if event.timestamp else None
+        stamp = format_timestamp_oracle(event.timestamp) if event.timestamp else None
         record = {"article": event.article_id, "id": event.comment_id, "parent": event.parent_id,
                   "depth": event.depth, "ts": stamp, "author": event.author, "ord": event.doc_order}
     else:
-        record = {"article": event.article_id, "ts": format_timestamp(event.timestamp)}
+        record = {"article": event.article_id, "ts": format_timestamp_oracle(event.timestamp)}
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 

@@ -24,7 +24,7 @@ from unittest import mock
 import pytest
 
 from conftest import simulate_watch_oracle, talkdyn_cmd, talkdyn_env
-from talkdyn import cli, discussion, ingest, talkparser
+from talkdyn import cli, discussion, ingest, talkparser, timeseries
 from talkdyn.cli import OutOfOrderError, simulate_watch
 from talkdyn.timeseries import PeakParams
 
@@ -1233,8 +1233,36 @@ class TestBenchmarkSurface:
         assert calls["cli.daily_totals"] == 1
         for name in ("peakstats.overlap", "peakstats.anniversaries", "peakstats.fit_power_law",
                      "peakstats.run_lengths", "discussion.delta_h", "discussion.maturity",
-                     "discussion.rank_by_speed", "timeseries.detect_peaks"):
+                     "discussion.rank_by_speed"):
             assert calls.get(name, 0) > 0, name
+
+
+class TestOneDetectionPerKind:
+    """The commands detect each kind's peaks with one call of the day-run kernel."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list[str]:
+        kinds: list[str] = []
+        kernel = timeseries.detect_day_counts
+
+        def spy(names, kind, day_counts, params=None, **kwargs):
+            kinds.append(kind)
+            return kernel(names, kind, day_counts, params, **kwargs)
+
+        monkeypatch.setattr(timeseries, "detect_day_counts", spy)
+        return kinds
+
+    def test_report(self, monkeypatch, tmp_path):
+        kinds = self.spy(monkeypatch)
+        cli.run_report(cli.RunConfig(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", tmp_path))
+        assert sorted(kinds) == ["comment", "edit"]
+
+    def test_peaks(self, monkeypatch, tmp_path, capsys):
+        kinds = self.spy(monkeypatch)
+        assert run_cli("peaks", "--edits", str(GOLDEN / "edits.jsonl"),
+                       "--comments", str(GOLDEN / "comments.jsonl"),
+                       "--out", str(tmp_path / "peaks.csv")) == 0
+        assert sorted(kinds) == ["comment", "edit"]
 
 
 def with_undecodable_line(source: Path, dest: Path, at: int, line: bytes) -> Path:

@@ -40,6 +40,7 @@ from talkdyn.ingest import (
 from conftest import (
     build_series_oracle,
     event_json_line_oracle,
+    format_timestamp_oracle,
     load_events_oracle,
     parse_timestamp_oracle,
     utc,
@@ -89,6 +90,11 @@ class TestParseTimestamp:
     def test_round_trip(self, naive):
         ts = naive.replace(microsecond=0, tzinfo=timezone.utc)
         assert parse_timestamp(format_timestamp(ts)) == ts
+
+    # The fields as given, whatever the zone or the microseconds.
+    @given(st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.timezones()))
+    def test_format_equals_strftime(self, ts):
+        assert format_timestamp(ts) == format_timestamp_oracle(ts)
 
 
 def write_jsonl(path, records):
@@ -1151,7 +1157,7 @@ class TestSeriesKernel:
                        for path, kind in sources]
         want = [Counter(e.timestamp.date() for e in load_events_oracle(path, kind, now=ORACLE_NOW)
                         if e.timestamp is not None) for path, kind in sources]
-        assert cli._daily_total_rows(*columns) == [
+        assert cli._daily_total_rows(*(c.day_counts() for c in columns)) == [
             [day, want[0][day], want[1][day]] for day in sorted(want[0] | want[1])]
 
     def test_series_dtype_and_order(self):

@@ -223,6 +223,15 @@ class TestSignatureMatchesTwoScanOracle:
 
     # The timed reading is after now and the date alone is not: the date alone wins.
     @example(body="[[User:A]] 10:30, 5 May 2006 (UTC)", now=utc(2006, 5, 5, 10))
+    # A month of 30 letters is no month, so the date before it wins.
+    @example(body="[[User:A]] 5 May 2006 (UTC) 10:30, 5 " + "May" * 10 + " 2006 (UTC)",
+             now=utc(2006, 5, 5, 10))
+    # Two " (UTC)" within 25 characters: the later one is after now.
+    @example(body="[[User:A]] 5 May 2006 (UTC) 5 Sep 2006 (UTC)", now=utc(2006, 5, 29))
+    @example(body="5 May 2006 (UTC)9 May 2006 (UTC)", now=utc(2006, 5, 29))
+    # A ')' right before the hour.
+    @example(body="[[User:A]] )10:30, 5 May 2006 (UTC)", now=utc(2006, 5, 29))
+    @example(body="[[User:A]] 1)9:05, 31 May 2006 (UTC)", now=utc(2006, 5, 5))
     @settings(max_examples=600, deadline=None)
     @given(body=signature_bodies, now=signature_nows)
     def test_same_on_the_days_of_the_dates(self, body, now):

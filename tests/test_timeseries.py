@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from talkdyn import (
     sliding_median,
     stream_step,
 )
-from talkdyn import timeseries
-from talkdyn.timeseries import PeakRun, alert_tier, trailing_median
+from talkdyn import ingest, timeseries
+from talkdyn.timeseries import PeakRun, alert_tier, detect_day_counts, trailing_median
 
 from conftest import (
     START_DAY,
@@ -232,9 +233,9 @@ class TestCandidateDaysOnly:
         asked: list[list[int]] = []
         kernel = timeseries._window_medians
 
-        def spy(arr, lead, width, rows):
-            asked.append(rows.tolist())
-            return kernel(arr, lead, width, rows)
+        def spy(day_counts, at, lead, width):
+            asked.append(at.tolist())
+            return kernel(day_counts, at, lead, width)
 
         monkeypatch.setattr(timeseries, "_window_medians", spy)
         return asked
@@ -279,6 +280,83 @@ class TestCandidateDaysOnly:
         runs, peak = peak_bytes(detect, series, params)
         assert as_tuples(runs) == thresholded(series, params, medians)
         assert peak < 1 << 20
+
+
+@st.composite
+def articles_by_day(draw):
+    """Up to five articles' daily counts, each from its own first day.
+
+    Zeros may open and close an article's days and fill gaps between its
+    active days; an article of zeros alone has no record at all.
+    """
+    names = draw(st.lists(st.text(alphabet="abXY", min_size=1, max_size=3),
+                          min_size=1, max_size=5, unique=True))
+    values = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 150))
+    counts = [draw(st.lists(values, max_size=150)) for _ in names]
+    firsts = [draw(st.integers(0, 40)) for _ in names]
+    return names, counts, firsts
+
+
+def as_columns(names, counts, firsts) -> ingest.Columns:
+    """An edit load with counts[i][d] records of names[i] on day firsts[i] + d after START_DAY, shuffled."""
+    codes = np.repeat(np.arange(len(names)), [sum(c) for c in counts])
+    days = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.repeat(START_DAY.toordinal() + first + np.arange(len(c)), c) for c, first in zip(counts, firsts)])
+    order = np.random.default_rng(0).permutation(codes.size)
+    seconds = (days[order] - date(1970, 1, 1).toordinal()) * 86400 + 43200
+    empty = np.zeros(0, dtype=np.int64)
+    return ingest.Columns(ingest.EDIT, list(names), codes[order], seconds, empty, empty, empty, empty)
+
+
+def oracle_runs(names, counts, firsts, params, peak_days, medians):
+    """(article, start, length, day ratios) of each article's runs over its first to last
+    active day, by the brute-force peak days and whole-series median thresholding."""
+    want = []
+    for name, article, first in sorted(zip(names, counts, firsts)):
+        active = [d for d, v in enumerate(article) if v]
+        if not active:
+            continue
+        span = article[active[0]:active[-1] + 1]
+        floor = np.maximum(medians(span, params.window_halfwidth), float(params.n_min))
+        want += [(name, first + active[0] + start, length,
+                  [span[t] / floor[t] for t in range(start, start + length)])
+                 for start, length in runs_from_days(peak_days(span, params))]
+    return want
+
+
+KERNEL_PARAMS = [PeakParams(), PeakParams(c=1.5, n_min=1, window_halfwidth=7),
+                 PeakParams(c=2.0, n_min=1, window_halfwidth=60)]
+
+
+class TestDayCountsKernel:
+    """detect_day_counts on many articles' day runs equals the one-article oracles per article."""
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["defaults", "w7", "w60"])
+    @pytest.mark.parametrize("trailing,peak_days,medians", [
+        (False, peak_days_oracle, sliding_median),
+        (True, trailing_peak_days_oracle, trailing_median),
+    ], ids=["centred", "trailing"])
+    @given(drawn=articles_by_day(), chunk=st.sampled_from([1, 50, 1 << 17]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_per_article(self, params, trailing, peak_days, medians, drawn, chunk):
+        names, counts, firsts = drawn
+        columns = as_columns(names, counts, firsts)
+        with mock.patch.object(timeseries, "_SORT_CHUNK", chunk):
+            runs = detect_day_counts(columns.names, columns.kind, columns.day_counts(), params,
+                                     trailing=trailing)
+        got = [(r.article_id, (r.start_day - START_DAY).days, r.length, list(r.day_ratios))
+               for r in runs]
+        assert got == oracle_runs(names, counts, firsts, params, peak_days, medians)
+        assert {r.kind for r in runs} <= {ingest.EDIT}
+
+    def test_neighbouring_articles_do_not_share_windows(self):
+        # "b"'s busy days fall inside "a"'s windows by date, but not by article.
+        names, counts, firsts = ["b", "a"], [[0, 0, 1] + [40] * 20, [30] + [0] * 5 + [30]], [0, 3]
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=5)
+        columns = as_columns(names, counts, firsts)
+        runs = detect_day_counts(columns.names, columns.kind, columns.day_counts(), params)
+        assert [(r.article_id, r.start_day, r.length) for r in runs] == [
+            ("a", START_DAY + timedelta(days=3), 1), ("a", START_DAY + timedelta(days=9), 1)]
 
 
 class TestPeakParams:
