@@ -17,7 +17,7 @@ is decoded as UTF-8 on its own: one that does not decode is dropped as
 bad_utf8 and the load goes on.
 
 One loader, read_chunks, reads a bounded block of lines at a time: about
-256 KiB of whole JSONL lines a block, memory bounded by the block plus the
+384 KiB of whole JSONL lines a block, memory bounded by the block plus the
 longest line, or a fixed number of CSV rows.  A JSONL
 line in the exact shape event_json_line writes (fixed key order, no spaces,
 non-empty strings without quote, backslash or control byte, unsigned
@@ -42,6 +42,7 @@ they close.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -77,11 +78,15 @@ _INT_TEXT = re.compile(r"-?[0-9]+").fullmatch
 
 _MAX_MESSAGES = 50
 
-# JSONL bytes read and checked as one block of whole lines (~1,700 typical
+# JSONL bytes read and checked as one block of whole lines (~3,500 typical
 # comment lines), whose array operations then cost little per line; a CSV
-# block is _CHUNK_LINES rows.
-_CHUNK_BYTES = 1 << 18
+# block is _CHUNK_LINES rows.  Each block costs a few hundred array operations
+# of fixed cost; checking one holds ~3.5 bytes a block byte beside the block.
+_CHUNK_BYTES = 3 << 17
 _CHUNK_LINES = 1 << 11
+# Bytes of a block checked as UTF-8 at a time: at least 4, the longest character,
+# so every slice decodes at least one.
+_UTF8_SLICE = 1 << 16
 
 
 class IngestError(Exception):
@@ -174,8 +179,13 @@ def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | Non
 
 
 def format_timestamp(ts: datetime) -> str:
-    """'YYYY-MM-DDTHH:MM:SSZ' of ts's own fields, as strftime writes them for years 1000-9999."""
-    return ts.isoformat()[:19] + "Z"
+    """'YYYY-MM-DDTHH:MM:SSZ' of ts's own fields, each zero-padded to its width.
+
+    The same text as isoformat()[:19] + 'Z' for any year, and as strftime
+    writes it for years 1000-9999; microseconds and the UTC offset are not
+    written.
+    """
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +317,13 @@ def closed_days(chunks: Iterable[Chunk]) -> Iterator[tuple[list[str], np.ndarray
     names: list[str] = []
     open_days = open_counts = np.zeros(0, dtype=np.int64)
     for chunk in chunks:
-        names = chunk.names
+        names, runs = chunk.names, chunk.day_runs()
+        # Not kept alive while the next block is read and checked.
+        del chunk
         if open_days.size < len(names):  # at least double, so growth costs O(1) a name
             grow = np.zeros(max(len(names), 2 * open_days.size) - open_days.size, dtype=np.int64)
             open_days, open_counts = np.concatenate((open_days, grow)), np.concatenate((open_counts, grow))
-        yield (names, *_close_days(names, open_days, open_counts, *chunk.day_runs()))
+        yield (names, *_close_days(names, open_days, open_counts, *runs))
     held = np.array(sorted(np.flatnonzero(open_days).tolist(), key=names.__getitem__), dtype=np.int64)
     yield names, held, open_days[held], open_counts[held]
 
@@ -569,8 +581,12 @@ def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]
             size += len(piece)
             continue
         cut = int(ends[-1]) - size
-        yield b"".join((*pieces, memoryview(piece)[:cut], _PAD)), ends
+        block = [b"".join((*pieces, memoryview(piece)[:cut], _PAD))]
         pieces, size = [piece[cut:]], len(piece) - cut
+        # While the block is checked, the paused generator keeps only the
+        # carried tail: not the read, its line-end mask or the block itself.
+        del piece, body, at_end
+        yield block.pop(), ends
 
 
 def _canonical(
@@ -594,8 +610,12 @@ def _canonical(
         stops = np.flatnonzero((body < 0x20) | (body == ord("\\")))
         ok = np.searchsorted(stops, starts) == np.searchsorted(stops, body_ends)
     if size and body.max() >= 0x80:
+        # Decoding allocates up to five bytes a byte, so it runs a slice at a
+        # time; a slice that ends inside a character leaves it to the next.
+        view, at = memoryview(padded)[:size], 0
         try:
-            padded[:size].decode("utf-8")
+            while at < size:
+                at += codecs.utf_8_decode(view[at:at + _UTF8_SLICE], None, at + _UTF8_SLICE >= size)[1]
         except UnicodeDecodeError:
             # Lines with a byte beyond ASCII decode one at a time instead.
             ok[np.searchsorted(ends, np.flatnonzero(body >= 0x80), side="right")] = False
@@ -730,8 +750,12 @@ def read_chunks(
     Each line is decoded and checked on its own; every unusable line is
     recorded in diagnostics in line order and skipped.  Timestamps outside
     [2001-01-01, now] are unusable; now defaults to the clock, read once when
-    loading starts.  Memory stays bounded by the chunk size (for JSONL,
-    _CHUNK_BYTES plus the longest line) and the number of distinct articles.
+    loading starts.  Memory stays bounded by the chunk size and the number
+    of distinct articles.  A JSONL block holds at most _CHUNK_BYTES plus the
+    longest line; while it is checked, the reader keeps only the block, the
+    carried start of the next one and arrays of a few bytes per block byte
+    (the UTF-8 check decodes _UTF8_SLICE bytes at a time), and a chunk's
+    text is the block itself or one copy of it with its slow lines' fields.
     Only an unreadable file, unknown format/kind or an unusable CSV header
     raises.
     """
@@ -831,7 +855,7 @@ class _Load:
         text = padded
         if kept:
             extra_text, spans[kept] = _pack(rows, self.fields, size)
-            text = padded[:size] + extra_text + _PAD
+            text = b"".join((memoryview(padded)[:size], extra_text, _PAD))
             ok[kept] = True
             counts[kept] = numbers
         if not ok.all():

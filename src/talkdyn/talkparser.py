@@ -158,7 +158,8 @@ def _iter_page_items(text: str) -> Iterator[tuple[int, str] | None]:
     depth = 0
     lines: list[str] = []
     for line in text.split("\n"):
-        heading = HEADING_RE.match(line) is not None
+        # HEADING_RE is anchored on a leading '=': test that first, it is cheaper.
+        heading = line.startswith("=") and HEADING_RE.match(line) is not None
         # -1 (no depth) closes the open block: headings and blank lines.
         d = -1 if heading or not line.strip() else len(line) - len(line.lstrip(INDENT_CHARS))
         if lines and d != depth:

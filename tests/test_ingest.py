@@ -8,6 +8,8 @@ import json
 import logging
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
@@ -944,20 +946,22 @@ def mutated_files(draw, kind):
 class TestByteLevelMutations:
     """Near-canonical bytes load exactly like the per-line oracle, whatever the chunk size."""
 
-    @given(body=mutated_files(COMMENT), chunk=st.integers(1, 64))
+    @given(body=mutated_files(COMMENT), chunk=st.integers(1, 64), utf8_slice=st.integers(4, 16))
     @settings(max_examples=300, deadline=None)
-    def test_comments(self, tmp_path_factory, body, chunk):
+    def test_comments(self, tmp_path_factory, body, chunk, utf8_slice):
         path = tmp_path_factory.mktemp("bytes") / "c.jsonl"
         path.write_bytes(body)
-        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_UTF8_SLICE", utf8_slice):
             assert_loads_like_oracle(path, COMMENT)
 
-    @given(body=mutated_files(EDIT), chunk=st.integers(1, 64))
+    @given(body=mutated_files(EDIT), chunk=st.integers(1, 64), utf8_slice=st.integers(4, 16))
     @settings(max_examples=200, deadline=None)
-    def test_edits(self, tmp_path_factory, body, chunk):
+    def test_edits(self, tmp_path_factory, body, chunk, utf8_slice):
         path = tmp_path_factory.mktemp("bytes") / "e.jsonl"
         path.write_bytes(body)
-        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_UTF8_SLICE", utf8_slice):
             assert_loads_like_oracle(path, EDIT)
 
     @pytest.mark.parametrize("chunk", [1, 2, 100])
@@ -1126,6 +1130,67 @@ class TestReadersBoundedByBytes:
             lines, _ = block_lines(data, chunk)
         assert lines == data.splitlines(keepends=True)
         assert len(data) <= sum(scanned) <= 2 * len(data)
+
+    def test_paused_reader_keeps_only_the_tail(self):
+        # 400-byte lines and a last line without an end: every block carries a
+        # tail, and a block's line ends take less room than a line.
+        line = b"x" * 399 + b"\n"
+        data = line * 50 + b"y" * 50
+        blocks = ingest._line_blocks(io.BytesIO(data))
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 1 << 12):
+            for padded, ends in blocks:
+                held = []
+                for value in blocks.gi_frame.f_locals.values():
+                    held += value if isinstance(value, (list, tuple)) else [value]
+                sizes = [len(value) if isinstance(value, (bytes, memoryview)) else value.nbytes
+                         for value in held if isinstance(value, (bytes, memoryview, np.ndarray))
+                         and value is not ends]
+                # Not the read, its line-end mask or the block: only the tail and line ends.
+                assert max(sizes, default=0) < len(line)
+
+    def test_block_checked_with_one_copy(self, tmp_path):
+        # A block of a few UTF-8 check slices, each line with a byte beyond ASCII.
+        chunk = 4 * ingest._UTF8_SLICE
+        lines = [json.dumps({"article": "Café " + "N" * 990, "ts": "2010-01-01T00:00:00Z"},
+                            ensure_ascii=False, separators=(",", ":"))] * (chunk // 1200)
+        lines[30] = json.dumps({"article": "slow", "ts": "2010-01-02T00:00:00Z"})  # spaced: per-line check
+        path = tmp_path / "e.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            with open(path, "rb") as handle:
+                [(padded, ends)] = ingest._line_blocks(handle)
+        size = int(ends[-1])
+        assert size == path.stat().st_size < chunk
+        load = ingest._Load(EDIT, ORACLE_NOW, Diagnostics())
+        tracemalloc.start()
+        try:
+            chunk_out = load.lines(padded, ends, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [load.names[code] for code in chunk_out.codes.tolist()] == [
+            json.loads(line)["article"] for line in lines]
+        # The joined text is the one copy; neither the UTF-8 check nor the join makes a second.
+        assert peak < 1.5 * size
+
+    def test_replay_drops_each_chunk_before_the_next(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            f'{{"article":"A{i % 3}","id":"c{i}","parent":null,"depth":0,'
+            f'"ts":"2010-01-{1 + i // 10:02d}T00:00:00Z","author":null,"ord":{i}}}\n' for i in range(200)))
+        alive = []
+
+        def chunks():
+            for chunk in ingest.read_chunks(path, COMMENT, now=ORACLE_NOW):
+                # The next block has been read and checked: the replay holds no earlier chunk.
+                assert all(ref() is None for ref in alive)
+                alive.append(weakref.ref(chunk))
+                yield chunk
+
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 1 << 10):
+            days = list(ingest.closed_days(chunks()))
+        assert len(alive) > 2
+        assert sum(counts.sum() for *_, counts in days) == 200
 
 
 class TestSeriesKernel:
