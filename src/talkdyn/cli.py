@@ -410,7 +410,7 @@ def _articles_table(
 def _daily_total_rows(edits: DayCounts, comments: DayCounts) -> list[list[object]]:
     """Corpus-wide (day, edits, comments) for every day with any activity, from each load's day_counts()."""
     day_counts = [kind_counts[1:] for kind_counts in (edits, comments)]
-    active = np.unique(np.concatenate([days for days, _ in day_counts]))
+    active = ingest.distinct(np.concatenate([days for days, _ in day_counts]))
     totals = [np.bincount(np.searchsorted(active, days), counts, active.size).astype(np.int64).tolist()
               for days, counts in day_counts]
     return [[date.fromordinal(day), *kinds] for day, *kinds in zip(active.tolist(), *totals)]

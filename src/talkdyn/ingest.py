@@ -29,8 +29,10 @@ CSV row, is decoded and checked field by field under the same rules, with
 the same messages and tallies, and its checked fields are spelled back as
 bytes beside the block; the byte path only reads the writer's spelling
 faster.  Then every record's timestamp becomes int64 epoch seconds in one
-vectorised pass over a (rows, 25) byte matrix, and every run of equal
-article names is decoded once.  Everything else is built on the chunk
+vectorised pass over a (rows, 25) byte matrix, and one kernel groups a
+chunk's article names (and, for load_columns, its comment ids and parents)
+by their bytes, so each distinct text is decoded or looked up once a
+chunk.  Everything else is built on the chunk
 columns: load_events yields event objects, load_columns joins them into
 whole-file Columns without building any (whose day_counts() hold every
 (article, day) count, which peak detection reads, series() spreads them into
@@ -260,6 +262,18 @@ def _day_runs(codes: np.ndarray, days: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return codes[starts], days[starts], np.diff(np.append(starts, codes.size))
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, by a sort and a neighbour comparison.
+
+    np.unique gives the same, but without return_* it imports numpy.ma on
+    its first call, which costs more than a whole watch replay's sorts.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _close_days(
     names: list[str], open_days: np.ndarray, open_counts: np.ndarray,
     codes: np.ndarray, days: np.ndarray, counts: np.ndarray,
@@ -275,7 +289,7 @@ def _close_days(
     """
     if codes.size == 0:
         return codes, days, counts
-    held = np.unique(codes)
+    held = distinct(codes)
     held = held[open_days[held] > 0]
     code = np.concatenate((held, codes))
     order = np.argsort(code, kind="stable")
@@ -544,9 +558,51 @@ _SHAPE_KEYS = {part: _word_keys(part) for part in _COMMENT_SHAPE + _EDIT_SHAPE
 _NULL_KEY = _word_keys(b"null")[0]
 # _LOW_BYTES[k] keeps the first k bytes of a word.
 _LOW_BYTES = np.array([_words(b"\xff" * k + _PAD)[0] for k in range(9)])
-# Neighbouring article names are compared this many words at a time across a
-# block; a pair still equal after them is compared whole, on its own.
+# Texts are sorted by their width and at most this many leading words; two
+# longer texts that tie on those are compared whole, on their own.
 _NAME_WORDS = 4
+
+
+def _text_groups(text: bytes, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of spans grouped by their bytes: each span's group, and each group's first span.
+
+    spans is (texts, 2) (start, end) offsets into text, which _PAD follows;
+    a NO_SPAN row is null, a class of its own.  Groups are numbered in the
+    order their first spans come, so first ascends.  One lexsort by width
+    and by at most _NAME_WORDS masked words puts equal texts side by side;
+    only texts over 8 * _NAME_WORDS bytes that tie with their sorted
+    neighbour are then compared whole.
+    """
+    lo, hi = spans.T
+    # A width is part of the key, so a NUL byte and the end of a text never tie;
+    # no text is empty, so width 0 is a null's alone.
+    widths = hi - lo
+    rounds = min(_NAME_WORDS, -(-int(widths.max(initial=0)) // 8))
+    words = _words(text)
+    keys = [words[lo + 8 * k] & _LOW_BYTES[np.clip(widths - 8 * k, 0, 8)] for k in range(rounds)]
+    order = np.lexsort((*keys[::-1], widths))
+    n = order.size
+    new = np.zeros(n, dtype=bool)  # the sorted places whose text differs from the one before
+    new[:1] = True
+    for key in (widths, *keys):
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    # rep[p]: the sorted place of the first text equal to the one at sorted place p.
+    rep = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    tied = np.flatnonzero(~new & (widths[order] > 8 * _NAME_WORDS))
+    if tied.size:
+        marked = np.zeros(n, dtype=bool)
+        marked[tied] = marked[rep[tied]] = True
+        whole: dict[tuple[int, bytes], int] = {}
+        places = np.flatnonzero(marked).tolist()
+        for p, head, i in zip(places, rep[places].tolist(), order[places].tolist()):
+            rep[p] = whole.setdefault((head, text[lo[i]:hi[i]]), p)
+    first_of = np.empty(n, dtype=np.int64)
+    first_of[order] = order[rep]
+    first = np.flatnonzero(first_of == np.arange(n))
+    number = np.zeros(n, dtype=np.int64)
+    number[first] = np.arange(first.size)
+    return number[first_of], first
 
 
 def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]]:
@@ -798,7 +854,7 @@ class _Load:
         self.kind, self.now, self.diag = kind, now, diag
         self.fields = _FIELDS[kind]
         self.check = _check_comment if kind == COMMENT else _check_edit
-        self.articles: dict[str, int] = {}
+        self.articles: dict[bytes, int] = {}  # each name's UTF-8 bytes to its code
         self.names: list[str] = []
 
     def lines(self, padded: bytes, ends: np.ndarray, first: int) -> Chunk:
@@ -886,33 +942,21 @@ class _Load:
         return Chunk(self.names, codes, seconds, text, spans, counts)
 
     def _codes(self, text: bytes, spans: np.ndarray) -> np.ndarray:
-        """The article code of every record; a run of equal names is decoded once."""
-        lo, hi = spans.T
-        widths = hi - lo
-        # A record continues a run when its name has the previous one's width and bytes.
-        new = np.ones(lo.size, dtype=bool)
-        new[1:] = widths[1:] != widths[:-1]
-        same = np.flatnonzero(~new)  # the records whose name is so far equal to the previous one
-        words = _words(text)
-        at = 0
-        while same.size and at < 8 * _NAME_WORDS:
-            same = same[widths[same] > at]
-            mask = _LOW_BYTES[np.minimum(widths[same] - at, 8)]
-            differ = (words[lo[same] + at] ^ words[lo[same - 1] + at]) & mask != 0
-            new[same[differ]] = True
-            same, at = same[~differ], at + 8
-        for i in same[widths[same] > at].tolist():
-            new[i] = text[lo[i] + at:hi[i]] != text[lo[i - 1] + at:hi[i - 1]]
-        runs = np.flatnonzero(new)
+        """The article code of every record; each distinct name is looked up once.
+
+        A name new to the load is decoded and gets the next code, in the order
+        of its first record.
+        """
+        groups, first = _text_groups(text, spans)
         codes = []
-        for a, b in zip(lo[runs].tolist(), hi[runs].tolist()):
-            name = text[a:b].decode("utf-8", "surrogatepass")
-            code = self.articles.get(name)
+        for a, b in spans[first].tolist():
+            raw = text[a:b]
+            code = self.articles.get(raw)
             if code is None:
-                code = self.articles[name] = len(self.names)
-                self.names.append(name)
+                code = self.articles[raw] = len(self.names)
+                self.names.append(raw.decode("utf-8", "surrogatepass"))
             codes.append(code)
-        return np.repeat(np.array(codes, dtype=np.int64), np.diff(np.append(runs, lo.size)))
+        return np.array(codes, dtype=np.int64)[groups]
 
 
 def load_events(
@@ -1030,16 +1074,30 @@ def load_columns(
         codes.append(chunk.codes)
         seconds.append(chunk.seconds)
         if kind == COMMENT:
-            links.append(np.array(
-                [[texts.setdefault(text, len(texts)) for text in chunk.texts(f)] for f in (ID, PARENT)],
-                dtype=np.int64,
-            ).reshape(2, -1))
+            links.append(_link_codes(chunk, texts))
             numbers.append(chunk.counts.T)
+        # Not kept alive while the next block is read and checked.
+        del chunk
     empty = np.empty((2, 0), dtype=np.int64)
     ids, parents = np.concatenate([empty, *links], axis=1)
     depths, orders = np.concatenate([empty, *numbers], axis=1)
     return Columns(kind, names, np.concatenate([empty[0], *codes]),
                    np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)
+
+
+def _link_codes(chunk: Chunk, texts: dict[bytes | None, int]) -> np.ndarray:
+    """The (2, records) codes of a comment chunk's ids and parents.
+
+    texts holds the code of every text seen so far (None's is NO_PARENT); a
+    new text gets the next code, ids before parents and each in record
+    order, and each distinct text of the chunk is looked up once.
+    """
+    text = chunk.text
+    spans = chunk.spans[:, (ID, PARENT)].transpose(1, 0, 2).reshape(-1, 2)
+    groups, first = _text_groups(text, spans)
+    codes = [texts.setdefault(None if a == NO_SPAN else text[a:b], len(texts))
+             for a, b in spans[first].tolist()]
+    return np.array(codes, dtype=np.int64)[groups].reshape(2, -1)
 
 
 def event_columns(events: Iterable[EditEvent | CommentEvent], kind: str) -> Columns:

@@ -11,6 +11,12 @@ rather than silently absorbed.
 
 Section headings ("== Title ==") reset the reply context: indentation never
 threads across a heading.
+
+A block's signature is read from its end: the last date that names a time
+in range wins, and its author is the first user link found searching back
+from the date, if it ends within AUTHOR_WINDOW_CHARS of it.  to_events
+reads the signature as plain values; extract_signature wraps the same
+values in a SignatureMatch.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ DEFAULT_DATE_PATTERNS: tuple[re.Pattern, ...] = (
 # Both default patterns in one pattern: lead is the hour when minute matched and
 # the day when it did not.  Its first group is a digit group, as above, so the
 # charset prefix stays.  A match with a time also holds the date-only match that
-# ends where it ends (from the day group on), which extract_signature tries next.
+# ends where it ends (from the day group on), which _signature tries next.
 _DEFAULT_DATE_RE = re.compile(
     r"(?P<lead>\d\d?)(?::(?P<minute>\d\d), (?P<day>\d\d?))? "
     r"(?P<month>[A-Za-z]+\.?) (?P<year>\d{4}) \(UTC\)"
@@ -192,27 +198,34 @@ def _resolve_month(token: str) -> int | None:
     return MONTHS.get(token)
 
 
-def _timestamp(
-    year: str, month: str, day: str, hour: str | int, minute: str | int, now: datetime
-) -> datetime | None:
-    """The UTC time these date parts name, or None for no date: an unknown month, an
-    impossible day or time, or a time before EARLIEST_TIMESTAMP or after now."""
-    month_no = _resolve_month(month)
-    if month_no is None:
-        return None
-    try:
-        ts = datetime(int(year), month_no, int(day), int(hour), int(minute), tzinfo=timezone.utc)
-    except ValueError:
-        return None
-    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
+# The month tokens signatures spell most: a key of MONTHS in lower case,
+# capitalised or in upper case, with or without a trailing '.'.  Any other
+# token goes to _resolve_month.
+_MONTH_SPELLINGS = {
+    spelling + dot: number
+    for key, number in MONTHS.items()
+    for spelling in (key, key.capitalize(), key.upper())
+    for dot in ("", ".")
+}
 
 
 def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
+    """The UTC time a registry match names, or None for no date: a required group left
+    out, an unknown month, an impossible day or time, or a time before
+    EARLIEST_TIMESTAMP or after now."""
     parts = match.groupdict()
     year, month, day = parts["year"], parts["month"], parts["day"]
     if year is None or month is None or day is None:  # an optional group left out
         return None
-    return _timestamp(year, month, day, parts.get("hour") or 0, parts.get("minute") or 0, now)
+    month_no = _resolve_month(month)
+    if month_no is None:
+        return None
+    try:
+        ts = datetime(int(year), month_no, int(day), int(parts.get("hour") or 0),
+                      int(parts.get("minute") or 0), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
 
 
 def _clean_author(raw: str) -> str:
@@ -220,24 +233,78 @@ def _clean_author(raw: str) -> str:
 
 
 def _last_link(body: str, end: int) -> re.Match | None:
-    """The last user link of body[:end].
+    """The last user link of body[:end], searched back from end.
 
-    A link holds no '[' after its opening "[[" and has one possible extent, so
-    the links of body[:end] are the links of body that end by end.
+    A link holds no '[' after its opening "[[", so no link starts inside
+    another: the links of body[:end] are the matches at its "[[" positions,
+    and the first one found going back is the last.  (A "[[" that overlaps
+    the one after it is followed by '[', so it opens no link and may be
+    skipped.)  A failed attempt stops at the next '[' or newline, so the
+    search costs one pass over body[:end].
     """
-    link = None
-    for link in USER_LINK_RE.finditer(body, 0, end):
-        pass
-    return link
+    at = end
+    while (at := body.rfind("[[", 0, at)) >= 0:
+        link = USER_LINK_RE.match(body, at, end)
+        if link is not None:
+            return link
+    return None
 
 
-def _dated(body: str, ts: datetime, start: int, end: int) -> SignatureMatch:
-    """The signature whose date is body[start:end]: its author is the last user link
-    ending by start, if it ends within AUTHOR_WINDOW_CHARS of it."""
+# A signature as (author, timestamp, start, end); either of the first two may be
+# None, and body[start:end] spans it from the author link through the date.
+Signature = tuple[str | None, datetime | None, int, int]
+
+
+def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) -> Signature | None:
+    """extract_signature's signature of body as plain values; None when there is none."""
+    if patterns is None:
+        # Latest " (UTC)" first; at one end the timed reading, then the date alone.
+        end = len(body)
+        while (end := body.rfind(" (UTC)", 0, end)) >= 0:
+            m = _DEFAULT_DATE_RE.search(body, max(end - _DATE_REACH, body.rfind(")", 0, end) + 1), end + 6)
+            if m is None:
+                continue
+            lead, minute, day, month, year = m.groups()
+            month = _MONTH_SPELLINGS.get(month) or _resolve_month(month)
+            if month is None:
+                continue
+            start = m.start()
+            if minute is not None:
+                try:
+                    ts = datetime(int(year), month, int(day), int(lead), int(minute), tzinfo=timezone.utc)
+                except ValueError:
+                    pass
+                else:
+                    if EARLIEST_TIMESTAMP <= ts <= now:
+                        break
+                lead, start = day, m.start("day")
+            try:
+                ts = datetime(int(year), month, int(lead), tzinfo=timezone.utc)
+            except ValueError:
+                continue
+            if EARLIEST_TIMESTAMP <= ts <= now:
+                break
+        else:
+            ts = None
+    else:
+        # Latest end first; at one end the earlier registry entry first.
+        candidates = sorted(
+            ((m.end(), priority, m) for priority, pattern in enumerate(patterns)
+             for m in pattern.finditer(body)),
+            key=lambda item: (-item[0], item[1]),
+        )
+        ts = None
+        for _, _, m in candidates:
+            if (ts := _candidate_timestamp(m, now)) is not None:
+                start = m.start()
+                break
+    if ts is None:
+        link = _last_link(body, len(body))
+        return None if link is None else (_clean_author(link["name"]), None, link.start(), link.end())
     link = _last_link(body, start)
     if link is not None and start - link.end() <= AUTHOR_WINDOW_CHARS:
-        return SignatureMatch(_clean_author(link.group("name")), ts, (link.start(), end))
-    return SignatureMatch(None, ts, (start, end))
+        return _clean_author(link["name"]), ts, link.start(), m.end()
+    return None, ts, start, m.end()
 
 
 def extract_signature(
@@ -253,41 +320,11 @@ def extract_signature(
     parseable date yields a dateless match; a body with neither has no
     signature at all.  A date after now (default: the clock) is no date.
     """
-    if now is None:
-        now = datetime.now(timezone.utc)
-    if patterns is None:
-        # Latest " (UTC)" first; at one end the timed reading, then the date alone.
-        end = len(body)
-        while (end := body.rfind(" (UTC)", 0, end)) >= 0:
-            m = _DEFAULT_DATE_RE.search(body, max(end - _DATE_REACH, body.rfind(")", 0, end) + 1), end + 6)
-            if m is None:
-                continue
-            lead, minute, day, month, year = m.groups()
-            if minute is None:
-                day, start = lead, m.start()
-            else:
-                ts = _timestamp(year, month, day, lead, minute, now)
-                if ts is not None:
-                    return _dated(body, ts, m.start(), m.end())
-                start = m.start("day")
-            ts = _timestamp(year, month, day, 0, 0, now)
-            if ts is not None:
-                return _dated(body, ts, start, m.end())
-    else:
-        # Latest end first; at one end the earlier registry entry first.
-        candidates = sorted(
-            ((m.end(), priority, m) for priority, pattern in enumerate(patterns)
-             for m in pattern.finditer(body)),
-            key=lambda item: (-item[0], item[1]),
-        )
-        for _, _, match in candidates:
-            ts = _candidate_timestamp(match, now)
-            if ts is not None:
-                return _dated(body, ts, *match.span())
-    link = _last_link(body, len(body))
-    if link is None:
+    signature = _signature(body, patterns, datetime.now(timezone.utc) if now is None else now)
+    if signature is None:
         return None
-    return SignatureMatch(_clean_author(link.group("name")), None, link.span())
+    author, ts, start, end = signature
+    return SignatureMatch(author, ts, (start, end))
 
 
 def to_events(
@@ -326,14 +363,15 @@ def to_events(
             continue
         depth, body = item
         blocks += 1
-        signature = extract_signature(body, patterns, now)
+        signature = _signature(body, patterns, now)
         if signature is None:
             pending_unsigned += 1
             continue
+        author, timestamp, _, _ = signature
         merged += pending_unsigned
         pending_unsigned = 0
-        undated += signature.timestamp is None
-        unattributed += signature.author is None
+        undated += timestamp is None
+        unattributed += author is None
         while stack and stack[-1][0] >= depth:
             stack.pop()
         if stack:
@@ -351,8 +389,8 @@ def to_events(
                 comment_id=comment_id,
                 parent_id=parent_id,
                 depth=event_depth,
-                timestamp=signature.timestamp,
-                author=signature.author,
+                timestamp=timestamp,
+                author=author,
                 doc_order=len(events),
             )
         )

@@ -264,6 +264,29 @@ class TestNumpyOnlyRuntime:
         assert proc.returncode == 0, proc.stderr
         assert read_rows(tmp_path / "alerts.csv")[0] == list(cli.WATCH_HEADER)
 
+    def test_commands_leave_numpy_ma_out(self, tmp_path):
+        """A plain np.unique imports numpy.ma on its first call, inside the timed run."""
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_MASKED_ARRAYS, str(GOLDEN / "edits.jsonl"),
+             str(GOLDEN / "comments.jsonl"), str(tmp_path)],
+            capture_output=True, text=True, env=talkdyn_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # numpy.ma is not imported after the replay, nor after the report.
+        assert proc.stdout.split() == ["False", "False"]
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+from talkdyn import cli
+edits, comments, out = map(Path, sys.argv[1:])
+cli.simulate_watch(comments)
+print("numpy.ma" in sys.modules)
+assert len(cli.run_report(cli.RunConfig(edits, comments, out))) == 10
+print("numpy.ma" in sys.modules)
+"""
+
 
 def readme_cli_examples() -> list[list[str]]:
     """The argv of every talkdyn command in README's CLI section, continuations joined."""

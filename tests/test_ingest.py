@@ -1192,6 +1192,70 @@ class TestReadersBoundedByBytes:
         assert len(alive) > 2
         assert sum(counts.sum() for *_, counts in days) == 200
 
+    def test_load_drops_each_chunk_before_the_next(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            f'{{"article":"A{i % 3}","id":"c{i}","parent":null,"depth":0,'
+            f'"ts":"2010-01-{1 + i // 10:02d}T00:00:00Z","author":null,"ord":{i}}}\n' for i in range(200)))
+        alive = []
+        read_chunks = ingest.read_chunks
+
+        def chunks(*args, **kwargs):
+            for chunk in read_chunks(*args, **kwargs):
+                # The next block has been read and checked: the load holds no earlier chunk.
+                assert all(ref() is None for ref in alive)
+                alive.append(weakref.ref(chunk))
+                yield chunk
+
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 1 << 10), \
+                mock.patch.object(ingest, "read_chunks", chunks):
+            columns = ingest.load_columns(path, COMMENT, now=ORACLE_NOW)
+        assert len(alive) > 2
+        assert columns.ids.tolist() == list(range(1, 201))
+
+
+def first_seen(values: list) -> list[int]:
+    """Each value's number in the order values first appear: the partition values make."""
+    numbers: dict = {}
+    return [numbers.setdefault(value, len(numbers)) for value in values]
+
+
+# 1-40 bytes: texts that share none, the first 8 or the first 32 bytes, then
+# differ in a tail of ASCII, two-byte and NUL characters (a NUL is written as
+# the escape \u0000, which only the per-line check reads).
+grouped_texts = st.builds(
+    str.__add__, st.sampled_from(["", "abcdefgh", "abcdefgh" * 4]),
+    st.text(alphabet="ab\0\xe9", max_size=4),
+).filter(lambda text: 1 <= len(text.encode()) <= 40)
+
+
+class TestTextGroups:
+    """Names, ids and parents are coded by their bytes, one lookup per distinct text a chunk."""
+
+    @given(records=st.lists(st.tuples(grouped_texts, grouped_texts, st.one_of(st.none(), grouped_texts),
+                                      st.booleans()), max_size=40),
+           chunk=st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_codes_partition_texts_like_a_dict(self, tmp_path_factory, records, chunk):
+        lines = []
+        for order, (article, comment_id, parent, spaced) in enumerate(records):
+            record = {"article": article, "id": comment_id, "parent": parent,
+                      "depth": int(parent is not None), "ts": "2010-01-01T00:00:00Z",
+                      "author": None, "ord": order}
+            # Spaced lines take the per-line check, the others the byte path.
+            lines.append(json.dumps(record, ensure_ascii=False,
+                                    separators=(", ", ": ") if spaced else (",", ":")))
+        path = write_lines(tmp_path_factory, lines)
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            columns = ingest.load_columns(path, COMMENT, now=ORACLE_NOW)
+        articles = [article for article, *_ in records]
+        assert columns.names == list(dict.fromkeys(articles))
+        assert columns.articles.tolist() == first_seen(articles)
+        parents = [parent for _, _, parent, _ in records]
+        assert (columns.parents == ingest.NO_PARENT).tolist() == [parent is None for parent in parents]
+        links = [comment_id for _, comment_id, *_ in records] + parents
+        assert first_seen(np.concatenate((columns.ids, columns.parents)).tolist()) == first_seen(links)
+
 
 class TestSeriesKernel:
     @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),

@@ -23,10 +23,12 @@ from talkdyn import (
 )
 from talkdyn.ingest import event_json_line, write_events_jsonl
 from talkdyn.talkparser import (
-    DEFAULT_DATE_PATTERNS, INDENT_CHARS, PatternError, load_patterns, parse_file,
+    DEFAULT_DATE_PATTERNS, INDENT_CHARS, PatternError, _last_link, load_patterns, parse_file,
 )
 
-from conftest import DATE_PATTERNS_ORACLE, extract_signature_oracle, to_events_oracle, utc
+from conftest import (
+    DATE_PATTERNS_ORACLE, _last_user_link_oracle, extract_signature_oracle, to_events_oracle, utc,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "talkpages"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
@@ -244,6 +246,19 @@ class TestSignatureMatchesTwoScanOracle:
         assert sig.timestamp == utc(2006, 5, 5)
         assert sig.author == ("A" if link else None)
         assert sig.span == (start, len(body))
+
+
+class TestLastLinkSearchedBack:
+    """The backward search from end finds the link a forward scan of body[:end] finds last."""
+
+    @example(body="[[[User:A]] [[[[User:B|c]]")
+    @example(body="[[User:A]][[User:B")
+    @settings(max_examples=400, deadline=None)
+    @given(body=st.one_of(signature_bodies, hostile_bodies))
+    def test_same_span_and_name_at_every_end(self, body):
+        for end in range(len(body) + 1):
+            got, want = _last_link(body, end), _last_user_link_oracle(body, end)
+            assert (got and (got.span(), got["name"])) == (want and (want.span(), want["name"]))
 
 
 def digit_runs(*lengths: int) -> st.SearchStrategy[str]:
