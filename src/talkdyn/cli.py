@@ -90,6 +90,7 @@ class RunConfig:
     top_n: int = DEFAULT_TOP_N
     as_of: datetime | None = None
     bins_per_decade: int = peakstats.DEFAULT_BINS_PER_DECADE
+    now: datetime | None = None  # bounds "future" timestamps; None reads the clock once
 
     def __post_init__(self) -> None:
         if self.input_format not in ("jsonl", "csv"):
@@ -176,13 +177,18 @@ def _parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _parse_as_of(text: str) -> datetime:
+def _parse_time(text: str, flag: str) -> datetime:
     """A full timestamp, or an ASCII YYYY-MM-DD day at 00:00 UTC, read by ingest's parser."""
     ts = ingest.parse_timestamp(f"{text}T00:00:00Z" if _DAY(text) else text)
     if ts is None:
-        raise ValueError(f"cannot parse --as-of {text!r}; use YYYY-MM-DD or full timestamp,"
+        raise ValueError(f"cannot parse {flag} {text!r}; use YYYY-MM-DD or full timestamp,"
                          " from 2001-01-01 on")
     return ts
+
+
+def _now(args: argparse.Namespace) -> datetime | None:
+    """--now as a time, None when it was not given (the loader then reads the clock once)."""
+    return _parse_time(args.now, "--now") if args.now else None
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +471,8 @@ def _alpha_rows(samples: Samples) -> list[list[object]]:
 
 
 def _cmd_parse_talk(args: argparse.Namespace) -> int:
+    # --now, or one clock reading, bounds "future" signature dates on every page.
+    now = _now(args) or datetime.now(timezone.utc)
     patterns = talkparser.load_patterns(args.patterns) if args.patterns else None
     source = Path(args.in_path)
     if source.is_dir():
@@ -472,8 +480,6 @@ def _cmd_parse_talk(args: argparse.Namespace) -> int:
     else:
         files = [source]
     diag = Diagnostics(source=str(source))
-    # One clock reading bounds "future" signature dates on every page.
-    now = datetime.now(timezone.utc)
 
     def events() -> Iterator[CommentEvent]:
         """Each page's events, parsed as the writer reaches the page."""
@@ -502,8 +508,8 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
     if not sources:
         raise ValueError("peaks needs --edits, --comments or both")
     params = _params_from_args(args)
-    # One clock reading bounds "future" timestamps in both files.
-    now = datetime.now(timezone.utc)
+    # --now, or one clock reading, bounds "future" timestamps in both files.
+    now = _now(args) or datetime.now(timezone.utc)
     runs = {}
     for path, kind in sources:
         columns, _ = _load(path, kind, args.format, now)
@@ -539,7 +545,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_hindex(args: argparse.Namespace) -> int:
-    comments, diag = _load(Path(args.comments), COMMENT, args.format)
+    comments, diag = _load(Path(args.comments), COMMENT, args.format, _now(args))
     rows = [
         [article, discussion.h_index(tree), tree.max_level, tree.n_comments]
         for article, tree in discussion.build_forest(comments, diag).items()
@@ -550,7 +556,7 @@ def _cmd_hindex(args: argparse.Namespace) -> int:
 
 def _cmd_deltah(args: argparse.Namespace) -> int:
     _check_minimums(min_comments=args.min_comments)
-    comments, diag = _load(Path(args.comments), COMMENT, args.format)
+    comments, diag = _load(Path(args.comments), COMMENT, args.format, _now(args))
     trees = discussion.build_forest(comments, diag)
     ranked = _rank(trees, _paces(_traces(trees, diag)), args.min_comments)
     _emit(Table("deltah", SPEED_HEADER, _speed_rows(ranked, trees)), args.out)
@@ -559,8 +565,8 @@ def _cmd_deltah(args: argparse.Namespace) -> int:
 
 def _cmd_maturity(args: argparse.Namespace) -> int:
     _check_minimums(threshold_multiple=args.threshold_multiple)
-    as_of = _parse_as_of(args.as_of) if args.as_of else None
-    comments, diag = _load(Path(args.comments), COMMENT, args.format)
+    as_of = _parse_time(args.as_of, "--as-of") if args.as_of else None
+    comments, diag = _load(Path(args.comments), COMMENT, args.format, _now(args))
     as_of = as_of or comments.latest()
     if as_of is None:
         raise IngestError("no dated comments and no --as-of; nothing to judge maturity against")
@@ -587,8 +593,8 @@ def run_report(config: RunConfig) -> list[Path]:
     event objects; the comment columns feed the day counts and the trees alike.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    # One clock reading bounds "future" timestamps in both files.
-    now = datetime.now(timezone.utc)
+    # config.now, or one clock reading, bounds "future" timestamps in both files.
+    now = config.now or datetime.now(timezone.utc)
     edits, diag_edits = _load(config.edits_path, EDIT, config.input_format, now)
     comments, diag_comments = _load(config.comments_path, COMMENT, config.input_format, now)
     # Trees first: the forest's sort buffers are freed before the day counts exist.
@@ -679,8 +685,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         min_comments=args.min_comments,
         maturity_multiple=args.threshold_multiple,
         top_n=args.top_n,
-        as_of=_parse_as_of(args.as_of) if args.as_of else None,
+        as_of=_parse_time(args.as_of, "--as-of") if args.as_of else None,
         bins_per_decade=args.bins_per_decade,
+        now=_now(args),
     )
     written = run_report(config)
     for path in written:
@@ -715,6 +722,7 @@ def simulate_watch(
     fmt: str = "jsonl",
     sort: bool = False,
     diagnostics: Diagnostics | None = None,
+    now: datetime | None = None,
 ) -> list[list[object]]:
     """Replay an event file through the streaming detector.
 
@@ -725,14 +733,15 @@ def simulate_watch(
     chronological within each article and a step backwards raises
     OutOfOrderError; sort=True buffers everything and replays each
     article's days in order, articles by name, trading memory for shuffled
-    input.  Undated events are skipped (and tallied in diagnostics).
+    input.  Undated events are skipped (and tallied in diagnostics), as are
+    events after now (default: the clock, read once when loading starts).
     """
     scorer = timeseries.TrailingScorer(params)
     if sort:
-        columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics)
+        columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now)
         return _alerts(scorer, columns.names, kind, *columns.day_counts())
     alerts: list[list[object]] = []
-    chunks = ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics)
+    chunks = ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now)
     for names, *closed in ingest.closed_days(chunks):
         alerts += _alerts(scorer, names, kind, *closed)
     return alerts
@@ -775,13 +784,14 @@ def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    now = _now(args)  # checked with --stdin too, where no timestamp is read
     if args.stdin:
         alerts: Iterable[list[object]] = _stdin_alerts(params)
     else:
         diag = Diagnostics()
         alerts = simulate_watch(
             args.events, params, kind=args.kind, fmt=args.format, sort=args.sort,
-            diagnostics=diag,
+            diagnostics=diag, now=now,
         )
         _log_load(diag)
     _emit(Table("alerts", WATCH_HEADER, alerts), args.out)
@@ -817,8 +827,13 @@ def build_parser() -> argparse.ArgumentParser:
     comments.add_argument("--comments", required=True)
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--out", help="output CSV path (default stdout)")
+    clock = argparse.ArgumentParser(add_help=False)
+    clock.add_argument("--now", help="latest time an input may name (YYYY-MM-DD or full "
+                                     "timestamp); later ones are dropped as future. "
+                                     "Default: the clock, read once")
 
-    p = sub.add_parser("parse-talk", help="parse talk-page wikitext into comment events")
+    p = sub.add_parser("parse-talk", parents=[clock],
+                       help="parse talk-page wikitext into comment events")
     p.add_argument("--in", dest="in_path", required=True,
                    help="talk-page file or directory of files (article id = file stem)")
     p.add_argument("--out", help="output JSONL path (default stdout)")
@@ -826,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON registry of signature date patterns, used instead of the defaults")
     p.set_defaults(handler=_cmd_parse_talk)
 
-    p = sub.add_parser("peaks", parents=[fmt, peak], help="detect activity peak runs")
+    p = sub.add_parser("peaks", parents=[fmt, peak, clock], help="detect activity peak runs")
     p.add_argument("--edits", help="edit events file")
     p.add_argument("--comments", help="comment events file")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -843,15 +858,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="day tolerances for overlap")
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("hindex", parents=[fmt, comments, table], help="discussion h-index per article")
+    p = sub.add_parser("hindex", parents=[fmt, comments, table, clock],
+                       help="discussion h-index per article")
     p.set_defaults(handler=_cmd_hindex)
 
-    p = sub.add_parser("deltah", parents=[fmt, comments, table], help="discussion growth speed per article")
+    p = sub.add_parser("deltah", parents=[fmt, comments, table, clock],
+                       help="discussion growth speed per article")
     p.add_argument("--min-comments", type=int, default=discussion.DEFAULT_MIN_COMMENTS,
                    help="only rank discussions with strictly more comments than this")
     p.set_defaults(handler=_cmd_deltah)
 
-    p = sub.add_parser("maturity", parents=[fmt, comments, table],
+    p = sub.add_parser("maturity", parents=[fmt, comments, table, clock],
                        help="has each discussion stopped growing?")
     p.add_argument("--as-of", help="judgement time (YYYY-MM-DD or full timestamp); "
                                    "default: latest comment timestamp")
@@ -860,7 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="idle time required, in multiples of the discussion's own pace")
     p.set_defaults(handler=_cmd_maturity)
 
-    p = sub.add_parser("report", parents=[fmt, peak, comments], help="run every analysis into a directory")
+    p = sub.add_parser("report", parents=[fmt, peak, comments, clock],
+                       help="run every analysis into a directory")
     p.add_argument("--edits", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--output-format", choices=("csv", "json"), default="csv",
@@ -874,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins-per-decade", type=int, default=peakstats.DEFAULT_BINS_PER_DECADE)
     p.set_defaults(handler=_cmd_report)
 
-    p = sub.add_parser("watch", parents=[fmt, peak], help="streaming peak alerts")
+    p = sub.add_parser("watch", parents=[fmt, peak, clock], help="streaming peak alerts")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--stdin", action="store_true",
                        help="read article,kind,day,count lines from stdin")

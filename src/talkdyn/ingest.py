@@ -56,7 +56,7 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import islice, zip_longest
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -99,19 +99,25 @@ class OutOfOrderError(ValueError):
     """A streamed day arrived at or before the day already consumed."""
 
 
-@dataclass(frozen=True, slots=True)
-class EditEvent:
+class EditEvent(NamedTuple):
+    """One article edit.
+
+    A named tuple, one built per record: immutable, hashed and compared by
+    its fields, and like any tuple it unpacks, indexes, orders and equals a
+    plain tuple of its fields.
+    """
+
     article_id: str
     timestamp: datetime
 
 
-@dataclass(frozen=True, slots=True)
-class CommentEvent:
+class CommentEvent(NamedTuple):
     """One talk-page comment.
 
     depth counts reply nesting (0 = thread starter), doc_order is the
     position of the comment in its page's source, and timestamp/author are
-    absent when the signature could not be recovered.
+    absent when the signature could not be recovered.  A named tuple, as
+    EditEvent is.
     """
 
     article_id: str
@@ -180,6 +186,9 @@ def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | Non
     return None if seconds == UNDATED else _UNIX_EPOCH + seconds * _SECOND
 
 
+_TWO = [f"{n:02d}" for n in range(60)]  # a month, day, hour, minute or second in two digits
+
+
 def format_timestamp(ts: datetime) -> str:
     """'YYYY-MM-DDTHH:MM:SSZ' of ts's own fields, each zero-padded to its width.
 
@@ -187,7 +196,8 @@ def format_timestamp(ts: datetime) -> str:
     writes it for years 1000-9999; microseconds and the UTC offset are not
     written.
     """
-    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
+    return (f"{ts.year:04d}-{_TWO[ts.month]}-{_TWO[ts.day]}"
+            f"T{_TWO[ts.hour]}:{_TWO[ts.minute]}:{_TWO[ts.second]}Z")
 
 
 # ---------------------------------------------------------------------------
@@ -1141,15 +1151,12 @@ def event_json_line(event: EditEvent | CommentEvent) -> str:
     change those shapes too.
     """
     if isinstance(event, CommentEvent):
-        stamp = f'"{format_timestamp(event.timestamp)}"' if event.timestamp else "null"
-        return (f'{{"article":{_quote(event.article_id)},"id":{_quote(event.comment_id)},'
-                f'"parent":{_quote_or_null(event.parent_id)},"depth":{event.depth},"ts":{stamp},'
-                f'"author":{_quote_or_null(event.author)},"ord":{event.doc_order}}}')
+        article, comment_id, parent, depth, ts, author, doc_order = event
+        stamp = "null" if ts is None else f'"{format_timestamp(ts)}"'
+        return (f'{{"article":{_quote(article)},"id":{_quote(comment_id)},'
+                f'"parent":{"null" if parent is None else _quote(parent)},"depth":{depth},"ts":{stamp},'
+                f'"author":{"null" if author is None else _quote(author)},"ord":{doc_order}}}')
     return f'{{"article":{_quote(event.article_id)},"ts":"{format_timestamp(event.timestamp)}"}}'
-
-
-def _quote_or_null(text: str | None) -> str:
-    return "null" if text is None else _quote(text)
 
 
 def write_events_jsonl(path: str | Path, events: Iterable[EditEvent | CommentEvent]) -> int:

@@ -382,18 +382,10 @@ def to_events(
             orphans += depth > 0
             parent_id = None
             event_depth = 0
-        comment_id = f"c{len(events)}"
+        order = len(events)
+        comment_id = f"c{order}"
         events.append(
-            CommentEvent(
-                article_id=page.article_id,
-                comment_id=comment_id,
-                parent_id=parent_id,
-                depth=event_depth,
-                timestamp=timestamp,
-                author=author,
-                doc_order=len(events),
-            )
-        )
+            CommentEvent(page.article_id, comment_id, parent_id, event_depth, timestamp, author, order))
         stack.append((depth, event_depth, comment_id))
     if diagnostics is not None:
         for key, n in (

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,12 +63,14 @@ class PeakParams:
             raise ValueError(f"window_halfwidth must be >= 1, got {self.window_halfwidth}")
 
 
-@dataclass(frozen=True)
-class PeakRun:
+class PeakRun(NamedTuple):
     """A maximal stretch of consecutive peak days for one article and kind.
 
     day_ratios holds n / max(median, floor) per day of the run; it is empty
     on runs reconstructed from summary files where the profile was not kept.
+    A named tuple, one built per run: immutable, hashed and compared by its
+    fields, and like any tuple it unpacks, indexes, orders and equals a
+    plain tuple of its fields.
     """
 
     article_id: str

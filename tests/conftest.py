@@ -56,6 +56,23 @@ def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0,
     return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
 
 
+def check_record_value(cls: type, fields: dict) -> None:
+    """cls, built from fields by keyword or in order, is an immutable value of those fields.
+
+    Assigning any field raises AttributeError, and hash and == go by the
+    fields: a value with another first field (a text) differs.
+    """
+    by_name, in_order = cls(**fields), cls(*fields.values())
+    assert [getattr(by_name, name) for name in fields] == list(fields.values())
+    assert by_name == in_order and hash(by_name) == hash(in_order)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(by_name, name, value)
+    first = next(iter(fields))
+    other = cls(**{**fields, first: fields[first] + "x"})
+    assert other != by_name and len({by_name, in_order, other}) == 2
+
+
 # ---------------------------------------------------------------------------
 # Peak-detection oracle: recompute each window median independently.
 

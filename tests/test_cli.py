@@ -721,6 +721,10 @@ class TestSimulateWatch:
         assert len(simulate_watch(events, loose, kind="edit")) == 1
 
 
+# Every command that judges timestamps against the clock, and so takes --now.
+CLOCKED_COMMANDS = ["parse-talk", "peaks", "report", "hindex", "deltah", "maturity", "watch"]
+
+
 class TestReportClock:
     @staticmethod
     def frozen(monkeypatch, now: datetime) -> list:
@@ -778,6 +782,85 @@ class TestReportClock:
                        "--comments", str(GOLDEN / "comments.jsonl"),
                        "--out", str(tmp_path / "peaks.csv"), "-c", "5", "--nmin", "2") == 0
         assert reads == [timezone.utc]
+
+    NOW = "2006-01-20T12:00:00Z"
+
+    @staticmethod
+    def clocked_argv(command: str, tmp_path: Path) -> tuple[list[str], Path]:
+        """Arguments that run command over the fixtures, and the file or directory it writes."""
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        comments = ["--comments", str(GOLDEN / "comments.jsonl")]
+        if command == "parse-talk":
+            pages = tmp_path / "pages"
+            pages.mkdir(exist_ok=True)
+            for name in ("simple_chain", "depth_jump", "multiple_signatures"):
+                (pages / f"{name}.txt").write_bytes((TALKPAGES / f"{name}.txt").read_bytes())
+            out = tmp_path / "events.jsonl"
+            return ["parse-talk", "--in", str(pages), "--out", str(out)], out
+        if command == "report":
+            out = tmp_path / "report"
+            return report_args(GOLDEN / "edits.jsonl", GOLDEN / "comments.jsonl", out), out
+        out = tmp_path / f"{command}.csv"
+        extra = {
+            "peaks": ["--edits", str(GOLDEN / "edits.jsonl"), *comments, "-c", "2", "--nmin", "1"],
+            "hindex": comments, "deltah": [*comments, "--min-comments", "0"], "maturity": comments,
+            "watch": ["--events", str(GOLDEN / "comments.jsonl"), "-c", "1.5", "--nmin", "1"],
+        }[command]
+        return [command, *extra, "--out", str(out)], out
+
+    @staticmethod
+    def written(out: Path) -> dict[str, bytes]:
+        paths = sorted(out.iterdir()) if out.is_dir() else [out]
+        return {path.name: path.read_bytes() for path in paths}
+
+    @pytest.mark.parametrize("command", CLOCKED_COMMANDS)
+    def test_now_reads_no_clock_and_fixes_the_output(self, tmp_path, monkeypatch, capsys, command):
+        """Under two clocks, --now writes the same bytes and drops the same later events."""
+        reads, outputs = [], []
+        for clock in (datetime(2006, 2, 1, tzinfo=timezone.utc), datetime(2030, 1, 1, tzinfo=timezone.utc)):
+            class FrozenClock(datetime):
+                @classmethod
+                def now(cls, tz=None):
+                    reads.append(tz)
+                    return clock
+
+            for module in (cli, ingest, talkparser):
+                monkeypatch.setattr(module, "datetime", FrozenClock)
+            argv, out = self.clocked_argv(command, tmp_path / str(clock.year))
+            assert run_cli(*argv, "--now", self.NOW) == 0
+            outputs.append(self.written(out))
+        argv, out = self.clocked_argv(command, tmp_path / "later")
+        assert run_cli(*argv, "--now", "2030-01-01") == 0
+        later = self.written(out)
+        capsys.readouterr()
+        assert reads == []
+        assert outputs[0] == outputs[1]
+        # A later --now keeps the events NOW drops as future.  Those still count
+        # in the h-index, which reads only the reply structure.
+        assert (later == outputs[0]) == (command == "hindex")
+        if command == "parse-talk":  # every signature on these pages is after NOW
+            assert all(json.loads(line)["ts"] is None
+                       for line in outputs[0]["events.jsonl"].decode().splitlines())
+
+    def test_now_drops_later_events_as_future(self, tmp_path, capsys):
+        argv, out = self.clocked_argv("report", tmp_path)
+        assert run_cli(*argv, "--now", self.NOW) == 0
+        capsys.readouterr()
+        tallies = {(source, key): int(n) for source, key, n in read_rows(out / "diagnostics.csv")[1:]}
+        for source, name in (("edits", "edit"), ("comments", "comment")):
+            lines = (GOLDEN / f"{source}.jsonl").read_text(encoding="utf-8").splitlines()
+            future = sum((json.loads(line)["ts"] or "") > self.NOW for line in lines)
+            assert future > 0
+            assert tallies[(source, f"{name}_ts_malformed")] == future
+
+    @pytest.mark.parametrize("command", CLOCKED_COMMANDS)
+    @pytest.mark.parametrize("now", ["not-a-date", "2000-12-31", "2006-02-30", "20060101"])
+    def test_bad_now_is_config_error(self, tmp_path, capsys, command, now):
+        argv, out = self.clocked_argv(command, tmp_path)
+        assert run_cli(*argv, "--now", now) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: cannot parse --now {now!r}" in captured.err
+        assert not out.exists()
 
 
 def comment_stream(rng: random.Random, articles: int, days: int) -> list[str]:

@@ -41,6 +41,7 @@ from talkdyn.ingest import (
 
 from conftest import (
     build_series_oracle,
+    check_record_value,
     event_json_line_oracle,
     format_timestamp_oracle,
     load_events_oracle,
@@ -97,6 +98,29 @@ class TestParseTimestamp:
     @given(st.datetimes(min_value=datetime(1000, 1, 1), timezones=st.timezones()))
     def test_format_equals_strftime(self, ts):
         assert format_timestamp(ts) == format_timestamp_oracle(ts)
+
+    # Below year 1000 strftime's %Y is not zero-padded everywhere; isoformat is.
+    @given(st.datetimes(max_value=datetime(999, 12, 31, 23, 59, 59, 999999), timezones=st.timezones()))
+    @example(datetime(1, 1, 1))
+    def test_format_before_year_1000_equals_isoformat(self, ts):
+        assert format_timestamp(ts) == ts.isoformat()[:19] + "Z"
+
+
+class TestEventTypes:
+    def test_edit_event_is_a_value(self):
+        check_record_value(EditEvent, {"article_id": "A", "timestamp": utc(2006, 5, 10)})
+
+    def test_comment_event_is_a_value(self):
+        check_record_value(CommentEvent, {
+            "article_id": "A", "comment_id": "c1", "parent_id": "c0", "depth": 1,
+            "timestamp": None, "author": "Bob", "doc_order": 1,
+        })
+
+    def test_load_events_yields_the_event_types(self, tmp_path):
+        write_jsonl(tmp_path / "c.jsonl", [comment_rec()])
+        write_jsonl(tmp_path / "e.jsonl", [{"article": "A", "ts": "2006-05-10T13:45:08Z"}])
+        assert [type(e) for e in load_events(tmp_path / "c.jsonl", COMMENT)] == [CommentEvent]
+        assert [type(e) for e in load_events(tmp_path / "e.jsonl", EDIT)] == [EditEvent]
 
 
 def write_jsonl(path, records):

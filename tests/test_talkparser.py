@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from talkdyn import (
     COMMENT,
+    CommentEvent,
     Diagnostics,
     RawTalkPage,
     extract_signature,
@@ -55,6 +56,13 @@ class TestFixtureCorpus:
 
     def test_corpus_is_complete(self):
         assert len(FIXTURE_NAMES) == 25
+
+
+class TestToEventsTypes:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_to_events_returns_comment_events(self, name):
+        page = RawTalkPage(name, (FIXTURE_DIR / f"{name}.txt").read_text(encoding="utf-8"))
+        assert all(type(event) is CommentEvent for event in to_events(page))
 
 
 class TestSplitComments:

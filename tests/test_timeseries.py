@@ -28,6 +28,7 @@ from talkdyn.timeseries import PeakRun, alert_tier, detect_day_counts, trailing_
 
 from conftest import (
     START_DAY,
+    check_record_value,
     make_series,
     median_oracle,
     peak_days_oracle,
@@ -212,6 +213,20 @@ def edge_inputs(draw):
 
 
 DETECTORS = [(detect_peaks, sliding_median), (detect_peaks_trailing, trailing_median)]
+
+
+class TestPeakRunType:
+    def test_peak_run_is_a_value(self):
+        check_record_value(PeakRun, {"article_id": "A", "kind": "edit", "start_day": START_DAY,
+                                     "length": 2, "day_ratios": (6.5, 7.0)})
+
+    def test_day_ratios_default_to_empty(self):
+        run = PeakRun(article_id="A", kind="edit", start_day=START_DAY, length=3)
+        assert run.day_ratios == () and run == PeakRun("A", "edit", START_DAY, 3, ())
+
+    def test_detect_peaks_returns_peak_runs(self):
+        runs = detect_peaks(make_series([1] * 20 + [50] + [1] * 20), PeakParams(c=2.0, n_min=1))
+        assert len(runs) == 1 and type(runs[0]) is PeakRun
 
 
 class TestCandidateDaysOnly:
