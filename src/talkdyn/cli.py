@@ -186,9 +186,11 @@ def _parse_time(text: str, flag: str) -> datetime:
     return ts
 
 
-def _now(args: argparse.Namespace) -> datetime | None:
-    """--now as a time, None when it was not given (the loader then reads the clock once)."""
-    return _parse_time(args.now, "--now") if args.now else None
+def _now(args: argparse.Namespace) -> datetime:
+    """--now as a time, or else one clock reading: the one the command's callees all use."""
+    now = _parse_time(args.now, "--now") if args.now else datetime.now(timezone.utc)
+    logger.info("now %s (%s)", ingest.format_timestamp(now), "--now" if args.now else "clock")
+    return now
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +474,7 @@ def _alpha_rows(samples: Samples) -> list[list[object]]:
 
 def _cmd_parse_talk(args: argparse.Namespace) -> int:
     # --now, or one clock reading, bounds "future" signature dates on every page.
-    now = _now(args) or datetime.now(timezone.utc)
+    now = _now(args)
     patterns = talkparser.load_patterns(args.patterns) if args.patterns else None
     source = Path(args.in_path)
     if source.is_dir():
@@ -509,7 +511,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
         raise ValueError("peaks needs --edits, --comments or both")
     params = _params_from_args(args)
     # --now, or one clock reading, bounds "future" timestamps in both files.
-    now = _now(args) or datetime.now(timezone.utc)
+    now = _now(args)
     runs = {}
     for path, kind in sources:
         columns, _ = _load(path, kind, args.format, now)
@@ -770,19 +772,24 @@ def _stdin_days() -> Iterator[tuple[str, str, str, date, int]]:
 
 
 def _stdin_alerts(params: PeakParams) -> Iterator[list[object]]:
-    """The alert rows of the day counts on stdin, each scored as its row arrives."""
-    scorer = timeseries.TrailingScorer(params)
-    codes: dict[tuple[str, str], int] = {}
+    """The alert rows of the day counts on stdin, each scored by stream_step as its row
+    arrives, one StreamState per (article, kind)."""
+    states: dict[tuple[str, str], timeseries.StreamState] = {}
     for where, article, kind, day, count in _stdin_days():
+        state = states.get((article, kind))
+        if state is None:
+            state = states[article, kind] = timeseries.StreamState(params.window_halfwidth)
         try:
-            ratio = scorer.step(codes.setdefault((article, kind), len(codes)), day.toordinal(), count)
+            ratio, is_peak, _ = timeseries.stream_step(state, day, count, params)
         except OutOfOrderError as exc:
             raise OutOfOrderError(f"{where}: {article},{kind}: {exc}") from exc
-        if ratio is not None:
+        if is_peak:
             yield [article, kind, day, count, ratio, timeseries.alert_tier(ratio, params)]
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    if args.stdin and (args.sort or args.kind):
+        raise ValueError("--sort/--kind apply to --events only")
     params = _params_from_args(args)
     now = _now(args)  # checked with --stdin too, where no timestamp is read
     if args.stdin:
@@ -790,7 +797,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     else:
         diag = Diagnostics()
         alerts = simulate_watch(
-            args.events, params, kind=args.kind, fmt=args.format, sort=args.sort,
+            args.events, params, kind=args.kind or COMMENT, fmt=args.format, sort=args.sort,
             diagnostics=diag, now=now,
         )
         _log_load(diag)
@@ -897,8 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--stdin", action="store_true",
                        help="read article,kind,day,count lines from stdin")
     group.add_argument("--events", help="replay an event file through the detector")
-    p.add_argument("--kind", choices=(EDIT, COMMENT), default=COMMENT,
-                   help="event kind when replaying --events")
+    p.add_argument("--kind", choices=(EDIT, COMMENT),
+                   help="event kind when replaying --events (default: comment)")
     p.add_argument("--sort", action="store_true",
                    help="buffer and order --events first instead of requiring "
                         "chronological input")

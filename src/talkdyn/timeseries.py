@@ -13,15 +13,14 @@ day without a row counting 0; detect_peaks is its one-article case.
 The streaming variant looks only backwards (median of the trailing
 window_halfwidth days before the current day), so it can run on live feeds;
 its decisions match a batch pass that uses the same trailing window, not the
-centered one.  stream_step scores one stream a day at a time, and
-TrailingScorer many streams a batch of days at a time, with the same
-decisions.
+centered one.  stream_step scores one stream a day at a time (watch
+--stdin), and TrailingScorer many streams a batch of closed days at a time
+(the watch replay), with the same decisions.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import repeat
@@ -268,7 +267,7 @@ class StreamState:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self.current_day = current_day
-        self._days: deque = deque(buffer, maxlen=window)
+        self._days = list(buffer)[-window:]
 
     def __repr__(self) -> str:
         return (f"StreamState(window={self.window}, buffer={self.buffer},"
@@ -282,21 +281,20 @@ class StreamState:
     def push(self, count: int) -> None:
         """Append one day's count, evicting the oldest once the window is full."""
         self._days.append(count)
+        if len(self._days) > self.window:
+            del self._days[0]
 
     def push_zeros(self, n: int) -> None:
         """Append n zero-count days, as n calls of push(0) would."""
         self._days.extend(repeat(0, min(n, self.window)))
+        del self._days[:-self.window]
 
     def median(self) -> float:
-        """Median of the buffered days; 0 for an empty buffer."""
-        return _median(self._days)
-
-
-def _median(values: Iterable[float]) -> float:
-    """Median of values, 0 for none: the sum and halving _row_medians takes on one row."""
-    ordered = sorted(values)
-    size = len(ordered)
-    return (float(ordered[(size - 1) // 2]) + float(ordered[size // 2])) / 2 if size else 0.0
+        """Median of the buffered days, 0 for none: the sum and halving _row_medians
+        takes on one row."""
+        ordered = sorted(self._days)
+        size = len(ordered)
+        return (float(ordered[(size - 1) // 2]) + float(ordered[size // 2])) / 2 if size else 0.0
 
 
 def _out_of_order(day: date, last: date) -> OutOfOrderError:
@@ -345,9 +343,8 @@ class TrailingScorer:
     median, so medians are read only for the other days: each such candidate
     is one row of a (candidates, window) matrix, its window's counts taken
     from the ring and from its stream's earlier days in the batch, NaN past
-    its window's size, and the rows go to _row_medians.  step scores one day
-    as a one-day batch would, without the batch's array work, for feeds that
-    give a day at a time.
+    its window's size, and the rows go to _row_medians.  A feed that gives a
+    day at a time is scored by stream_step instead, one StreamState per stream.
     """
 
     def __init__(self, params: PeakParams | None = None) -> None:
@@ -398,32 +395,6 @@ class TrailingScorer:
         hits = order[hits]
         by_position = np.argsort(hits)
         return hits[by_position], ratios[by_position]
-
-    def step(self, stream: int, day: int, count: int) -> float | None:
-        """Consume one closed day of one stream; return its ratio when it peaks, else None.
-
-        The day is scored and refused as by a one-day score call, without
-        that call's array work.
-        """
-        self._reserve(stream + 1)
-        last = int(self._last[stream])
-        if day <= last:
-            raise _out_of_order(date.fromordinal(day), date.fromordinal(last))
-        first = int(self._first[stream]) or day
-        p = self.params
-        w = p.window_halfwidth
-        ratio = None
-        if count > p.c * p.n_min:
-            ring_days, ring_counts = self._ring_days[stream].tolist(), self._ring_counts[stream].tolist()
-            median = _median(ring_counts[d % w] if ring_days[d % w] == d else 0
-                             for d in range(day - min(day - first, w), day))
-            floor = max(median, float(p.n_min))
-            if count > p.c * floor:
-                ratio = count / floor
-        slot = day % w
-        self._first[stream], self._last[stream] = first, day
-        self._ring_days[stream, slot], self._ring_counts[stream, slot] = day, count
-        return ratio
 
     def _reserve(self, streams: int) -> None:
         """Room for the stream codes below streams: the per-stream arrays at least double."""

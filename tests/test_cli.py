@@ -378,6 +378,14 @@ class TestExitCodes:
         assert captured.out == "" and "config error" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--sort"], ["--kind", "comment"]], ids=["sort", "kind"])
+    def test_events_only_watch_flag_with_stdin_is_config_error(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr("sys.stdin", io.StringIO("A,comment,2020-01-15,90\n"))
+        assert run_cli("watch", "--stdin", *flag) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --sort/--kind apply to --events only\n"
+        assert captured.out == ""
+
 
 def comments_with_gamma(tmp_path: Path) -> Path:
     """The golden comments plus Gamma, a copy of Alpha: two paced discussions."""
@@ -783,6 +791,14 @@ class TestReportClock:
                        "--out", str(tmp_path / "peaks.csv"), "-c", "5", "--nmin", "2") == 0
         assert reads == [timezone.utc]
 
+    @pytest.mark.parametrize("command", ["hindex", "deltah", "maturity", "watch"])
+    def test_loading_command_reads_the_clock_once(self, tmp_path, monkeypatch, capsys, command):
+        reads = self.frozen(monkeypatch, datetime(2030, 1, 1, tzinfo=timezone.utc))
+        argv, _ = self.clocked_argv(command, tmp_path)
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert reads == [timezone.utc]
+
     NOW = "2006-01-20T12:00:00Z"
 
     @staticmethod
@@ -1085,6 +1101,29 @@ class TestWatchCommand:
         assert run_cli("watch", "--stdin") == 1
         assert "stdin:2: count must be >= 0" in capsys.readouterr().err
 
+    def test_stdin_pipe_writes_the_sorted_replay_bytes(self, tmp_path):
+        """A corpus's day counts piped in a row at a time alert as its events replayed with --sort."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--articles", "40",
+                        "--edits", "1", "--comments", "5000", "--seed", "7"],
+                       check=True, capture_output=True, timeout=120)
+        events = tmp_path / "comments.jsonl"
+        columns = ingest.load_columns(events, "comment", now=datetime(2030, 1, 1, tzinfo=timezone.utc))
+        codes, days, counts = (a.tolist() for a in columns.day_counts())
+        feed = "".join(f"{columns.names[code]},comment,{date.fromordinal(day)},{count}\n"
+                       for code, day, count in zip(codes, days, counts))
+        flags = ["-c", "1.5", "--nmin", "1", "--window", "7", "--now", "2030-01-01"]
+
+        def watch(*argv: str, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+            return subprocess.run(talkdyn_cmd("watch", *argv, *flags), input=stdin,
+                                  capture_output=True, env=talkdyn_env(), timeout=120)
+
+        piped = watch("--stdin", stdin=feed.encode())
+        replayed = watch("--events", str(events), "--sort")
+        assert piped.returncode == replayed.returncode == 0, piped.stderr + replayed.stderr
+        assert piped.stdout.count(b"\n") > 100
+        assert piped.stdout == replayed.stdout
+
     def test_tier_boundaries_from_stdin(self, capsys, monkeypatch):
         """Ratios land in tiers at >c, >=2c, >=4c with the default c=5."""
         lines = []
@@ -1242,6 +1281,17 @@ class TestVerboseLogging:
         assert proc.returncode == 0, proc.stderr
         assert "INFO talkdyn.cli:" in proc.stderr
         assert "lines_read 56 = events_used 56 + lines_dropped 0" in proc.stderr
+
+    @pytest.mark.parametrize("now, source", [(None, "clock"), ("2006-01-20", "--now")])
+    def test_now_and_its_source_logged_once(self, capsys, caplog, monkeypatch, now, source):
+        caplog.set_level(logging.INFO, logger="talkdyn.cli")
+        TestReportClock.frozen(monkeypatch, datetime(2030, 1, 1, 12, tzinfo=timezone.utc))
+        flags = ["--now", now] if now else []
+        assert run_cli("hindex", "--comments", str(GOLDEN / "comments.jsonl"), *flags) == 0
+        capsys.readouterr()
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("now ")]
+        want = "2006-01-20T00:00:00Z" if now else "2030-01-01T12:00:00Z"
+        assert logged == [f"now {want} ({source})"]
 
 
 def write_daily_comments(path: Path, spec: list[tuple[str, str, int]]) -> None:

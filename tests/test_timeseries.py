@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import tracemalloc
@@ -23,7 +24,7 @@ from talkdyn import (
     sliding_median,
     stream_step,
 )
-from talkdyn import ingest, timeseries
+from talkdyn import cli, ingest, timeseries
 from talkdyn.timeseries import PeakRun, alert_tier, detect_day_counts, trailing_median
 
 from conftest import (
@@ -661,22 +662,15 @@ def closed_day_batches(draw):
     return params, days, batches
 
 
-def scorer_alerts(params: PeakParams, batches, stepped: bool = False) -> list[list[object]]:
-    """The alert rows of a TrailingScorer fed the batches in order, one stream code per key;
-    with stepped, every other batch goes through step a day at a time."""
+def scorer_alerts(params: PeakParams, batches) -> list[list[object]]:
+    """The alert rows of a TrailingScorer fed the batches in order, one stream code per key."""
     scorer = timeseries.TrailingScorer(params)
     codes: dict[tuple[str, str], int] = {}
     rows = []
-    for n, batch in enumerate(batches):
+    for batch in batches:
         streams = [codes.setdefault((article, kind), len(codes)) for article, kind, _, _ in batch]
-        if stepped and n % 2:
-            ratios = [(i, scorer.step(code, day, count))
-                      for i, (code, (*_, day, count)) in enumerate(zip(streams, batch))]
-            hits = [(i, ratio) for i, ratio in ratios if ratio is not None]
-        else:
-            found, ratios = scorer.score(streams, [day for *_, day, _ in batch], [n for *_, n in batch])
-            hits = list(zip(found.tolist(), ratios.tolist()))
-        for i, ratio in hits:
+        found, ratios = scorer.score(streams, [day for *_, day, _ in batch], [n for *_, n in batch])
+        for i, ratio in zip(found.tolist(), ratios.tolist()):
             article, kind, day, count = batch[i]
             rows.append([article, kind, date.fromordinal(day), count, ratio, alert_tier(ratio, params)])
     return rows
@@ -689,9 +683,11 @@ class TestTrailingScorer:
         params, days, batches = drawn
         want = stream_alerts_oracle(days, params)
         assert scorer_alerts(params, batches) == want
-        # step and score share the rings: every other batch a day at a time.
-        assert scorer_alerts(params, batches, stepped=True) == want
-        assert scorer_alerts(params, [[day] for day in days], stepped=True) == want
+        # watch --stdin scores the same days a row at a time, through stream_step.
+        feed = "".join(f"{article},{kind},{date.fromordinal(day)},{count}\n"
+                       for article, kind, day, count in days)
+        with mock.patch("sys.stdin", io.StringIO(feed)):
+            assert list(cli._stdin_alerts(params)) == want
 
     def test_candidate_on_a_streams_first_day(self):
         # Nothing before the first day: the median is 0 and the floor n_min.
@@ -716,13 +712,14 @@ class TestTrailingScorer:
         with pytest.raises(OutOfOrderError) as backward:
             scorer.score([1, 0, 1, 0], [o + 5, o + 3, o + 4, o + 2], [1] * 4)
         assert str(backward.value) == "day 2020-01-19 after 2020-01-20 already consumed"
-        with pytest.raises(OutOfOrderError) as stepped:
-            scorer.step(0, o - 1, 2)
-        assert str(stepped.value) == "day 2020-01-14 after 2020-01-15 already consumed"
+        with pytest.raises(OutOfOrderError) as earlier:
+            scorer.score([0], [o - 1], [2])
+        assert str(earlier.value) == "day 2020-01-14 after 2020-01-15 already consumed"
         # The refused days left no trace: day 16 sees only day 15.
         hits, ratios = scorer.score([0], [o + 1], [5])
         assert hits.tolist() == [0] and ratios.tolist() == [2.5]
-        assert scorer.step(0, o + 2, 13) == 13 / 3.5
+        hits, ratios = scorer.score([0], [o + 2], [13])
+        assert hits.tolist() == [0] and ratios.tolist() == [13 / 3.5]
 
     def test_state_is_a_fixed_ring_per_stream(self):
         # However many days a stream has had, it keeps window_halfwidth slots.
@@ -731,7 +728,7 @@ class TestTrailingScorer:
         day = START_DAY.toordinal()
         for k in range(0, 300, 30):
             scorer.score([0, 1, 2] * 30, [day + k + i // 3 for i in range(90)], [1] * 90)
-        scorer.step(40, day, 1)
+        scorer.score([40], [day], [1])
         assert scorer._ring_days.shape == scorer._ring_counts.shape == (41, 4)
         assert sorted(scorer._ring_days[0].tolist()) == list(range(day + 296, day + 300))
 
