@@ -97,21 +97,6 @@ class Histogram:
             for c, lo, hi in zip(self.counts, self.bin_edges, self.bin_edges[1:])
         )
 
-    def density_per_log_width(self) -> tuple[float, ...]:
-        """Counts normalized by total mass and log10 bin width.
-
-        For geometric bins the log widths are uniform, so this keeps the
-        counts' shape while making the numbers comparable across binning
-        granularities.
-        """
-        total = self.total
-        if total == 0:
-            return ()
-        return tuple(
-            c / (total * (math.log10(hi) - math.log10(lo)))
-            for c, lo, hi in zip(self.counts, self.bin_edges, self.bin_edges[1:])
-        )
-
     def value_counts(self) -> dict[int, int]:
         """Value -> count mapping; only meaningful for unit-width linear bins."""
         if self.scheme != "linear":

@@ -15,7 +15,8 @@ window_halfwidth days before the current day), so it can run on live feeds;
 its decisions match a batch pass that uses the same trailing window, not the
 centered one.  stream_step scores one stream a day at a time (watch
 --stdin), and TrailingScorer many streams a batch of closed days at a time
-(the watch replay), with the same decisions.
+(the watch replay) through detect_day_counts' kernel, with the same
+decisions.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ DEFAULT_WINDOW_HALFWIDTH = 14
 # Alert tiers for the streaming detector: ratio >= tier * c, strongest first.
 ALERT_TIERS = (4.0, 2.0, 1.0)
 
-# Window values gathered and sorted at once by the median kernels (1 MB of
-# float64), so the watch scorer's (rows, window) temporaries stay small too.
+# Window values gathered and sorted at once by the median kernel (1 MB of
+# float64), so a wide window over many rows stays small.
 _SORT_CHUNK = 1 << 17
 
 # (article code, day ordinal, count) rows, sorted by article and then day.
@@ -166,7 +167,7 @@ def _window_medians(day_counts: DayCounts, at: np.ndarray, lead: int, width: int
     return out
 
 
-def _row_medians(rows: np.ndarray, sizes: np.ndarray, zeros: np.ndarray | int = 0) -> np.ndarray:
+def _row_medians(rows: np.ndarray, sizes: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """Median of each row's sizes[i] values, 0 for none: zeros[i] zeros, then the row's
     real values (none negative where zeros[i] > 0), the row padded with NaN past them.
 
@@ -186,6 +187,25 @@ def _row_medians(rows: np.ndarray, sizes: np.ndarray, zeros: np.ndarray | int = 
     return medians
 
 
+def _peak_rows(
+    day_counts: DayCounts, rows: np.ndarray, p: PeakParams, width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Those of rows that peak, in their order, and their ratios n / max(median, n_min).
+
+    A row's median is _window_medians' over the width days from
+    window_halfwidth days before its own.  PeakParams holds c > 1 and
+    n_min >= 1, so a row with count <= c * n_min is no peak whatever its
+    median: medians are read for the other rows only.
+    """
+    counts = day_counts[2]
+    rows = rows[counts[rows] > p.c * p.n_min]
+    if rows.size == 0:
+        return rows, np.zeros(0)
+    floor = np.maximum(_window_medians(day_counts, rows, p.window_halfwidth, width), float(p.n_min))
+    hit = counts[rows] > p.c * floor
+    return rows[hit], counts[rows[hit]] / floor[hit]
+
+
 def detect_day_counts(
     names: Sequence[str], kind: str, day_counts: DayCounts, params: PeakParams | None = None,
     *, trailing: bool = False,
@@ -196,23 +216,14 @@ def detect_day_counts(
     Columns.day_counts() gives it; codes index names.  Each day's window,
     centred or (trailing) the window_halfwidth days before it, is clipped to
     its article's first and last row, and a day without a row counts 0.
-    PeakParams holds c > 1 and n_min >= 1, so a row with count <= c * n_min
-    is no peak whatever its median: medians are read for the other rows
-    only.
     """
     p = params or PeakParams()
     codes, days, counts = day_counts
-    candidates = np.flatnonzero(counts > p.c * p.n_min)
-    if candidates.size == 0:
-        return []
     h = p.window_halfwidth
-    floor = np.maximum(_window_medians(day_counts, candidates, h, h if trailing else 2 * h + 1),
-                       float(p.n_min))
-    hits = counts[candidates] > p.c * floor
-    at = candidates[hits]
+    at, ratios = _peak_rows(day_counts, np.arange(codes.size), p, h if trailing else 2 * h + 1)
     if at.size == 0:
         return []
-    ratios = (counts[at] / floor[hits]).tolist()
+    ratios = ratios.tolist()
     code, day = codes[at], days[at]
     # A run breaks where the article changes or a day is skipped.
     breaks = (np.flatnonzero((np.diff(day) != 1) | (np.diff(code) != 0)) + 1).tolist()
@@ -333,27 +344,23 @@ class TrailingScorer:
     A stream is a nonnegative integer code that the caller gives each
     (article, kind).  Every day is scored as stream_step scores it: against
     the median of the window_halfwidth days before it, back to its stream's
-    first day, a day not given counting 0.  Per stream the scorer keeps its
-    first day, its last day and a ring of window_halfwidth slots, slot
-    day % window_halfwidth holding the latest day given there and its count:
-    every day within the window of the last day is in the ring, and a slot
-    that holds another day stands for a 0.  So what a call costs does not
-    grow with the number of streams, and the per-stream arrays double when a
-    larger code arrives.  A day with count <= c * n_min is no peak whatever its
-    median, so medians are read only for the other days: each such candidate
-    is one row of a (candidates, window) matrix, its window's counts taken
-    from the ring and from its stream's earlier days in the batch, NaN past
-    its window's size, and the rows go to _row_medians.  A feed that gives a
-    day at a time is scored by stream_step instead, one StreamState per stream.
+    first day, a day not given counting 0.  The scorer keeps the (stream,
+    day, count) rows a later window can still reach, each stream's together
+    and in day order: the days after its last day less window_halfwidth, and
+    the newest day before them with its count set to 0.  That anchor lies
+    before every later window, so it adds no count, but it keeps the windows
+    from being clipped to the first kept day as to a stream's first day.  So
+    a stream keeps at most window_halfwidth + 1 rows, and never more than the
+    days it was given.  A batch is put after its streams' kept rows and
+    scored by _peak_rows, the kernel detect_day_counts runs.  A feed that
+    gives a day at a time is scored by stream_step instead, one StreamState
+    per stream.
     """
 
     def __init__(self, params: PeakParams | None = None) -> None:
         self.params = params or PeakParams()
-        # Per stream code: its first and last day (0 before it has one), and its ring.
-        self._first = np.zeros(0, dtype=np.int64)
-        self._last = np.zeros(0, dtype=np.int64)
-        self._ring_days = np.zeros((0, self.params.window_halfwidth), dtype=np.int64)
-        self._ring_counts = np.zeros_like(self._ring_days)
+        # The kept rows, as three int64 columns: stream, day, count.
+        self._kept = (np.zeros(0, dtype=np.int64),) * 3
 
     def score(
         self, streams: Sequence[int] | np.ndarray, days: Sequence[int] | np.ndarray,
@@ -367,85 +374,36 @@ class TrailingScorer:
         OutOfOrderError, as stream_step does, and nothing of the batch is
         consumed.
         """
-        streams, days, counts = (np.asarray(a, dtype=np.int64) for a in (streams, days, counts))
-        if streams.size == 0:
-            return streams, np.zeros(0)
-        self._reserve(int(streams.max()) + 1)
-        order = np.argsort(streams, kind="stable")
-        stream, day, count = streams[order], days[order], counts[order]
-        head = np.ones(stream.size, dtype=bool)
-        head[1:] = stream[1:] != stream[:-1]
-        before = np.where(head, self._last[stream], np.roll(day, 1))
-        if (late := (day <= before).nonzero()[0]).size:
-            i = late[np.argmin(order[late])]
-            raise _out_of_order(date.fromordinal(int(day[i])), date.fromordinal(int(before[i])))
-        heads = head.nonzero()[0]
-        tails = np.append(heads[1:] - 1, stream.size - 1)
-        group = np.cumsum(head) - 1
-        first = self._first[stream]
-        first = np.where(first > 0, first, day[heads][group])
-        hits, ratios = self._peaks(stream, day, count, first, heads[group])
-        # The ring keeps the days within the window of each stream's new last day, one a slot.
+        batch = tuple(np.asarray(a, dtype=np.int64) for a in (streams, days, counts))
+        if batch[0].size == 0:
+            return batch[0], np.zeros(0)
+        given = np.zeros(int(max(batch[0].max(), self._kept[0].max(initial=0))) + 1, dtype=bool)
+        given[batch[0]] = True
+        mine = given[self._kept[0]]
+        # The batch's streams' kept rows, then the batch: a stable sort groups each stream's in day order.
+        stream, day, count = (np.concatenate((kept[mine], new)) for kept, new in zip(self._kept, batch))
+        order = np.argsort(stream, kind="stable")
+        rows = stream, day, count = stream[order], day[order], count[order]
+        position = order - np.count_nonzero(mine)  # in the batch; negative for a kept row
+        late = np.flatnonzero((stream[1:] == stream[:-1]) & (day[1:] <= day[:-1])) + 1
+        if late.size:
+            i = late[np.argmin(position[late])]
+            raise _out_of_order(date.fromordinal(int(day[i])), date.fromordinal(int(day[i - 1])))
         w = self.params.window_halfwidth
-        kept = day > day[tails][group] - w
-        self._ring_days[stream[kept], day[kept] % w] = day[kept]
-        self._ring_counts[stream[kept], day[kept] % w] = count[kept]
-        self._first[stream[heads]] = first[heads]
-        self._last[stream[tails]] = day[tails]
-        hits = order[hits]
+        hits, ratios = _peak_rows(rows, np.flatnonzero(position >= 0), self.params, w)
+        # A stream keeps its days after its last day less w, a suffix of its rows, and the row
+        # before them as the anchor, its count 0.
+        last = np.zeros(given.size, dtype=np.int64)
+        np.maximum.at(last, stream, day)
+        keep = day > last[stream] - w
+        anchor = np.zeros_like(keep)
+        anchor[:-1] = keep[1:] & ~keep[:-1]
+        count[anchor] = 0
+        keep |= anchor
+        self._kept = tuple(np.concatenate((kept[~mine], new[keep])) for kept, new in zip(self._kept, rows))
+        hits = position[hits]
         by_position = np.argsort(hits)
         return hits[by_position], ratios[by_position]
-
-    def _reserve(self, streams: int) -> None:
-        """Room for the stream codes below streams: the per-stream arrays at least double."""
-        have = self._first.size
-        if streams <= have:
-            return
-        grow = max(streams, 2 * have) - have
-        self._first = np.append(self._first, np.zeros(grow, dtype=np.int64))
-        self._last = np.append(self._last, np.zeros(grow, dtype=np.int64))
-        ring = np.zeros((grow, self.params.window_halfwidth), dtype=np.int64)
-        self._ring_days = np.concatenate((self._ring_days, ring))
-        self._ring_counts = np.concatenate((self._ring_counts, ring))
-
-    def _ring_rows(self, streams: np.ndarray, starts: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
-        """One float row per stream: the counts its ring holds for days starts .. starts + width - 1,
-        0 for a day it does not hold, NaN from sizes on."""
-        wanted = starts[:, None] + np.arange(width)
-        at = streams[:, None], wanted % self.params.window_halfwidth
-        rows = np.where(self._ring_days[at] == wanted, self._ring_counts[at], 0).astype(np.float64)
-        rows[np.arange(width) >= sizes[:, None]] = np.nan
-        return rows
-
-    def _peaks(
-        self, stream: np.ndarray, day: np.ndarray, count: np.ndarray, first: np.ndarray, head: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The peak positions and ratios of a batch grouped by stream, before it enters the rings.
-
-        first and head hold each position's stream's first day and its
-        stream's first position in the batch.
-        """
-        p = self.params
-        cand = (count > p.c * p.n_min).nonzero()[0]
-        if cand.size == 0:
-            return cand, np.zeros(0)
-        sizes = np.minimum(day[cand] - first[cand], p.window_halfwidth)
-        starts = day[cand] - sizes
-        width = max(int(sizes.max()), 1)
-        medians = np.empty(cand.size)
-        step = max(1, _SORT_CHUNK // width)
-        for a in range(0, cand.size, step):
-            at, start, size = cand[a:a + step], starts[a:a + step], sizes[a:a + step]
-            rows = self._ring_rows(stream[at], start, size, width)
-            # A window's days in the batch are among the width positions before its day.
-            back = at[:, None] - np.arange(1, width + 1)
-            r, k = ((back >= head[at, None]) & (day[np.maximum(back, 0)] >= start[:, None])).nonzero()
-            back = back[r, k]
-            rows[r, day[back] - start[r]] = count[back]
-            medians[a:a + step] = _row_medians(rows, size)
-        floor = np.maximum(medians, float(p.n_min))
-        hit = count[cand] > p.c * floor
-        return cand[hit], count[cand][hit] / floor[hit]
 
 
 def alert_tier(ratio: float, params: PeakParams | None = None) -> int | None:

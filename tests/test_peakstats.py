@@ -234,12 +234,6 @@ class TestLogBinnedHistogram:
         assert dens[0] == pytest.approx(1 / (3 * 9.0))
         assert dens[1] == pytest.approx(1 / (3 * 90.0))
 
-    def test_density_per_log_width_is_flat_here(self):
-        # One sample per decade: per-log-width density is constant.
-        hist = log_binned_histogram([1, 10, 100], bins_per_decade=1)
-        per_log = hist.density_per_log_width()
-        assert per_log[0] == pytest.approx(per_log[1]) == pytest.approx(per_log[2])
-
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             log_binned_histogram([1.0, 0.0])

@@ -721,16 +721,40 @@ class TestTrailingScorer:
         hits, ratios = scorer.score([0], [o + 2], [13])
         assert hits.tolist() == [0] and ratios.tolist() == [13 / 3.5]
 
-    def test_state_is_a_fixed_ring_per_stream(self):
-        # However many days a stream has had, it keeps window_halfwidth slots.
+    def test_state_is_the_rows_a_later_window_reaches(self):
+        # However many days a stream has had, it keeps its last window_halfwidth
+        # days and, as an anchor, the day before them with its count zeroed.
         params = PeakParams(c=2.0, n_min=1, window_halfwidth=4)
         scorer = timeseries.TrailingScorer(params)
         day = START_DAY.toordinal()
         for k in range(0, 300, 30):
             scorer.score([0, 1, 2] * 30, [day + k + i // 3 for i in range(90)], [1] * 90)
         scorer.score([40], [day], [1])
-        assert scorer._ring_days.shape == scorer._ring_counts.shape == (41, 4)
-        assert sorted(scorer._ring_days[0].tolist()) == list(range(day + 296, day + 300))
+        streams, days, counts = scorer._kept
+        assert np.bincount(streams).tolist() == [5, 5, 5] + [0] * 37 + [1]
+        assert days[streams == 0].tolist() == list(range(day + 295, day + 300))
+        assert counts[streams == 0].tolist() == [0, 1, 1, 1, 1]
+
+    def test_memory_follows_the_days_given_not_the_window(self):
+        # 50 streams of 40 days under a 20,000-day window: a state sized by the
+        # window would hold 16 MB.
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=20_000)
+        day = START_DAY.toordinal()
+
+        def feed():
+            scorer = timeseries.TrailingScorer(params)
+            found = []
+            for k in range(0, 40, 10):
+                offsets = np.repeat(np.arange(k, k + 10), 50)
+                hits, _ = scorer.score(np.tile(np.arange(50), 10), day + offsets,
+                                       np.where(offsets % 3 == 0, 9, 3))
+                found.append(hits.size)
+            return found
+
+        found, peak = peak_bytes(feed)
+        # A 9 peaks over the 3s before it (the first day over nothing); a 3 never does.
+        assert found == [200, 150, 150, 200]
+        assert peak < 2 << 20
 
     def test_empty_batch(self):
         hits, ratios = timeseries.TrailingScorer().score([], [], [])
