@@ -417,10 +417,11 @@ def _articles_table(
 
 def _daily_total_rows(edits: DayCounts, comments: DayCounts) -> list[list[object]]:
     """Corpus-wide (day, edits, comments) for every day with any activity, from each load's day_counts()."""
-    day_counts = [kind_counts[1:] for kind_counts in (edits, comments)]
-    active = ingest.distinct(np.concatenate([days for days, _ in day_counts]))
-    totals = [np.bincount(np.searchsorted(active, days), counts, active.size).astype(np.int64).tolist()
-              for days, counts in day_counts]
+    # With return_inverse, np.unique leaves numpy.ma unimported; a plain call imports it.
+    active, where = np.unique(np.concatenate((edits[1], comments[1])), return_inverse=True)
+    split = edits[1].size
+    totals = [np.bincount(at, counts, active.size).astype(np.int64).tolist()
+              for at, counts in ((where[:split], edits[2]), (where[split:], comments[2]))]
     return [[date.fromordinal(day), *kinds] for day, *kinds in zip(active.tolist(), *totals)]
 
 
@@ -705,15 +706,13 @@ WATCH_HEADER = ("article", "kind", "day", "count", "ratio", "tier")
 
 
 def _alerts(
-    scorer: timeseries.TrailingScorer, names: list[str], kind: str,
-    codes: np.ndarray, days: np.ndarray, counts: np.ndarray,
+    params: PeakParams, names: list[str], kind: str,
+    codes: np.ndarray, days: np.ndarray, counts: np.ndarray, ratios: np.ndarray,
 ) -> list[list[object]]:
-    """An alert row for each of a batch of closed days that peaks on its stream, (names[code], kind)."""
-    hits, ratios = scorer.score(codes, days, counts)
+    """An alert row for each peak day a scorer gives, on stream (names[code], kind)."""
     return [
-        [names[code], kind, date.fromordinal(day), count, ratio, timeseries.alert_tier(ratio, scorer.params)]
-        for code, day, count, ratio in zip(
-            codes[hits].tolist(), days[hits].tolist(), counts[hits].tolist(), ratios.tolist())
+        [names[code], kind, date.fromordinal(day), count, ratio, timeseries.alert_tier(ratio, params)]
+        for code, day, count, ratio in zip(codes.tolist(), days.tolist(), counts.tolist(), ratios.tolist())
     ]
 
 
@@ -729,9 +728,10 @@ def simulate_watch(
     """Replay an event file through the streaming detector.
 
     Returns one alert row (article, kind, day, count, ratio, tier) per
-    detected peak day.  A day is closed and scored once a later day for the
-    same article arrives, or at end of file; each chunk's closed days are
-    scored as one batch.  Without sort=True the events must already be
+    detected peak day.  Each chunk's (article, day) runs are fed to one
+    TrailingScorer, which closes and scores a day once a later day for the
+    same article arrives; the days still open at end of file come last, by
+    article name.  Without sort=True the events must already be
     chronological within each article and a step backwards raises
     OutOfOrderError; sort=True buffers everything and replays each
     article's days in order, articles by name, trading memory for shuffled
@@ -739,13 +739,22 @@ def simulate_watch(
     events after now (default: the clock, read once when loading starts).
     """
     scorer = timeseries.TrailingScorer(params)
+    p = scorer.params
     if sort:
         columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now)
-        return _alerts(scorer, columns.names, kind, *columns.day_counts())
-    alerts: list[list[object]] = []
-    chunks = ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now)
-    for names, *closed in ingest.closed_days(chunks):
-        alerts += _alerts(scorer, names, kind, *closed)
+        names = columns.names
+        alerts = _alerts(p, names, kind, *scorer.feed(names, *columns.day_counts()))
+        alerts += _alerts(p, names, kind, *scorer.close())
+        alerts.sort(key=lambda row: (row[0], row[2]))
+        return alerts
+    alerts = []
+    names: list[str] = []
+    for chunk in ingest.read_chunks(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
+        names, runs = chunk.names, chunk.day_runs()
+        # Not kept alive while the next block is read and checked.
+        del chunk
+        alerts += _alerts(p, names, kind, *scorer.feed(names, *runs))
+    alerts += sorted(_alerts(p, names, kind, *scorer.close()), key=lambda row: row[0])
     return alerts
 
 

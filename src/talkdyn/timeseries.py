@@ -14,8 +14,9 @@ The streaming variant looks only backwards (median of the trailing
 window_halfwidth days before the current day), so it can run on live feeds;
 its decisions match a batch pass that uses the same trailing window, not the
 centered one.  stream_step scores one stream a day at a time (watch
---stdin), and TrailingScorer many streams a batch of closed days at a time
-(the watch replay) through detect_day_counts' kernel, with the same
+--stdin), and TrailingScorer many streams a batch of event runs at a time
+(the watch replay): it sums each stream's days, closes a day once a later
+one arrives and scores it through detect_day_counts' kernel, with the same
 decisions.
 """
 
@@ -308,11 +309,6 @@ class StreamState:
         return (float(ordered[(size - 1) // 2]) + float(ordered[size // 2])) / 2 if size else 0.0
 
 
-def _out_of_order(day: date, last: date) -> OutOfOrderError:
-    """The error for a day at or before the last day its stream consumed."""
-    return OutOfOrderError(f"day {day} after {last} already consumed")
-
-
 def stream_step(
     state: StreamState, day: date, count: int, params: PeakParams | None = None
 ) -> tuple[float, bool, StreamState]:
@@ -328,7 +324,7 @@ def stream_step(
     if state.current_day is not None:
         gap = (day - state.current_day).days
         if gap <= 0:
-            raise _out_of_order(day, state.current_day)
+            raise OutOfOrderError(f"day {day} after {state.current_day} already consumed")
         state.push_zeros(gap - 1)
     floor = max(state.median(), float(p.n_min))
     ratio = count / floor
@@ -339,22 +335,24 @@ def stream_step(
 
 
 class TrailingScorer:
-    """Streaming peak detection for many streams, a batch of closed days at a time.
+    """Streaming peak detection for many streams, fed runs of events a batch at a time.
 
     A stream is a nonnegative integer code that the caller gives each
-    (article, kind).  Every day is scored as stream_step scores it: against
-    the median of the window_halfwidth days before it, back to its stream's
-    first day, a day not given counting 0.  The scorer keeps the (stream,
-    day, count) rows a later window can still reach, each stream's together
-    and in day order: the days after its last day less window_halfwidth, and
-    the newest day before them with its count set to 0.  That anchor lies
-    before every later window, so it adds no count, but it keeps the windows
-    from being clipped to the first kept day as to a stream's first day.  So
-    a stream keeps at most window_halfwidth + 1 rows, and never more than the
-    days it was given.  A batch is put after its streams' kept rows and
-    scored by _peak_rows, the kernel detect_day_counts runs.  A feed that
-    gives a day at a time is scored by stream_step instead, one StreamState
-    per stream.
+    (article, kind).  Runs of one stream and day are summed, and a stream's
+    last day stays open until a later day of it arrives, which closes it, or
+    until close().  Every closed day is scored as stream_step scores it:
+    against the median of the window_halfwidth days before it, back to its
+    stream's first day, a day not given counting 0.  The scorer keeps the
+    (stream, day, count) rows a later window can still reach, each stream's
+    together and in day order: its open day, the window_halfwidth days
+    before it, and the newest day before them with its count set to 0.  That
+    anchor lies before every later window, so it adds no count, but it keeps
+    the windows from being clipped to the first kept day as to a stream's
+    first day.  So a stream keeps at most window_halfwidth + 2 rows, and
+    never more than the days it was given.  A batch is put after its
+    streams' kept rows, its days summed, and the days it closes scored by
+    _peak_rows, the kernel detect_day_counts runs.  A feed that gives a day
+    at a time is scored by stream_step instead, one StreamState per stream.
     """
 
     def __init__(self, params: PeakParams | None = None) -> None:
@@ -362,48 +360,73 @@ class TrailingScorer:
         # The kept rows, as three int64 columns: stream, day, count.
         self._kept = (np.zeros(0, dtype=np.int64),) * 3
 
-    def score(
-        self, streams: Sequence[int] | np.ndarray, days: Sequence[int] | np.ndarray,
-        counts: Sequence[int] | np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Consume a batch of closed days; return the positions of its peak days and their ratios.
+    def feed(
+        self, names: Sequence[str], streams: Sequence[int] | np.ndarray,
+        days: Sequence[int] | np.ndarray, counts: Sequence[int] | np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Consume a batch of runs; return (streams, days, counts, ratios) of the peak days it closes.
 
         streams, days (ordinals) and counts are equal-length integer
-        sequences, and each stream's days are scored in the order given.  A
-        day at or before the day before it in its stream raises
-        OutOfOrderError, as stream_step does, and nothing of the batch is
-        consumed.
+        sequences in arrival order, as Chunk.day_runs() gives them; streams
+        index names, which only name a stream in an error.  The days come
+        out in the order of the runs that close them.  A run on a day before
+        the one before it in its stream raises OutOfOrderError, for the
+        first such run in batch order, and nothing of the batch is consumed.
         """
         batch = tuple(np.asarray(a, dtype=np.int64) for a in (streams, days, counts))
         if batch[0].size == 0:
-            return batch[0], np.zeros(0)
+            return (*batch, np.zeros(0))
         given = np.zeros(int(max(batch[0].max(), self._kept[0].max(initial=0))) + 1, dtype=bool)
         given[batch[0]] = True
         mine = given[self._kept[0]]
         # The batch's streams' kept rows, then the batch: a stable sort groups each stream's in day order.
         stream, day, count = (np.concatenate((kept[mine], new)) for kept, new in zip(self._kept, batch))
         order = np.argsort(stream, kind="stable")
-        rows = stream, day, count = stream[order], day[order], count[order]
+        stream, day, count = stream[order], day[order], count[order]
         position = order - np.count_nonzero(mine)  # in the batch; negative for a kept row
-        late = np.flatnonzero((stream[1:] == stream[:-1]) & (day[1:] <= day[:-1])) + 1
-        if late.size:
-            i = late[np.argmin(position[late])]
-            raise _out_of_order(date.fromordinal(int(day[i])), date.fromordinal(int(day[i - 1])))
+        stream_head = np.ones(stream.size, dtype=bool)
+        stream_head[1:] = stream[1:] != stream[:-1]
+        backward = np.flatnonzero(~stream_head[1:] & (day[1:] < day[:-1])) + 1
+        if backward.size:
+            i = int(backward[np.argmin(position[backward])])
+            raise OutOfOrderError(
+                f"{names[stream[i]]}: event on {date.fromordinal(int(day[i]))} arrived after"
+                f" {date.fromordinal(int(day[i - 1]))}; rerun with --sort"
+            )
+        day_head = stream_head.copy()
+        day_head[1:] |= day[1:] != day[:-1]
+        heads = np.flatnonzero(day_head)
+        rows = stream, day, count = stream[heads], day[heads], np.add.reduceat(count, heads)
+        position = position[heads]
+        # A stream's last day stays open; a kept day before its stream's last kept day is scored.
+        last = np.append(stream[1:] != stream[:-1], True)
+        scored = position < 0
+        scored[:-1] &= position[1:] < 0
         w = self.params.window_halfwidth
-        hits, ratios = _peak_rows(rows, np.flatnonzero(position >= 0), self.params, w)
-        # A stream keeps its days after its last day less w, a suffix of its rows, and the row
+        hits, ratios = _peak_rows(rows, np.flatnonzero(~scored & ~last), self.params, w)
+        # A day is closed by the first run of the next day of its stream.
+        by_closing = np.argsort(position[hits + 1])
+        hits = hits[by_closing]
+        closed = stream[hits], day[hits], count[hits], ratios[by_closing]
+        # A stream keeps its days from its last day less w, a suffix of its rows, and the row
         # before them as the anchor, its count 0.
-        last = np.zeros(given.size, dtype=np.int64)
-        np.maximum.at(last, stream, day)
-        keep = day > last[stream] - w
+        ends = np.flatnonzero(last)
+        keep = day >= np.repeat(day[ends], np.diff(ends, prepend=-1)) - w
         anchor = np.zeros_like(keep)
         anchor[:-1] = keep[1:] & ~keep[:-1]
         count[anchor] = 0
         keep |= anchor
         self._kept = tuple(np.concatenate((kept[~mine], new[keep])) for kept, new in zip(self._kept, rows))
-        hits = position[hits]
-        by_position = np.argsort(hits)
-        return hits[by_position], ratios[by_position]
+        return closed
+
+    def close(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Score every stream's open day and empty the state; return (streams, days, counts,
+        ratios) of those that peak."""
+        rows = stream, day, count = self._kept
+        self._kept = (np.zeros(0, dtype=np.int64),) * 3
+        last = np.flatnonzero(np.append(stream[1:] != stream[:-1], stream.size > 0))
+        hits, ratios = _peak_rows(rows, last, self.params, self.params.window_halfwidth)
+        return stream[hits], day[hits], count[hits], ratios
 
 
 def alert_tier(ratio: float, params: PeakParams | None = None) -> int | None:

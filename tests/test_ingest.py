@@ -28,6 +28,7 @@ from talkdyn import (
     Diagnostics,
     EditEvent,
     IngestError,
+    PeakParams,
     build_series,
     load_events,
 )
@@ -1198,23 +1199,31 @@ class TestReadersBoundedByBytes:
         assert peak < 1.5 * size
 
     def test_replay_drops_each_chunk_before_the_next(self, tmp_path):
+        # Ten comments a day, then a burst of thirty on the last day.
         path = tmp_path / "c.jsonl"
         path.write_text("".join(
             f'{{"article":"A{i % 3}","id":"c{i}","parent":null,"depth":0,'
-            f'"ts":"2010-01-{1 + i // 10:02d}T00:00:00Z","author":null,"ord":{i}}}\n' for i in range(200)))
+            f'"ts":"2010-01-{1 + min(i, 170) // 10:02d}T00:00:00Z","author":null,"ord":{i}}}\n'
+            for i in range(200)))
+        params = PeakParams(c=2.0, n_min=1, window_halfwidth=7)
         alive = []
+        read_chunks = ingest.read_chunks
 
-        def chunks():
-            for chunk in ingest.read_chunks(path, COMMENT, now=ORACLE_NOW):
+        def chunks(*args, **kwargs):
+            for chunk in read_chunks(*args, **kwargs):
                 # The next block has been read and checked: the replay holds no earlier chunk.
                 assert all(ref() is None for ref in alive)
                 alive.append(weakref.ref(chunk))
                 yield chunk
 
         with mock.patch.object(ingest, "_CHUNK_BYTES", 1 << 10):
-            days = list(ingest.closed_days(chunks()))
+            want = cli.simulate_watch(path, params, now=ORACLE_NOW)
+            with mock.patch.object(ingest, "read_chunks", chunks):
+                alerts = cli.simulate_watch(path, params, now=ORACLE_NOW)
         assert len(alive) > 2
-        assert sum(counts.sum() for *_, counts in days) == 200
+        assert [(article, str(day)) for article, _, day, *_ in want][-3:] == [
+            ("A0", "2010-01-18"), ("A1", "2010-01-18"), ("A2", "2010-01-18")]
+        assert alerts == want
 
     def test_load_drops_each_chunk_before_the_next(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -635,10 +635,9 @@ def counts_at(schedule: list[tuple[int, int]], offset: int) -> int:
 STREAM_KEYS = [("A", "edit"), ("A", "comment"), ("B", "edit"), ("C", "comment")]
 
 
-@st.composite
-def closed_day_batches(draw):
-    """Params, the closed (article, kind, day ordinal, count) days of up to four streams in one
-    interleaved order, and that order cut into batches at random points."""
+def stream_days(draw, min_count: int = 0):
+    """Params and the (article, kind, day ordinal, count) days of up to four streams in one
+    interleaved order, each stream's in day order."""
     window = draw(st.integers(min_value=1, max_value=20))
     # Half the draws are candidate-heavy (c near 1, n_min 1): most days then read a median.
     heavy = draw(st.booleans())
@@ -650,30 +649,70 @@ def closed_day_batches(draw):
         st.sampled_from(keys),
         # Mostly dense days, so medians rise above n_min; some gaps outrun the window.
         st.one_of(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3 * window + 2)),
-        st.one_of(st.integers(min_value=0, max_value=30), st.integers(min_value=20, max_value=150)),
+        st.one_of(st.integers(min_value=min_count, max_value=30), st.integers(min_value=20, max_value=150)),
     ), min_size=1, max_size=80))
     last: dict[tuple[str, str], int] = {}
     days = []
     for key, gap, count in steps:
         last[key] = last.get(key, START_DAY.toordinal()) + gap
         days.append((*key, last[key], count))
-    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(days)), max_size=8)))
-    batches = [days[a:b] for a, b in zip([0, *cuts], [*cuts, len(days)])]
-    return params, days, batches
+    return params, days
+
+
+def cut(draw, items: list) -> list[list]:
+    """items cut into batches at random points."""
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(items)), max_size=8)))
+    return [items[a:b] for a, b in zip([0, *cuts], [*cuts, len(items)])]
+
+
+@st.composite
+def closed_day_batches(draw):
+    """Params, the closed days of stream_days and that order cut into batches at random points."""
+    params, days = stream_days(draw)
+    return params, days, cut(draw, days)
+
+
+@st.composite
+def split_day_batches(draw):
+    """Params, the days of stream_days, and their runs cut into batches at random points.
+
+    Each day's count is split into 1-3 positive runs.  The runs are shuffled,
+    then each stream's are put back in day order in the places its runs took,
+    so other streams' runs may fall between the runs of one day.
+    """
+    params, days = stream_days(draw, min_count=1)
+    runs = []
+    for article, kind, day, count in days:
+        splits = sorted(draw(st.sets(st.integers(min_value=1, max_value=count - 1), max_size=2))) \
+            if count > 1 else []
+        runs += [(article, kind, day, b - a) for a, b in zip([0, *splits], [*splits, count])]
+    shuffled = draw(st.permutations(runs))
+    queues = {key: iter([run for run in runs if run[:2] == key]) for key in STREAM_KEYS}
+    return params, days, cut(draw, [next(queues[run[:2]]) for run in shuffled])
+
+
+def by_stream(rows: list[list[object]]) -> list[list[object]]:
+    """Alert rows sorted by article, kind and day."""
+    return sorted(rows, key=lambda row: row[:3])
 
 
 def scorer_alerts(params: PeakParams, batches) -> list[list[object]]:
-    """The alert rows of a TrailingScorer fed the batches in order, one stream code per key."""
+    """The alert rows of a TrailingScorer fed the runs of the batches in order, then closed, one
+    stream code per key, sorted by stream and day."""
     scorer = timeseries.TrailingScorer(params)
     codes: dict[tuple[str, str], int] = {}
     rows = []
+
+    def alerts(streams, days, counts, ratios):
+        keys = list(codes)
+        for stream, day, count, ratio in zip(streams.tolist(), days.tolist(), counts.tolist(), ratios.tolist()):
+            rows.append([*keys[stream], date.fromordinal(day), count, ratio, alert_tier(ratio, params)])
+
     for batch in batches:
         streams = [codes.setdefault((article, kind), len(codes)) for article, kind, _, _ in batch]
-        found, ratios = scorer.score(streams, [day for *_, day, _ in batch], [n for *_, n in batch])
-        for i, ratio in zip(found.tolist(), ratios.tolist()):
-            article, kind, day, count = batch[i]
-            rows.append([article, kind, date.fromordinal(day), count, ratio, alert_tier(ratio, params)])
-    return rows
+        alerts(*scorer.feed(list(codes), streams, [day for *_, day, _ in batch], [n for *_, n in batch]))
+    alerts(*scorer.close())
+    return by_stream(rows)
 
 
 class TestTrailingScorer:
@@ -682,12 +721,20 @@ class TestTrailingScorer:
     def test_batches_alert_as_the_definition(self, drawn):
         params, days, batches = drawn
         want = stream_alerts_oracle(days, params)
-        assert scorer_alerts(params, batches) == want
+        assert scorer_alerts(params, batches) == by_stream(want)
         # watch --stdin scores the same days a row at a time, through stream_step.
         feed = "".join(f"{article},{kind},{date.fromordinal(day)},{count}\n"
                        for article, kind, day, count in days)
         with mock.patch("sys.stdin", io.StringIO(feed)):
             assert list(cli._stdin_alerts(params)) == want
+
+    @given(drawn=split_day_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_days_split_into_runs_alert_as_their_sums(self, drawn):
+        # A day's runs may come in several batches, between other streams' runs:
+        # the scorer sums them and scores the day once a later day closes it.
+        params, days, batches = drawn
+        assert scorer_alerts(params, batches) == by_stream(stream_alerts_oracle(days, params))
 
     def test_candidate_on_a_streams_first_day(self):
         # Nothing before the first day: the median is 0 and the floor n_min.
@@ -695,70 +742,73 @@ class TestTrailingScorer:
         assert scorer_alerts(PeakParams(), [[("A", "edit", day, 51), ("B", "edit", day, 50)]]) \
             == [["A", "edit", START_DAY, 51, 5.1, 1]]
 
-    def test_day_not_after_the_last_raises_as_stream_step_and_consumes_nothing(self):
+    def test_equal_day_sums_backward_run_raises_consumes_nothing(self):
         params = PeakParams(c=2.0, n_min=1, window_halfwidth=3)
-        day = date(2020, 1, 15)
-        state = StreamState(window=3)
-        stream_step(state, day, 2, params)
-        with pytest.raises(OutOfOrderError) as want:
-            stream_step(state, day, 2, params)
         scorer = timeseries.TrailingScorer(params)
-        o = day.toordinal()
-        scorer.score([0], [o], [2])
-        with pytest.raises(OutOfOrderError) as repeated:
-            scorer.score([0], [o], [2])
-        assert str(repeated.value) == str(want.value) == "day 2020-01-15 after 2020-01-15 already consumed"
-        # Within a batch, the first day out of order in batch order is named.
+        names = ["A", "B"]
+        o = date(2020, 1, 15).toordinal()
+        # Runs of one day, in one batch or across batches, are summed into one open day.
+        for batch in (([0, 0], [o, o], [1, 1]), ([0], [o], [1])):
+            assert all(a.size == 0 for a in scorer.feed(names, *batch))
+        # The first run in batch order on a day before the one before it is named, as the replay does.
         with pytest.raises(OutOfOrderError) as backward:
-            scorer.score([1, 0, 1, 0], [o + 5, o + 3, o + 4, o + 2], [1] * 4)
-        assert str(backward.value) == "day 2020-01-19 after 2020-01-20 already consumed"
+            scorer.feed(names, [1, 0, 1, 0], [o + 5, o + 3, o + 4, o + 2], [1] * 4)
+        assert str(backward.value) == "B: event on 2020-01-19 arrived after 2020-01-20; rerun with --sort"
         with pytest.raises(OutOfOrderError) as earlier:
-            scorer.score([0], [o - 1], [2])
-        assert str(earlier.value) == "day 2020-01-14 after 2020-01-15 already consumed"
-        # The refused days left no trace: day 16 sees only day 15.
-        hits, ratios = scorer.score([0], [o + 1], [5])
-        assert hits.tolist() == [0] and ratios.tolist() == [2.5]
-        hits, ratios = scorer.score([0], [o + 2], [13])
-        assert hits.tolist() == [0] and ratios.tolist() == [13 / 3.5]
+            scorer.feed(names, [0], [o - 1], [2])
+        assert str(earlier.value) == "A: event on 2020-01-14 arrived after 2020-01-15; rerun with --sort"
+        # A run that would close day 15 does not, when a later run of its batch is refused.
+        with pytest.raises(OutOfOrderError) as closing:
+            scorer.feed(names, [0, 0], [o + 1, o], [5, 1])
+        assert str(closing.value) == "A: event on 2020-01-15 arrived after 2020-01-16; rerun with --sort"
+        # The refused runs left no trace: day 15 holds 3, day 16 sees only it, and B has no day.
+        assert [a.tolist() for a in scorer.feed(names, [0], [o + 1], [7])] == [[0], [o], [3], [3.0]]
+        assert [a.tolist() for a in scorer.feed(names, [0], [o + 2], [13])] == [[0], [o + 1], [7], [7 / 3]]
+        assert [a.tolist() for a in scorer.close()] == [[0], [o + 2], [13], [13 / 5]]
 
     def test_state_is_the_rows_a_later_window_reaches(self):
-        # However many days a stream has had, it keeps its last window_halfwidth
-        # days and, as an anchor, the day before them with its count zeroed.
+        # However many days a stream has had, it keeps its open day, the
+        # window_halfwidth days before it and, as an anchor, the day before them
+        # with its count zeroed.
         params = PeakParams(c=2.0, n_min=1, window_halfwidth=4)
         scorer = timeseries.TrailingScorer(params)
+        names = [str(code) for code in range(41)]
         day = START_DAY.toordinal()
         for k in range(0, 300, 30):
-            scorer.score([0, 1, 2] * 30, [day + k + i // 3 for i in range(90)], [1] * 90)
-        scorer.score([40], [day], [1])
+            scorer.feed(names, [0, 1, 2] * 30, [day + k + i // 3 for i in range(90)], [1] * 90)
+        scorer.feed(names, [40], [day], [1])
         streams, days, counts = scorer._kept
-        assert np.bincount(streams).tolist() == [5, 5, 5] + [0] * 37 + [1]
-        assert days[streams == 0].tolist() == list(range(day + 295, day + 300))
-        assert counts[streams == 0].tolist() == [0, 1, 1, 1, 1]
+        assert np.bincount(streams).tolist() == [6, 6, 6] + [0] * 37 + [1]
+        assert days[streams == 0].tolist() == list(range(day + 294, day + 300))
+        assert counts[streams == 0].tolist() == [0, 1, 1, 1, 1, 1]
 
     def test_memory_follows_the_days_given_not_the_window(self):
         # 50 streams of 40 days under a 20,000-day window: a state sized by the
         # window would hold 16 MB.
         params = PeakParams(c=2.0, n_min=1, window_halfwidth=20_000)
         day = START_DAY.toordinal()
+        names = [str(code) for code in range(50)]
 
         def feed():
             scorer = timeseries.TrailingScorer(params)
             found = []
             for k in range(0, 40, 10):
                 offsets = np.repeat(np.arange(k, k + 10), 50)
-                hits, _ = scorer.score(np.tile(np.arange(50), 10), day + offsets,
-                                       np.where(offsets % 3 == 0, 9, 3))
-                found.append(hits.size)
-            return found
+                streams, *_ = scorer.feed(names, np.tile(np.arange(50), 10), day + offsets,
+                                          np.where(offsets % 3 == 0, 9, 3))
+                found.append(streams.size)
+            return found + [scorer.close()[0].size]
 
         found, peak = peak_bytes(feed)
-        # A 9 peaks over the 3s before it (the first day over nothing); a 3 never does.
-        assert found == [200, 150, 150, 200]
+        # A 9 peaks over the 3s before it (the first day over nothing); a 3 never
+        # does.  A batch's last day is scored by the next batch, or by close().
+        assert found == [150, 200, 150, 150, 50]
         assert peak < 2 << 20
 
     def test_empty_batch(self):
-        hits, ratios = timeseries.TrailingScorer().score([], [], [])
-        assert hits.size == 0 and ratios.size == 0
+        scorer = timeseries.TrailingScorer()
+        assert all(a.size == 0 for a in scorer.feed([], [], [], []))
+        assert all(a.size == 0 for a in scorer.close())
 
 
 class TestAlertTier:
