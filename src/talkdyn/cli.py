@@ -22,7 +22,6 @@ import logging
 import math
 import re
 import sys
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from itertools import zip_longest
@@ -314,9 +313,7 @@ def _sample_sets(runs: Runs) -> Samples:
     """
     sets = {}
     for kind, kind_runs in runs.items():
-        by_article: dict[str, list[PeakRun]] = defaultdict(list)
-        for run in kind_runs:
-            by_article[run.article_id].append(run)
+        by_article = peakstats.runs_by_article(kind_runs)
         sets[kind] = {
             "peaks_per_article": [len(article_runs) for article_runs in by_article.values()],
             "run_length": [run.length for run in kind_runs],
@@ -390,22 +387,19 @@ def _articles_table(
     A cell whose precondition is unmet (no dated comments, too few h steps,
     ...) stays blank rather than 0, so a blank always means "not computable".
     """
-    n_runs = {kind: Counter(r.article_id for r in kind_runs) for kind, kind_runs in runs.items()}
-    longest: dict[str, int] = {}
-    for kind_runs in runs.values():
-        for run in kind_runs:
-            longest[run.article_id] = max(longest.get(run.article_id, 0), run.length)
+    by_article = {kind: peakstats.runs_by_article(kind_runs) for kind, kind_runs in runs.items()}
     rows = []
     for article in sorted(set(edit_counts) | set(trees)):
         tree = trees.get(article)
         pace, status = paces.get(article), statuses.get(article)
+        edit_runs, comment_runs = (by_article[kind].get(article, []) for kind in (EDIT, COMMENT))
         rows.append([
             article,
             edit_counts.get(article, 0),
             tree.n_comments if tree else 0,
-            n_runs[EDIT][article],
-            n_runs[COMMENT][article],
-            longest.get(article),
+            len(edit_runs),
+            len(comment_runs),
+            max((run.length for run in edit_runs + comment_runs), default=None),
             discussion.h_index(tree) if tree else None,
             pace.value if pace else None,
             status.mature if status else None,

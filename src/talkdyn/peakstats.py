@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +105,14 @@ class Histogram:
         }
 
 
+def runs_by_article(runs: Iterable[PeakRun]) -> dict[str, list[PeakRun]]:
+    """Each article's runs in the order given, articles in first-seen order."""
+    by_article: dict[str, list[PeakRun]] = {}
+    for run in runs:
+        by_article.setdefault(run.article_id, []).append(run)
+    return by_article
+
+
 def overlap(
     comment_runs: Iterable[PeakRun],
     edit_runs: Iterable[PeakRun],
@@ -121,26 +128,21 @@ def overlap(
     """
     if tolerance_days < 0:
         raise ValueError(f"tolerance_days must be >= 0, got {tolerance_days}")
-    spans: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for run in edit_runs:
-        start = run.start_day.toordinal()
-        spans[run.article_id].append((start, start + run.length - 1))
-    # Per article, the edit runs' starts in order and the furthest day any run so far reaches.
-    reach = {}
-    for article, pairs in spans.items():
-        pairs.sort()
-        reach[article] = ([a for a, _ in pairs], list(accumulate((b for _, b in pairs), max)))
+    # Per article, its edit peak days in order.
+    peak_days = {
+        article: sorted(run.start_day.toordinal() + i for run in article_runs for i in range(run.length))
+        for article, article_runs in runs_by_article(edit_runs).items()
+    }
     n_runs = 0
     articles: set[str] = set()
     for run in comment_runs:
-        if run.article_id not in reach:
+        days = peak_days.get(run.article_id)
+        if days is None:
             continue
-        starts, furthest = reach[run.article_id]
-        lo = run.start_day.toordinal() - tolerance_days
-        hi = run.start_day.toordinal() + run.length - 1 + tolerance_days
-        # Some edit run meets [lo, hi] when one starting by hi reaches lo.
-        last = bisect_right(starts, hi) - 1
-        if last >= 0 and furthest[last] >= lo:
+        start = run.start_day.toordinal()
+        # The first edit peak day at or after start - t lies by end + t.
+        at = bisect_left(days, start - tolerance_days)
+        if at < len(days) and days[at] <= start + run.length - 1 + tolerance_days:
             n_runs += 1
             articles.add(run.article_id)
     return OverlapReport(tolerance_days, n_runs, len(articles))
@@ -152,12 +154,9 @@ def anniversaries(runs: Iterable[PeakRun]) -> dict[str, int]:
     Zero counts are included so the caller can see which articles were
     checked and found nothing.
     """
-    by_article: dict[str, list[PeakRun]] = defaultdict(list)
-    for run in runs:
-        by_article[run.article_id].append(run)
     return {
         article: sum(gap in ANNIVERSARY_GAPS for gap in inter_peak_intervals(article_runs))
-        for article, article_runs in by_article.items()
+        for article, article_runs in runs_by_article(runs).items()
     }
 
 
@@ -230,8 +229,7 @@ def log_binned_histogram(
 
 def peaks_per_article(runs: Iterable[PeakRun]) -> Histogram:
     """Distribution of peak-run counts per article (articles with >= 1 run)."""
-    per_article = Counter(run.article_id for run in runs)
-    return integer_histogram(per_article.values())
+    return integer_histogram(len(article_runs) for article_runs in runs_by_article(runs).values())
 
 
 def run_lengths(runs: Iterable[PeakRun]) -> Histogram:
@@ -347,10 +345,8 @@ def delta_h_vs_max_run_length(
     Only articles present on both sides enter; returns (r, p, n_articles).
     Raises like pearson when fewer than 3 articles qualify.
     """
-    longest: dict[str, int] = {}
-    for run in runs:
-        if run.length > longest.get(run.article_id, 0):
-            longest[run.article_id] = run.length
+    longest = {article: max(run.length for run in article_runs)
+               for article, article_runs in runs_by_article(runs).items()}
     both = sorted(set(delta_h_by_article) & set(longest))
     xs = [delta_h_by_article[a] for a in both]
     ys = [float(longest[a]) for a in both]

@@ -209,6 +209,18 @@ _MONTH_SPELLINGS = {
 }
 
 
+def _utc(year: str, month: int, day: str, hour: str | int, minute: str | int,
+         now: datetime) -> datetime | None:
+    """The UTC time the fields name, or None for an impossible day or time or one before
+    EARLIEST_TIMESTAMP or after now.  The text fields are converted inside the same try,
+    since a registry group may hold non-digits."""
+    try:
+        ts = datetime(int(year), month, int(day), int(hour), int(minute), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
+
+
 def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
     """The UTC time a registry match names, or None for no date: a required group left
     out, an unknown month, an impossible day or time, or a time before
@@ -220,12 +232,7 @@ def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
     month_no = _resolve_month(month)
     if month_no is None:
         return None
-    try:
-        ts = datetime(int(year), month_no, int(day), int(parts.get("hour") or 0),
-                      int(parts.get("minute") or 0), tzinfo=timezone.utc)
-    except ValueError:
-        return None
-    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
+    return _utc(year, month_no, day, parts.get("hour") or 0, parts.get("minute") or 0, now)
 
 
 def _clean_author(raw: str) -> str:
@@ -259,7 +266,7 @@ def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) 
     """extract_signature's signature of body as plain values; None when there is none."""
     if patterns is None:
         # Latest " (UTC)" first; at one end the timed reading, then the date alone.
-        end = len(body)
+        ts, end = None, len(body)
         while (end := body.rfind(" (UTC)", 0, end)) >= 0:
             m = _DEFAULT_DATE_RE.search(body, max(end - _DATE_REACH, body.rfind(")", 0, end) + 1), end + 6)
             if m is None:
@@ -270,22 +277,11 @@ def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) 
                 continue
             start = m.start()
             if minute is not None:
-                try:
-                    ts = datetime(int(year), month, int(day), int(lead), int(minute), tzinfo=timezone.utc)
-                except ValueError:
-                    pass
-                else:
-                    if EARLIEST_TIMESTAMP <= ts <= now:
-                        break
+                if (ts := _utc(year, month, day, lead, minute, now)) is not None:
+                    break
                 lead, start = day, m.start("day")
-            try:
-                ts = datetime(int(year), month, int(lead), tzinfo=timezone.utc)
-            except ValueError:
-                continue
-            if EARLIEST_TIMESTAMP <= ts <= now:
+            if (ts := _utc(year, month, lead, 0, 0, now)) is not None:
                 break
-        else:
-            ts = None
     else:
         # Latest end first; at one end the earlier registry entry first.
         candidates = sorted(

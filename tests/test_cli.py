@@ -98,6 +98,22 @@ class TestRunReportGolden:
         printed = capsys.readouterr().out.splitlines()
         assert sorted(Path(p).stem for p in printed) == sorted(REPORT_TABLES)
 
+    def test_csv_input_writes_golden_bytes(self, tmp_path, capsys):
+        """The golden corpus as CSV (same columns, null as an empty cell) reports the same bytes."""
+        for name in ("edits", "comments"):
+            records = [json.loads(line) for line in
+                       (GOLDEN / f"{name}.jsonl").read_text(encoding="utf-8").splitlines() if line]
+            with open(tmp_path / f"{name}.csv", "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(records[0])
+                writer.writerows([["" if v is None else v for v in r.values()] for r in records])
+        out = tmp_path / "out"
+        assert run_cli(*report_args(tmp_path / "edits.csv", tmp_path / "comments.csv", out,
+                                    "--format", "csv")) == 0
+        capsys.readouterr()
+        for expected in sorted((GOLDEN / "expected").glob("*.csv")):
+            assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
 
 class TestCommentColumnsOnly:
     """Comment commands build no event object: the event entry points are never called."""
@@ -1358,6 +1374,42 @@ class TestOneTablePath:
                 alpha, n = summary[f"alpha_{table}_{kind}"], summary[f"alpha_{table}_{kind}_n"]
                 assert int(n) >= 10 and alpha != "inf", (table, kind)
                 assert f"{kind}: alpha={alpha} x_min=1 n={n}" in lines, (choice, lines)
+
+
+class TestArticlesRunColumns:
+    """articles.csv and summary.csv count the same runs that peaks.csv lists."""
+
+    def test_run_columns_match_peaks_rows(self, tmp_path, capsys):
+        edits, comments = tmp_path / "edits.jsonl", tmp_path / "comments.jsonl"
+        spec = bursty_spec(articles=12)
+        write_daily_events(edits, spec)
+        # Comments follow another article's bursts, and A09-A11 have none.
+        write_daily_comments(comments, [(f"A{11 - int(article[1:]):02d}", day, count)
+                                        for article, day, count in spec if article >= "A03"])
+        out = tmp_path / "report"
+        assert run_cli("report", "--edits", str(edits), "--comments", str(comments),
+                       "--out", str(out), "-c", "5", "--nmin", "2", "--window", "14") == 0
+        capsys.readouterr()
+        runs: dict[tuple[str, str], list[int]] = {}
+        for article, kind, _, length, _ in read_rows(out / "peaks.csv")[1:]:
+            runs.setdefault((article, kind), []).append(int(length))
+        header, *rows = read_rows(out / "articles.csv")
+        assert len(rows) == 12
+        counts = []
+        for row in rows:
+            cells = dict(zip(header, row))
+            article = cells["article"]
+            edit, comment = runs.get((article, "edit"), []), runs.get((article, "comment"), [])
+            counts.append((len(edit), len(comment)))
+            assert int(cells["n_edit_runs"]) == len(edit), article
+            assert int(cells["n_comment_runs"]) == len(comment), article
+            assert cells["max_run_length"] == str(max(edit + comment, default="")), article
+        # The corpus tells the two kinds apart, and some article has no comment runs.
+        assert any(e != c for e, c in counts) and any(c == 0 for _, c in counts)
+        summary = dict(read_rows(out / "summary.csv")[1:])
+        for kind in ("edit", "comment"):
+            assert int(summary[f"articles_with_{kind}_runs"]) == len(
+                {article for article, k in runs if k == kind}), kind
 
 
 class TestBenchmarkSurface:

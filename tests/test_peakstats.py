@@ -25,6 +25,7 @@ from talkdyn.peakstats import (
     delta_h_vs_max_run_length,
     peaks_per_article,
     run_lengths,
+    runs_by_article,
     student_t_p,
 )
 from talkdyn.timeseries import PeakRun
@@ -34,6 +35,18 @@ from conftest import anniversaries_oracle, overlap_oracle
 
 def run(article: str, start: date, length: int = 1, kind: str = "edit") -> PeakRun:
     return PeakRun(article, kind, start, length)
+
+
+class TestRunsByArticle:
+    def test_runs_keep_their_order_and_articles_their_first_sighting(self):
+        runs = [run("B", date(2006, 5, 3)), run("A", date(2006, 5, 9)),
+                run("B", date(2006, 5, 1), length=2), run("A", date(2006, 5, 2))]
+        grouped = runs_by_article(runs)
+        assert list(grouped) == ["B", "A"]
+        assert grouped == {"B": [runs[0], runs[2]], "A": [runs[1], runs[3]]}
+
+    def test_no_runs(self):
+        assert runs_by_article(iter([])) == {}
 
 
 class TestOverlap:
