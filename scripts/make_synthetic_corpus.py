@@ -19,16 +19,21 @@ from pathlib import Path
 import numpy as np
 
 CANON_DAY = np.datetime64("2004-01-01")
+# A clock is "HH:" for its hour and "MM:SS" for its second within the hour.
+HOURS = [f"{h:02d}:" for h in range(24)]
+MINUTE_SECONDS = [f"{m:02d}:{s:02d}" for m in range(60) for s in range(60)]
 
 
-def day_strings(start_day: int, day_offsets: np.ndarray) -> np.ndarray:
-    return (CANON_DAY + start_day + day_offsets).astype("datetime64[D]").astype(str)
+def day_table(horizon: int) -> list[str]:
+    """ISO day strings indexed by days after CANON_DAY, over the whole horizon."""
+    return np.arange(CANON_DAY, CANON_DAY + horizon).astype(str).tolist()
 
 
-def clock_strings(seconds: np.ndarray) -> list[str]:
-    h, rem = np.divmod(seconds, 3600)
-    m, s = np.divmod(rem, 60)
-    return [f"{hh:02d}:{mm:02d}:{ss:02d}" for hh, mm, ss in zip(h, m, s)]
+def timestamps(days: list[str], start_day: int, day_offsets: np.ndarray,
+               seconds: np.ndarray) -> list[str]:
+    hours, rest = np.divmod(seconds, 3600)
+    return [f"{days[d]}T{HOURS[h]}{MINUTE_SECONDS[r]}Z" for d, h, r
+            in zip((start_day + day_offsets).tolist(), hours.tolist(), rest.tolist())]
 
 
 def allocate(total: int, n_articles: int, rng: np.random.Generator) -> np.ndarray:
@@ -46,70 +51,64 @@ def article_windows(n_articles: int, horizon: int, rng: np.random.Generator):
     return starts, ends
 
 
-def write_edits(out: Path, n_articles: int, total: int, horizon: int,
-                rng: np.random.Generator) -> int:
+def articles(n_articles: int, total: int, horizon: int, rng: np.random.Generator):
+    """Yield (name, events, start day, span) for each article given events."""
     counts = allocate(total, n_articles, rng)
     starts, ends = article_windows(n_articles, horizon, rng)
+    for idx, (n, start, end) in enumerate(zip(counts.tolist(), starts.tolist(), ends.tolist())):
+        if n:
+            yield f"A{idx:05d}", n, start, end - start
+
+
+def day_offsets(n: int, span: int, burst_max: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted event days within the span; one article in ten with over 40 gets a burst day."""
+    offsets = rng.integers(0, span, n)
+    if n > 40 and rng.random() < 0.10:
+        burst_day = int(rng.integers(0, span))
+        n_burst = min(n // 2, int(rng.integers(20, burst_max)))
+        offsets[:n_burst] = burst_day
+    offsets.sort()
+    return offsets
+
+
+def write_edits(out: Path, n_articles: int, total: int, horizon: int,
+                rng: np.random.Generator) -> int:
+    days = day_table(horizon)
     written = 0
     with open(out, "w", encoding="utf-8", buffering=1 << 20) as handle:
-        for idx in range(n_articles):
-            n = int(counts[idx])
-            if n == 0:
-                continue
-            article = f"A{idx:05d}"
-            span = int(ends[idx] - starts[idx])
-            offsets = rng.integers(0, span, n)
-            if n > 40 and rng.random() < 0.10:
-                burst_day = int(rng.integers(0, span))
-                n_burst = min(n // 2, int(rng.integers(20, 200)))
-                offsets[:n_burst] = burst_day
-            offsets.sort()
-            days = day_strings(int(starts[idx]), offsets)
-            clocks = clock_strings(rng.integers(0, 86400, n))
-            for day, clock in zip(days, clocks):
-                handle.write(f'{{"article":"{article}","ts":"{day}T{clock}Z"}}\n')
+        for article, n, start, span in articles(n_articles, total, horizon, rng):
+            offsets = day_offsets(n, span, 200, rng)
+            stamps = timestamps(days, start, offsets, rng.integers(0, 86400, n))
+            handle.write("".join([f'{{"article":"{article}","ts":"{ts}"}}\n' for ts in stamps]))
             written += n
     return written
 
 
 def write_comments(out: Path, n_articles: int, total: int, horizon: int,
                    rng: np.random.Generator) -> int:
-    counts = allocate(total, n_articles, rng)
-    starts, ends = article_windows(n_articles, horizon, rng)
+    days = day_table(horizon)
     written = 0
     with open(out, "w", encoding="utf-8", buffering=1 << 20) as handle:
-        for idx in range(n_articles):
-            n = int(counts[idx])
-            if n == 0:
-                continue
-            article = f"A{idx:05d}"
-            span = int(ends[idx] - starts[idx])
-            offsets = rng.integers(0, span, n)
-            if n > 40 and rng.random() < 0.10:
-                burst_day = int(rng.integers(0, span))
-                n_burst = min(n // 2, int(rng.integers(20, 150)))
-                offsets[:n_burst] = burst_day
-            offsets.sort()
-            days = day_strings(int(starts[idx]), offsets)
-            clocks = clock_strings(np.sort(rng.integers(0, 86400, n)))
-            depths = np.zeros(n, dtype=np.int64)
-            parent_choice = rng.random(n)
-            parent_index = (rng.random(n) * np.arange(n)).astype(np.int64)
-            authors = rng.integers(0, 5000, n)
-            for j in range(n):
-                if j == 0 or parent_choice[j] < 0.25:
+        for article, n, start, span in articles(n_articles, total, horizon, rng):
+            offsets = day_offsets(n, span, 150, rng)
+            stamps = timestamps(days, start, offsets, np.sort(rng.integers(0, 86400, n)))
+            roots = (rng.random(n) < 0.25).tolist()
+            picks = (rng.random(n) * np.arange(n)).astype(np.int64).tolist()
+            authors = rng.integers(0, 5000, n).tolist()
+            depths = [0] * n
+            lines = []
+            for j, (ts, author) in enumerate(zip(stamps, authors)):
+                if j == 0 or roots[j]:
                     parent, depth = "null", 0
                 else:
-                    k = int(parent_index[j])
+                    k = picks[j]
                     if depths[k] >= 30:
                         k = 0
-                    parent, depth = f'"c{k}"', int(depths[k]) + 1
+                    parent, depth = f'"c{k}"', depths[k] + 1
                 depths[j] = depth
-                handle.write(
-                    f'{{"article":"{article}","id":"c{j}","parent":{parent},'
-                    f'"depth":{depth},"ts":"{days[j]}T{clocks[j]}Z",'
-                    f'"author":"U{authors[j]}","ord":{j}}}\n'
-                )
+                lines.append(f'{{"article":"{article}","id":"c{j}","parent":{parent},'
+                             f'"depth":{depth},"ts":"{ts}","author":"U{author}","ord":{j}}}\n')
+            handle.write("".join(lines))
             written += n
     return written
 

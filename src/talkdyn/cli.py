@@ -63,14 +63,19 @@ MINIMUMS = {
     "min_comments": 0, "top_n": 1, "bins_per_decade": 1, "x_min": 1, "tolerance": 0,
     "maturity_multiple": -math.inf, "threshold_multiple": -math.inf,
 }
+# The largest, where a setting sizes work: the delta-h histogram builds one
+# edge per bin across its samples' decades.
+MAXIMUMS = {"bins_per_decade": 1000}
 
 
-def _check_minimums(**settings: float) -> None:
+def _check_bounds(**settings: float) -> None:
     for name, value in settings.items():
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
         if value < MINIMUMS[name]:
             raise ValueError(f"{name} must be >= {MINIMUMS[name]}, got {value}")
+        if value > MAXIMUMS.get(name, math.inf):
+            raise ValueError(f"{name} must be <= {MAXIMUMS[name]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class RunConfig:
             raise ValueError(f"unknown input format {self.input_format!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        _check_minimums(
+        _check_bounds(
             min_comments=self.min_comments, top_n=self.top_n, bins_per_decade=self.bins_per_decade,
             tolerance=min(self.tolerances, default=0), maturity_multiple=self.maturity_multiple,
         )
@@ -207,11 +212,11 @@ def _log_load(diag: Diagnostics) -> None:
 
 
 def _load(
-    path: Path, kind: str, fmt: str, now: datetime | None = None
+    path: Path, kind: str, fmt: str, now: datetime | None = None, links: bool = True
 ) -> tuple[ingest.Columns, Diagnostics]:
     """One file's usable records as columns, and the load's diagnostics, logged."""
     diag = Diagnostics()
-    columns = ingest.load_columns(path, kind, fmt=fmt, diagnostics=diag, now=now)
+    columns = ingest.load_columns(path, kind, fmt=fmt, diagnostics=diag, now=now, links=links)
     _log_load(diag)
     return columns, diag
 
@@ -509,7 +514,8 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
     now = _now(args)
     runs = {}
     for path, kind in sources:
-        columns, _ = _load(path, kind, args.format, now)
+        # Day counts read no comment ids, so none are coded.
+        columns, _ = _load(path, kind, args.format, now, links=False)
         runs[kind] = timeseries.detect_day_counts(columns.names, kind, columns.day_counts(), params)
     _emit(_peaks_table(runs), args.out)
     return 0
@@ -520,7 +526,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise ValueError("stats needs exactly one of --report or --powerlaw")
     if args.powerlaw and args.out:
         raise ValueError("stats --powerlaw prints its fits and writes no --out")
-    _check_minimums(x_min=args.xmin, tolerance=min(args.tolerance))
+    _check_bounds(x_min=args.xmin, tolerance=min(args.tolerance))
     runs = _load_peak_runs(Path(args.peaks))
     if args.report == "overlap":
         table = _overlap_table(runs, args.tolerance)
@@ -552,7 +558,7 @@ def _cmd_hindex(args: argparse.Namespace) -> int:
 
 
 def _cmd_deltah(args: argparse.Namespace) -> int:
-    _check_minimums(min_comments=args.min_comments)
+    _check_bounds(min_comments=args.min_comments)
     comments, diag = _load(Path(args.comments), COMMENT, args.format, _now(args))
     trees = discussion.build_forest(comments, diag)
     ranked = _rank(trees, _paces(_traces(trees, diag)), args.min_comments)
@@ -561,7 +567,7 @@ def _cmd_deltah(args: argparse.Namespace) -> int:
 
 
 def _cmd_maturity(args: argparse.Namespace) -> int:
-    _check_minimums(threshold_multiple=args.threshold_multiple)
+    _check_bounds(threshold_multiple=args.threshold_multiple)
     as_of = _parse_time(args.as_of, "--as-of") if args.as_of else None
     comments, diag = _load(Path(args.comments), COMMENT, args.format, _now(args))
     as_of = as_of or comments.latest()
@@ -735,7 +741,8 @@ def simulate_watch(
     scorer = timeseries.TrailingScorer(params)
     p = scorer.params
     if sort:
-        columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now)
+        columns = ingest.load_columns(events_path, kind, fmt=fmt, diagnostics=diagnostics, now=now,
+                                      links=False)
         names = columns.names
         alerts = _alerts(p, names, kind, *scorer.feed(names, *columns.day_counts()))
         alerts += _alerts(p, names, kind, *scorer.close())

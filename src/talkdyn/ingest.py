@@ -933,10 +933,10 @@ class Columns:
     """Every usable record of one load, as whole-file int64 columns in line order.
 
     names lists each article with a kept record; articles (codes into names)
-    and seconds are the chunk columns joined.  A comment load also fills ids
-    and parents, codes of the id texts shared across the load (NO_PARENT for
-    a thread starter), depths and orders (document order); an edit load
-    leaves them empty.
+    and seconds are the chunk columns joined.  A comment load with links also
+    fills ids and parents, codes of the id texts shared across the load
+    (NO_PARENT for a thread starter), depths and orders (document order); an
+    edit load, or a comment load without links, leaves them empty.
     """
 
     kind: str
@@ -989,26 +989,29 @@ def load_columns(
     fmt: str = "jsonl",
     diagnostics: Diagnostics | None = None,
     now: datetime | None = None,
+    links: bool = True,
 ) -> Columns:
     """Every usable record of one file as whole-file columns; no event object is built.
 
     read_chunks checks and tallies every line, so the columns hold exactly
-    the records load_events would yield, in the same order.
+    the records load_events would yield, in the same order.  links=False
+    skips coding the comments' ids and parents for a caller that reads only
+    articles and seconds.
     """
     names: list[str] = []
-    codes, seconds, links, numbers = [], [], [], []
+    codes, seconds, link_codes, numbers = [], [], [], []
     texts: dict[bytes | None, int] = {None: NO_PARENT}
     for chunk in read_chunks(path, kind, fmt=fmt, diagnostics=diagnostics, now=now):
         names = chunk.names  # one list shared by every chunk, complete after the last
         codes.append(chunk.codes)
         seconds.append(chunk.seconds)
-        if kind == COMMENT:
-            links.append(_link_codes(chunk, texts))
+        if kind == COMMENT and links:
+            link_codes.append(_link_codes(chunk, texts))
             numbers.append(chunk.counts.T)
         # Not kept alive while the next block is read and checked.
         del chunk
     empty = np.empty((2, 0), dtype=np.int64)
-    ids, parents = np.concatenate([empty, *links], axis=1)
+    ids, parents = np.concatenate([empty, *link_codes], axis=1)
     depths, orders = np.concatenate([empty, *numbers], axis=1)
     return Columns(kind, names, np.concatenate([empty[0], *codes]),
                    np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)

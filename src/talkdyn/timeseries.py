@@ -35,6 +35,8 @@ from .ingest import ActivitySeries, OutOfOrderError
 DEFAULT_PEAK_FACTOR = 5.0
 DEFAULT_MIN_ACTIVITY = 10
 DEFAULT_WINDOW_HALFWIDTH = 14
+# Days from date.min to date.max: a wider window sees no more days.
+MAX_WINDOW_HALFWIDTH = date.max.toordinal() - date.min.toordinal()
 
 # Alert tiers for the streaming detector: ratio >= tier * c, strongest first.
 ALERT_TIERS = (4.0, 2.0, 1.0)
@@ -60,8 +62,9 @@ class PeakParams:
             raise ValueError(f"c must be finite and exceed 1, got {self.c}")
         if self.n_min < 1:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if self.window_halfwidth < 1:
-            raise ValueError(f"window_halfwidth must be >= 1, got {self.window_halfwidth}")
+        if not 1 <= self.window_halfwidth <= MAX_WINDOW_HALFWIDTH:
+            raise ValueError(f"window_halfwidth must be in [1, {MAX_WINDOW_HALFWIDTH}], "
+                             f"got {self.window_halfwidth}")
 
 
 class PeakRun(NamedTuple):

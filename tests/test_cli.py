@@ -5,6 +5,7 @@ two-article corpus; they are the regression net for output formatting,
 row ordering, and float rendering, not just for the numbers.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -15,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -22,6 +24,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import simulate_watch_oracle, talkdyn_cmd, talkdyn_env
 from talkdyn import cli, discussion, ingest, talkparser, timeseries
@@ -1229,6 +1233,35 @@ class TestInputChecks:
         assert "config error: bins_per_decade must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bins_per_decade_bounded_above(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert run_cli(*report_args(tmp_path / "no_edits.jsonl", tmp_path / "no_comments.jsonl",
+                                    out, "--bins-per-decade", str(10**8))) == 2
+        assert capsys.readouterr().err == \
+            "config error: bins_per_decade must be <= 1000, got 100000000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["peaks", "report", "watch"])
+    def test_window_past_the_date_range_checked_before_any_load(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.jsonl")
+        inputs = {"peaks": ["--comments", missing], "watch": ["--events", missing],
+                  "report": ["--edits", missing, "--comments", missing]}[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *inputs, "--out", str(out), "--window", str(2**62)) == 2
+        assert capsys.readouterr().err == ("config error: window_halfwidth must be in "
+                                           f"[1, 3652058], got {2**62}\n")
+        assert not out.exists()
+
+    def test_widest_window_sees_every_day(self, tmp_path, capsys):
+        # A window as wide as the date range is one median over each article's days.
+        widest, wide = tmp_path / "widest.csv", tmp_path / "wide.csv"
+        for window, out in ((timeseries.MAX_WINDOW_HALFWIDTH, widest), (10**5, wide)):
+            assert run_cli("peaks", "--comments", str(GOLDEN / "comments.jsonl"), "-c", "1.5",
+                           "--nmin", "1", "--window", str(window), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert widest.read_bytes() == wide.read_bytes()
+        assert len(read_rows(widest)) > 1
+
     def test_min_comments_one_rule_for_deltah_and_report(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.jsonl")
         assert run_cli("deltah", "--comments", missing, "--min-comments", "-3") == 2
@@ -1775,3 +1808,59 @@ class TestArticleWithoutKeptEdits:
         summaries = [dict(read_rows(out / "summary.csv")[1:]) for out in (clean, dirty)]
         for key in ("n_edit_events", "n_articles_with_edits", "comment_edit_ratio"):
             assert summaries[0][key] == summaries[1][key], key
+
+
+# Each command's numeric and time flags, after the arguments it needs to run
+# on the golden corpus (out stands for a fresh output path).
+FLAG_SWEEP_COMMANDS = {
+    "report": (["report", "--edits", str(GOLDEN / "edits.jsonl"),
+                "--comments", str(GOLDEN / "comments.jsonl"), "--out", "{out}"],
+               ["-c", "--nmin", "--window", "--tolerance", "--min-comments", "-k", "--top-n",
+                "--as-of", "--bins-per-decade", "--now"]),
+    "peaks": (["peaks", "--edits", str(GOLDEN / "edits.jsonl"),
+               "--comments", str(GOLDEN / "comments.jsonl"), "--out", "{out}"],
+              ["-c", "--nmin", "--window", "--now"]),
+    "watch": (["watch", "--events", str(GOLDEN / "comments.jsonl"), "--out", "{out}"],
+              ["-c", "--nmin", "--window", "--now"]),
+    "deltah": (["deltah", "--comments", str(GOLDEN / "comments.jsonl"), "--out", "{out}"],
+               ["--min-comments", "--now"]),
+    "maturity": (["maturity", "--comments", str(GOLDEN / "comments.jsonl"), "--out", "{out}"],
+                 ["--as-of", "-k", "--now"]),
+}
+# Values at the edges of every type a flag takes, and past int64.
+FLAG_SWEEP_VALUES = [
+    "0", "-1", "1", "1e-300", "1e308", "inf", "-inf", "nan", str(10**8), str(10**30),
+    "0001-01-01", "1970-01-01", "2038-01-19", "9999-12-31", str(2**62), str(2**63),
+]
+
+
+@st.composite
+def flag_settings(draw):
+    command = draw(st.sampled_from(sorted(FLAG_SWEEP_COMMANDS)))
+    flag = draw(st.sampled_from(FLAG_SWEEP_COMMANDS[command][1]))
+    return command, flag, draw(st.sampled_from(FLAG_SWEEP_VALUES))
+
+
+class TestEveryNumericFlag:
+    """Any value of any numeric or time flag ends in exit 0, 1 or 2, never a traceback.
+
+    argparse refuses a value its type does not parse with SystemExit(2), the
+    command's exit; every other refusal is main's own.  A value that would
+    size work without bound must be refused by a check, not by running out.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(flag_settings())
+    def test_exit_code_is_a_verdict(self, setting):
+        command, flag, value = setting
+        argv, _ = FLAG_SWEEP_COMMANDS[command]
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            out = str(Path(tmp) / "out")
+            try:
+                code = cli.main([arg.format(out=out) for arg in argv] + [f"{flag}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (command, flag, value, code)
+        assert "Traceback" not in err.getvalue()

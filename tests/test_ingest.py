@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -1307,6 +1308,25 @@ class TestSeriesKernel:
         stamps = [e.timestamp for e in events if e.timestamp is not None]
         assert latest == (max(stamps) if stamps else None)
 
+    @given(lines=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
+           chunk=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_comment_load_without_links_keeps_articles_and_seconds(self, tmp_path_factory,
+                                                                   lines, chunk):
+        path = write_lines(tmp_path_factory, lines)
+        diagnostics = [Diagnostics(), Diagnostics()]
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            linked, bare = [ingest.load_columns(path, COMMENT, diagnostics=diag, now=ORACLE_NOW,
+                                                links=links)
+                            for diag, links in zip(diagnostics, (True, False))]
+        assert bare.names == linked.names
+        assert bare.articles.tolist() == linked.articles.tolist()
+        assert bare.seconds.tolist() == linked.seconds.tolist()
+        # As an edit load leaves them.
+        assert [c.size for c in (bare.ids, bare.parents, bare.depths, bare.orders)] == [0] * 4
+        assert [(d.tallies, d.messages) for d in diagnostics] == \
+            [(diagnostics[0].tallies, diagnostics[0].messages)] * 2
+
     @given(edits=st.lists(st.one_of(edit_lines(), junk_lines), max_size=40),
            comments=st.lists(st.one_of(comment_lines(), junk_lines), max_size=40),
            chunk=st.integers(1, 64))
@@ -1418,12 +1438,28 @@ class TestCsvNul:
         assert diag.tallies["lines_read"] == 2 and diag.messages == []
 
 
+SYNTHETIC_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+
+
 class TestSyntheticCorpus:
     """The benchmark's corpus is all canonical lines, so its loads stay on the byte path."""
 
+    def test_seed_writes_recorded_bytes(self, tmp_path):
+        # The recorded benchmark digests are computed from this script's output,
+        # so a seed must keep writing the same bytes (numpy 2.x's PCG64 streams).
+        # Two articles' edits and two articles' comments take the burst branch.
+        subprocess.run([sys.executable, str(SYNTHETIC_SCRIPT), "--out", str(tmp_path),
+                        "--articles", "40", "--edits", "3000", "--comments", "5000", "--seed", "7"],
+                       check=True, capture_output=True, timeout=120)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("edits.jsonl", "comments.jsonl")}
+        assert digests == {
+            "edits.jsonl": "d1638904898e79a0a534fafdf341f4d2f2a75c2abdc5a5c072600512f3be377a",
+            "comments.jsonl": "be3b71c6339daa649c68b667ded8b6bea432dec10cb24ca9ac248f0bec4987ba",
+        }
+
     def test_every_line_is_the_event_json_line_of_its_event(self, tmp_path):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
-        subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--articles", "20",
+        subprocess.run([sys.executable, str(SYNTHETIC_SCRIPT), "--out", str(tmp_path), "--articles", "20",
                         "--edits", "2000", "--comments", "2000"],
                        check=True, capture_output=True, timeout=120)
         for kind, name in ((EDIT, "edits.jsonl"), (COMMENT, "comments.jsonl")):
