@@ -19,6 +19,11 @@ from pathlib import Path
 import numpy as np
 
 CANON_DAY = np.datetime64("2004-01-01")
+# An article's window is at least 30 days long and ends inside the horizon, whose
+# last day is at most 9999-12-31.
+MIN_DAYS = 31
+MAX_DAYS = int((np.datetime64("9999-12-31") - CANON_DAY) // np.timedelta64(1, "D")) + 1
+MINIMUMS = {"articles": 1, "edits": 0, "comments": 0, "days": MIN_DAYS, "seed": 0}
 # A clock is "HH:" for its hour and "MM:SS" for its second within the hour.
 HOURS = [f"{h:02d}:" for h in range(24)]
 MINUTE_SECONDS = [f"{m:02d}:{s:02d}" for m in range(60) for s in range(60)]
@@ -122,6 +127,11 @@ def main(argv=None) -> int:
     parser.add_argument("--days", type=int, default=1825, help="corpus horizon in days")
     parser.add_argument("--seed", type=int, default=20060101)
     args = parser.parse_args(argv)
+    for name, low in MINIMUMS.items():
+        if getattr(args, name) < low:
+            parser.error(f"--{name} must be at least {low}")
+    if args.days > MAX_DAYS:
+        parser.error(f"--days must be at most {MAX_DAYS}: no day may pass 9999-12-31")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,16 +29,17 @@ CSV row, is decoded and checked field by field under the same rules, with
 the same messages and tallies, and its checked fields are spelled back as
 bytes beside the block; the byte path only reads the writer's spelling
 faster.  Then every record's timestamp becomes int64 epoch seconds in one
-vectorised pass over a (rows, 25) byte matrix, and one kernel groups a
-chunk's article names (and, for load_columns, its comment ids and parents)
-by their bytes, so each distinct text is decoded or looked up once a
-chunk.  Everything else is built on the chunk
-columns: load_events yields event objects, load_columns joins them into
-whole-file Columns without building any (whose day_counts() hold every
-(article, day) count, which peak detection reads, series() spreads them into
-dense per-article series, and comment links feed the reply trees), and the
-streaming watch feeds the chunks' (article, day, count) runs to its
-scorer; one run kernel counts both.
+vectorised pass over the four 8-byte words gathered at its start, a chunk's
+rows are compacted at most once, and one coder gives a chunk's article names
+(and, for load_columns, its comment ids and parents) their load-wide codes:
+it groups the texts by their bytes, so each distinct text is looked up once
+a chunk.  Everything else is built on the chunk columns: load_events
+yields event objects, load_columns joins them into whole-file Columns
+without building any (whose day_counts() hold every (article, day) count,
+which peak detection reads, series() spreads them into dense per-article
+series, and comment links feed the reply trees), and the streaming watch
+feeds the chunks' (article, day, count) runs to its scorer; one run kernel
+counts both.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def parse_timestamp(text: str, *, now: datetime | None = None) -> datetime | Non
     loader's own rule (_epoch_seconds) applied to one value.
     """
     raw = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else b""
-    chars = np.frombuffer(raw[:_SHAPE_WIDTH].ljust(_SHAPE_WIDTH, b"\0"), dtype=np.uint8)
-    seconds = int(_epoch_seconds(chars[None], np.array([len(raw)]), now or _LATEST)[0])
+    words = _words(raw[:_SHAPE_WIDTH] + _PAD)[_WORD_AT]
+    seconds = int(_epoch_seconds(words[None], np.array([len(raw)]), now or _LATEST)[0])
     return None if seconds == UNDATED else _UNIX_EPOCH + seconds * _SECOND
 
 
@@ -216,7 +217,8 @@ _SHAPE_WIDTH = 25
 _DIGIT_AT = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _SEPARATOR_AT = np.array([4, 7, 10, 13, 16])
 _SEPARATORS = np.frombuffer(b"--T::", dtype=np.uint8)
-_UTC_SUFFIX = np.frombuffer(b"+00:00", dtype=np.uint8)
+# The word at byte 17 holds '+00:00' in its last six bytes (19-24); its first two are seconds.
+_UTC_SUFFIX_MASK, _UTC_SUFFIX = np.frombuffer(b"\0\0" + b"\xff" * 6 + b"\0\0+00:00", dtype=np.uint64)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS)[:-1]))
 _PAIR_LIMITS = np.array([100, 100, 13, 32, 24, 60, 60])  # each two-digit field stays below
@@ -226,22 +228,25 @@ _LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
 _YEAR_START = np.concatenate(([0], np.cumsum(365 + _LEAP[:-1]))) - (365 * 1970 + _LEAP[:1970].sum())
 
 
-def _epoch_seconds(chars: np.ndarray, widths: np.ndarray, now: datetime) -> np.ndarray:
+def _epoch_seconds(words: np.ndarray, widths: np.ndarray, now: datetime) -> np.ndarray:
     """Epoch seconds of every row that spells a timestamp, UNDATED for the others.
 
-    Row i of the (rows, 25) uint8 matrix chars holds the first bytes of a
-    UTF-8 text widths[i] bytes long.  A timestamp is 'YYYY-MM-DDTHH:MM:SS'
-    plus 'Z' or '+00:00', every byte of it ASCII, naming a real time in
-    [2001-01-01, now].  Every row is decided at once by arithmetic on its
-    digits (month lengths, leap years, h < 24, m/s < 60, then the window),
-    so one impossible date costs nothing extra.
+    Row i of the (rows, 4) uint64 matrix words holds the first 32 bytes of
+    a UTF-8 text widths[i] bytes long, and whatever follows it.  A
+    timestamp is 'YYYY-MM-DDTHH:MM:SS' plus 'Z' or '+00:00', every byte of
+    it ASCII, naming a real time in [2001-01-01, now].  Every row is
+    decided at once by arithmetic on its digits (month lengths, leap years,
+    h < 24, m/s < 60, then the window), so one impossible date costs
+    nothing extra; the '+00:00' suffix is one masked word compare.
     """
+    chars = words.view(np.uint8)
     digits = chars[:, _DIGIT_AT] - np.uint8(ord("0"))  # a byte below '0' wraps past 9
     # century, year, month, day, hour, minute, second
     pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+    suffix = chars[:, 17:_SHAPE_WIDTH].view(np.uint64)[:, 0]
     shaped = (
         (((widths == 20) & (chars[:, 19] == ord("Z")))
-         | ((widths == _SHAPE_WIDTH) & (chars[:, 19:_SHAPE_WIDTH] == _UTC_SUFFIX).all(axis=1)))
+         | ((widths == _SHAPE_WIDTH) & ((suffix & _UTC_SUFFIX_MASK) == _UTC_SUFFIX)))
         & (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
         & (digits <= 9).all(axis=1) & (pairs < _PAIR_LIMITS).all(axis=1)
     )
@@ -534,6 +539,18 @@ def _text_groups(text: bytes, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return number[first_of], first
 
 
+def _text_codes(text: bytes, spans: np.ndarray, codes: dict[bytes | None, int]) -> np.ndarray:
+    """The code in codes of every span's text (None for NO_SPAN); each distinct text is looked up once.
+
+    A text new to codes takes the next code, len(codes), in the order of
+    its first span.
+    """
+    groups, first = _text_groups(text, spans)
+    found = [codes.setdefault(None if a == NO_SPAN else text[a:b], len(codes))
+             for a, b in spans[first].tolist()]
+    return np.array(found, dtype=np.int64)[groups]
+
+
 def _line_blocks(handle: io.BufferedIOBase) -> Iterator[tuple[bytes, np.ndarray]]:
     """The file's bytes, about _CHUNK_BYTES of whole lines at a time, with each line's end offset.
 
@@ -783,7 +800,7 @@ class _Load:
         self.kind, self.now, self.diag = kind, now, diag
         self.fields = _FIELDS[kind]
         self.check = _check_comment if kind == COMMENT else _check_edit
-        self.articles: dict[bytes, int] = {}  # each name's UTF-8 bytes to its code
+        self.articles: dict[bytes | None, int] = {}  # each name's UTF-8 bytes to its code
         self.names: list[str] = []
 
     def lines(self, padded: bytes, ends: np.ndarray, first: int) -> Chunk:
@@ -843,49 +860,34 @@ class _Load:
             text = b"".join((memoryview(padded)[:size], extra_text, _PAD))
             ok[kept] = True
             counts[kept] = numbers
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            spans, counts, line_nos = spans[keep], counts[keep], line_nos[keep]
+        # Every row's timestamp is read, a row left out reading as null, so the
+        # rows are compacted at most once.
+        spans[~ok, TS] = NO_SPAN
         lo, hi = spans[:, TS].T
-        chars = _words(text)[np.maximum(lo, 0)[:, None] + _WORD_AT].view(np.uint8)[:, :_SHAPE_WIDTH]
-        seconds = _epoch_seconds(chars, hi - lo, self.now)
-        undated = seconds == UNDATED
+        seconds = _epoch_seconds(_words(text)[np.maximum(lo, 0)[:, None] + _WORD_AT], hi - lo, self.now)
+        undated = ok & (seconds == UNDATED)
         if self.kind == EDIT:
-            if undated.any():
-                # An edit without a time is dropped; its message joins the others in line order.
-                failures.extend(
-                    (line_no, "edit_ts_malformed", f"ts={text[a:b].decode('utf-8', 'surrogatepass')!r}")
-                    for line_no, a, b in zip(line_nos[undated].tolist(), lo[undated].tolist(),
-                                             hi[undated].tolist())
-                )
-                seconds, spans, counts = seconds[~undated], spans[~undated], counts[~undated]
+            # An edit without a time is dropped; its message joins the others in line order.
+            ok &= ~undated
+            failures.extend(
+                (line_no, "edit_ts_malformed", f"ts={text[a:b].decode('utf-8', 'surrogatepass')!r}")
+                for line_no, a, b in zip(*(column[undated].tolist() for column in (line_nos, lo, hi)))
+            )
         else:
             self.diag.tally("comments_undated", int(np.count_nonzero(undated)))
             self.diag.tally("comment_ts_malformed", int(np.count_nonzero(undated & (lo != NO_SPAN))))
+        if not ok.all():
+            seconds, spans, counts = seconds[ok], spans[ok], counts[ok]
         # Only a kept record gives its article a code.
-        codes = self._codes(text, spans[:, ARTICLE])
-        self.diag.tally("lines_read", line_nos.size + len(slow) - len(kept) - blank)
+        codes = _text_codes(text, spans[:, ARTICLE], self.articles)
+        # The names new to the load are the dict's last keys.
+        fresh = islice(reversed(self.articles), len(self.articles) - len(self.names))
+        self.names.extend(raw.decode("utf-8", "surrogatepass") for raw in [*fresh][::-1])
+        self.diag.tally("lines_read", line_nos.size - blank)
         for failure in sorted(failures):
             self.diag.record(*failure)
         self.diag.tally("events_used", int(seconds.size))
         return Chunk(self.names, codes, seconds, text, spans, counts)
-
-    def _codes(self, text: bytes, spans: np.ndarray) -> np.ndarray:
-        """The article code of every record; each distinct name is looked up once.
-
-        A name new to the load is decoded and gets the next code, in the order
-        of its first record.
-        """
-        groups, first = _text_groups(text, spans)
-        codes = []
-        for a, b in spans[first].tolist():
-            raw = text[a:b]
-            code = self.articles.get(raw)
-            if code is None:
-                code = self.articles[raw] = len(self.names)
-                self.names.append(raw.decode("utf-8", "surrogatepass"))
-            codes.append(code)
-        return np.array(codes, dtype=np.int64)[groups]
 
 
 def load_events(
@@ -1006,7 +1008,9 @@ def load_columns(
         codes.append(chunk.codes)
         seconds.append(chunk.seconds)
         if kind == COMMENT and links:
-            link_codes.append(_link_codes(chunk, texts))
+            # ids are coded before parents.
+            link_spans = chunk.spans[:, (ID, PARENT)].transpose(1, 0, 2).reshape(-1, 2)
+            link_codes.append(_text_codes(chunk.text, link_spans, texts).reshape(2, -1))
             numbers.append(chunk.counts.T)
         # Not kept alive while the next block is read and checked.
         del chunk
@@ -1015,21 +1019,6 @@ def load_columns(
     depths, orders = np.concatenate([empty, *numbers], axis=1)
     return Columns(kind, names, np.concatenate([empty[0], *codes]),
                    np.concatenate([empty[0], *seconds]), ids, parents, depths, orders)
-
-
-def _link_codes(chunk: Chunk, texts: dict[bytes | None, int]) -> np.ndarray:
-    """The (2, records) codes of a comment chunk's ids and parents.
-
-    texts holds the code of every text seen so far (None's is NO_PARENT); a
-    new text gets the next code, ids before parents and each in record
-    order, and each distinct text of the chunk is looked up once.
-    """
-    text = chunk.text
-    spans = chunk.spans[:, (ID, PARENT)].transpose(1, 0, 2).reshape(-1, 2)
-    groups, first = _text_groups(text, spans)
-    codes = [texts.setdefault(None if a == NO_SPAN else text[a:b], len(texts))
-             for a, b in spans[first].tolist()]
-    return np.array(codes, dtype=np.int64)[groups].reshape(2, -1)
 
 
 def event_columns(events: Iterable[EditEvent | CommentEvent], kind: str) -> Columns:

@@ -13,8 +13,9 @@ Section headings ("== Title ==") reset the reply context: indentation never
 threads across a heading.
 
 A block's signature is read from its end: the last date that names a time
-in range wins, and its author is the first user link found searching back
-from the date, if it ends within AUTHOR_WINDOW_CHARS of it.  to_events
+in range wins (one after now gives no date where it ends), and its author
+is the first user link found searching back from the date, if it ends
+within AUTHOR_WINDOW_CHARS of it.  to_events
 reads the signature as plain values; extract_signature wraps the same
 values in a SignatureMatch.
 """
@@ -209,22 +210,18 @@ _MONTH_SPELLINGS = {
 }
 
 
-def _utc(year: str, month: int, day: str, hour: str | int, minute: str | int,
-         now: datetime) -> datetime | None:
-    """The UTC time the fields name, or None for an impossible day or time or one before
-    EARLIEST_TIMESTAMP or after now.  The text fields are converted inside the same try,
-    since a registry group may hold non-digits."""
+def _utc(year: str, month: int, day: str, hour: str | int, minute: str | int) -> datetime | None:
+    """The UTC time the fields name, or None for an impossible day or time.  The text
+    fields are converted inside the same try, since a registry group may hold non-digits."""
     try:
-        ts = datetime(int(year), month, int(day), int(hour), int(minute), tzinfo=timezone.utc)
+        return datetime(int(year), month, int(day), int(hour), int(minute), tzinfo=timezone.utc)
     except ValueError:
         return None
-    return ts if EARLIEST_TIMESTAMP <= ts <= now else None
 
 
-def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
-    """The UTC time a registry match names, or None for no date: a required group left
-    out, an unknown month, an impossible day or time, or a time before
-    EARLIEST_TIMESTAMP or after now."""
+def _candidate_timestamp(match: re.Match) -> datetime | None:
+    """The UTC time a registry match names, or None for none: a required group left
+    out, an unknown month, or an impossible day or time."""
     parts = match.groupdict()
     year, month, day = parts["year"], parts["month"], parts["day"]
     if year is None or month is None or day is None:  # an optional group left out
@@ -232,7 +229,7 @@ def _candidate_timestamp(match: re.Match, now: datetime) -> datetime | None:
     month_no = _resolve_month(month)
     if month_no is None:
         return None
-    return _utc(year, month_no, day, parts.get("hour") or 0, parts.get("minute") or 0, now)
+    return _utc(year, month_no, day, parts.get("hour") or 0, parts.get("minute") or 0)
 
 
 def _clean_author(raw: str) -> str:
@@ -264,6 +261,8 @@ Signature = tuple[str | None, datetime | None, int, int]
 
 def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) -> Signature | None:
     """extract_signature's signature of body as plain values; None when there is none."""
+    # A match that names a real time after now gives no date at its end: no
+    # other reading that ends there is tried.
     if patterns is None:
         # Latest " (UTC)" first; at one end the timed reading, then the date alone.
         ts, end = None, len(body)
@@ -276,12 +275,14 @@ def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) 
             if month is None:
                 continue
             start = m.start()
-            if minute is not None:
-                if (ts := _utc(year, month, day, lead, minute, now)) is not None:
-                    break
-                lead, start = day, m.start("day")
-            if (ts := _utc(year, month, lead, 0, 0, now)) is not None:
+            if minute is None or (ts := _utc(year, month, day, lead, minute)) is None:
+                # No time, or an impossible one: the date alone, from the day group on.
+                if minute is not None:
+                    lead, start = day, m.start("day")
+                ts = _utc(year, month, lead, 0, 0)
+            if ts is not None and EARLIEST_TIMESTAMP <= ts <= now:
                 break
+            ts = None
     else:
         # Latest end first; at one end the earlier registry entry first.
         candidates = sorted(
@@ -289,11 +290,15 @@ def _signature(body: str, patterns: Sequence[re.Pattern] | None, now: datetime) 
              for m in pattern.finditer(body)),
             key=lambda item: (-item[0], item[1]),
         )
-        ts = None
-        for _, _, m in candidates:
-            if (ts := _candidate_timestamp(m, now)) is not None:
-                start = m.start()
-                break
+        ts, future = None, None
+        for end, _, m in candidates:
+            if end != future and (ts := _candidate_timestamp(m)) is not None:
+                if ts > now:
+                    future = end
+                elif ts >= EARLIEST_TIMESTAMP:
+                    start = m.start()
+                    break
+            ts = None
     if ts is None:
         link = _last_link(body, len(body))
         return None if link is None else (_clean_author(link["name"]), None, link.start(), link.end())
@@ -314,7 +319,9 @@ def extract_signature(
     AUTHOR_WINDOW_CHARS of it.  A date
     with no nearby link yields an authorless match; a user link with no
     parseable date yields a dateless match; a body with neither has no
-    signature at all.  A date after now (default: the clock) is no date.
+    signature at all.  A date or time after now (default: the clock) is no
+    date, and no other reading that ends where it ends is tried; an
+    impossible time falls back to its date alone.
     """
     signature = _signature(body, patterns, datetime.now(timezone.utc) if now is None else now)
     if signature is None:

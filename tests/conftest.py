@@ -502,7 +502,8 @@ def _resolve_month_oracle(token: str) -> int | None:
     return talkparser.MONTHS.get(token)
 
 
-def _candidate_timestamp_oracle(match: re.Match, now: datetime) -> datetime | None:
+def _candidate_timestamp_oracle(match: re.Match) -> datetime | None:
+    """The real UTC time a match names, at any distance from now; None for none."""
     parts = match.groupdict()
     if None in (parts["year"], parts["month"], parts["day"]):
         return None
@@ -510,11 +511,10 @@ def _candidate_timestamp_oracle(match: re.Match, now: datetime) -> datetime | No
     if month is None:
         return None
     try:
-        ts = datetime(int(parts["year"]), month, int(parts["day"]), int(parts.get("hour") or 0),
-                      int(parts.get("minute") or 0), tzinfo=timezone.utc)
+        return datetime(int(parts["year"]), month, int(parts["day"]), int(parts.get("hour") or 0),
+                        int(parts.get("minute") or 0), tzinfo=timezone.utc)
     except ValueError:
         return None
-    return ts if _EARLIEST <= ts <= now else None
 
 
 def _clean_author_oracle(raw: str) -> str:
@@ -533,9 +533,12 @@ def extract_signature_oracle(body: str, patterns=None, now: datetime | None = No
     now = datetime.now(timezone.utc) if now is None else now
     candidates = sorted(((m.end(), priority, m) for priority, pattern in enumerate(pats)
                          for m in pattern.finditer(body)), key=lambda item: (-item[0], item[1]))
-    for _, _, match in candidates:
-        ts = _candidate_timestamp_oracle(match, now)
-        if ts is None:
+    future_ends = set()  # a match naming a time after now leaves no date at its end
+    for end, _, match in candidates:
+        ts = None if end in future_ends else _candidate_timestamp_oracle(match)
+        if ts is not None and ts > now:
+            future_ends.add(end)
+        if ts is None or not _EARLIEST <= ts <= now:
             continue
         link = _last_user_link_oracle(body, match.start())
         if link is not None and match.start() - link.end() <= talkparser.AUTHOR_WINDOW_CHARS:

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import logging
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -58,6 +59,32 @@ class TestParseTimestamp:
 
     def test_utc_offset_suffix(self):
         assert parse_timestamp("2006-05-10T13:45:08+00:00") == utc(2006, 5, 10, 13, 45, 8)
+
+    # The suffix is read as one masked word: each of its six bytes is in the mask.
+    def test_every_one_byte_change_of_the_utc_offset_is_refused(self):
+        good = "2006-05-10T13:45:08+00:00"
+        changed = {good[:at] + byte + good[at + 1:] for at in range(19, 25) for byte in "01+-:Z\0"} - {good}
+        assert len(changed) == 36
+        assert [text for text in sorted(changed) if parse_timestamp(text) is not None] == []
+
+    # The loader gathers 32 bytes from a timestamp's start: bytes past its 25th
+    # (the rest of the line, or the next field's bytes on the slow path) are
+    # outside the mask.
+    def test_utc_offset_inside_a_line_reads_as_at_its_end(self, tmp_path):
+        stamp = "2006-05-10T13:45:08+00:00"
+        second = (utc(2006, 5, 10, 13, 45, 8) - utc(1970, 1, 1)) // timedelta(seconds=1)
+        (tmp_path / "e.jsonl").write_text(f'{{"article":"A","ts":"{stamp}"}}', encoding="utf-8")
+        (tmp_path / "c.jsonl").write_text(
+            event_json_line(CommentEvent("A", "c0", None, 0, utc(2006, 5, 10), "Bob", 0))
+            .replace("2006-05-10T00:00:00Z", stamp) + "\n"
+            + json.dumps(comment_rec(id="c1", ts=stamp)) + "\n",  # not canonical: spaces
+            encoding="utf-8",
+        )
+        for name, kind in (("e.jsonl", EDIT), ("c.jsonl", COMMENT)):
+            diag = Diagnostics()
+            columns = ingest.load_columns(tmp_path / name, kind, diagnostics=diag)
+            assert columns.seconds.tolist() == [second] * diag.tallies["lines_read"]
+        assert diag.tallies["lines_read"] == 2
 
     @pytest.mark.parametrize(
         "text",
@@ -1457,6 +1484,38 @@ class TestSyntheticCorpus:
             "edits.jsonl": "d1638904898e79a0a534fafdf341f4d2f2a75c2abdc5a5c072600512f3be377a",
             "comments.jsonl": "be3b71c6339daa649c68b667ded8b6bea432dec10cb24ca9ac248f0bec4987ba",
         }
+
+    # The script's names, its main() not run.
+    script = runpy.run_path(str(SYNTHETIC_SCRIPT))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--articles", "0"), ("--edits", "-5"), ("--comments", "-1"), ("--days", "30"), ("--days", "0"),
+        ("--days", str(script["MAX_DAYS"] + 1)), ("--seed", "-1"),
+    ])
+    def test_refuses_what_it_cannot_write(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            self.script["main"](["--out", str(out), flag, value])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"error: {flag} must be at" in err
+        assert not out.exists()
+
+    def test_writes_at_its_smallest_values(self, tmp_path):
+        main = self.script["main"]
+        assert main(["--out", str(tmp_path / "empty"), "--articles", "1", "--edits", "0",
+                     "--comments", "0", "--seed", "0"]) == 0
+        assert [(tmp_path / "empty" / name).read_bytes() for name in ("edits.jsonl", "comments.jsonl")] \
+            == [b"", b""]
+        assert main(["--out", str(tmp_path), "--articles", "3", "--edits", "200", "--comments", "200",
+                     "--days", "31", "--seed", "0"]) == 0
+        last = (self.script["CANON_DAY"] + 30).astype(str)
+        for name in ("edits.jsonl", "comments.jsonl"):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 200 and all(json.loads(line)["ts"][:10] <= last for line in lines)
+
+    def test_widest_horizon_ends_on_9999_12_31(self):
+        assert str(self.script["CANON_DAY"] + self.script["MAX_DAYS"] - 1) == "9999-12-31"
 
     def test_every_line_is_the_event_json_line_of_its_event(self, tmp_path):
         subprocess.run([sys.executable, str(SYNTHETIC_SCRIPT), "--out", str(tmp_path), "--articles", "20",

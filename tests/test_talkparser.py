@@ -231,7 +231,7 @@ class TestSignatureMatchesTwoScanOracle:
         assert (extract_signature(body, patterns, now)
                 == extract_signature_oracle(body, patterns, now))
 
-    # The timed reading is after now and the date alone is not: the date alone wins.
+    # The timed reading is after now and the date alone is not: no date ends there.
     @example(body="[[User:A]] 10:30, 5 May 2006 (UTC)", now=utc(2006, 5, 5, 10))
     # A month of 30 letters is no month, so the date before it wins.
     @example(body="[[User:A]] 5 May 2006 (UTC) 10:30, 5 " + "May" * 10 + " 2006 (UTC)",
@@ -247,13 +247,26 @@ class TestSignatureMatchesTwoScanOracle:
     def test_same_on_the_days_of_the_dates(self, body, now):
         assert extract_signature(body, None, now) == extract_signature_oracle(body, None, now)
 
-    @pytest.mark.parametrize("link, start", [("[[User:A]] ", 0), ("", 7)])
-    def test_timed_reading_after_now_falls_back_to_the_date(self, link, start):
-        body = f"{link}10:30, 5 May 2006 (UTC)"
-        sig = extract_signature(body, now=utc(2006, 5, 5, 10))
-        assert sig.timestamp == utc(2006, 5, 5)
-        assert sig.author == ("A" if link else None)
-        assert sig.span == (start, len(body))
+    # A time after now on now's own day does not fall back to its date at midnight,
+    # in the default reader and in a registry that holds the date-only entry too.
+    @pytest.mark.parametrize("patterns", [None, DEFAULT_DATE_PATTERNS], ids=["default", "registry"])
+    def test_timed_reading_after_now_gives_no_date(self, patterns):
+        now = utc(2006, 5, 5, 10)
+        sig = extract_signature("[[User:A]] 10:30, 5 May 2006 (UTC)", patterns, now)
+        assert (sig.author, sig.timestamp, sig.span) == ("A", None, (0, 10))
+        assert extract_signature("10:30, 5 May 2006 (UTC)", patterns, now) is None
+
+    # An impossible time still falls back to the date alone, from the day on.
+    @pytest.mark.parametrize("patterns", [None, DEFAULT_DATE_PATTERNS], ids=["default", "registry"])
+    def test_impossible_time_falls_back_to_the_date(self, patterns):
+        sig = extract_signature("[[User:A]] 25:30, 5 May 2006 (UTC)", patterns, utc(2006, 5, 5, 10))
+        assert (sig.author, sig.timestamp, sig.span) == ("A", utc(2006, 5, 5), (0, 34))
+
+    def test_future_time_moves_on_to_the_earlier_date(self):
+        body = "[[User:A]] 9:00, 4 May 2006 (UTC) [[User:B]] 10:30, 5 May 2006 (UTC)"
+        for patterns in (None, DEFAULT_DATE_PATTERNS):
+            sig = extract_signature(body, patterns, utc(2006, 5, 5, 10))
+            assert (sig.author, sig.timestamp) == ("A", utc(2006, 5, 4, 9))
 
 
 class TestLastLinkSearchedBack:
