@@ -250,7 +250,7 @@ class TestSignatureMatchesTwoScanOracle:
     # A time after now on now's own day does not fall back to its date at midnight,
     # in the default reader and in a registry that holds the date-only entry too.
     @pytest.mark.parametrize("patterns", [None, DEFAULT_DATE_PATTERNS], ids=["default", "registry"])
-    def test_timed_reading_after_now_gives_no_date(self, patterns):
+    def test_time_after_now_gives_no_date(self, patterns):
         now = utc(2006, 5, 5, 10)
         sig = extract_signature("[[User:A]] 10:30, 5 May 2006 (UTC)", patterns, now)
         assert (sig.author, sig.timestamp, sig.span) == ("A", None, (0, 10))
